@@ -31,7 +31,6 @@ from .relations import (
     iota,
     leq,
     parallel,
-    power,
     star,
     union,
     zero_relation,

@@ -7,9 +7,13 @@ Everything is driven by one seed: per-schema streams are derived from it
 with a stable hash, so a batch run can be split or reordered and still
 produce the identical report.
 
+All four sampled searches (schema audits, rule audits, the validity
+search and the difference search) run on one driver, ``_trials``: it
+owns the seeded stream and the sample budget, and each trial draws its
+model first and the search's own draws after it.
+
 Also here: the valuation-enumeration decision procedure for
-modality-free consequence, and the difference search used to certify
-that box and diamond are not dual.
+modality-free consequence.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .schemas import (
     all_schemata,
     instantiate_schema,
 )
-from .semantics import Evaluator, Model, eval_formula, valid_in_model
+from .semantics import Evaluator, Model, Refutation, eval_formula, valid_in_model
 from .syntax import (
     And,
     Atomic,
@@ -46,6 +50,8 @@ from .syntax import (
     Star,
     Test,
     Union as PUnion,
+    children,
+    collect_names,
     format_formula,
     format_program,
 )
@@ -259,7 +265,7 @@ def _binding_text(bindings: Mapping[str, Binding]) -> dict[str, str]:
     for name, value in sorted(bindings.items()):
         if isinstance(value, ChainValue):
             out[name] = str(value)
-        elif isinstance(value, (Atomic, PUnion, Inter, Seq, Star, Test)):
+        elif isinstance(value, Program):
             out[name] = format_program(value)
         else:
             out[name] = format_formula(value)
@@ -377,17 +383,31 @@ class AuditReport:
 # -- the searches --------------------------------------------------------------------
 
 
-def find_counterexample(
-    schema: AxiomSchema, cfg: SamplerConfig, budget: Optional[int] = None
-) -> SchemaAudit:
-    """Random (model, instantiation) trials until a state falls below top."""
-    budget = budget if budget is not None else cfg.samples
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
+def _trials(cfg: SamplerConfig, seed: int, names=(None, None)):
+    """The sampled-search loop: yields (trial, rng, model) up to the
+    sample budget. Each trial draws its model first; the search's own
+    draws follow from the same stream."""
     rng = random.Random(seed)
-    for trial in range(1, budget + 1):
-        model = sample_model(cfg, rng)
+    for trial in range(1, cfg.samples + 1):
+        yield trial, rng, sample_model(cfg, rng, *names)
+
+
+def _sample_names(cfg: SamplerConfig, *formulas: Formula) -> tuple[list[str], list[str]]:
+    """Proposition and program names of the sampled models: the
+    configured ones plus every name the formulas mention."""
+    props = set(PROP_NAMES[: cfg.num_propvars])
+    progs = set(PROGRAM_NAMES[: cfg.num_programs])
+    for f in formulas:
+        p, a = collect_names(f)
+        props |= p
+        progs |= a
+    return sorted(props), sorted(progs)
+
+
+def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
+    """Random (model, instantiation) trials until a state falls below top."""
+    seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
+    for trial, rng, model in _trials(cfg, seed):
         bindings = sample_bindings(schema, rng, cfg)
         instance = instantiate_schema(schema, bindings, cfg.context)
         ok, refutation = valid_in_model(model, instance)
@@ -398,7 +418,7 @@ def find_counterexample(
                 "counterexample", seed, witness,
             )
     return SchemaAudit(
-        schema.id, schema.variant, cfg.n, budget, budget,
+        schema.id, schema.variant, cfg.n, cfg.samples, cfg.samples,
         "no-counterexample-found", seed,
     )
 
@@ -406,26 +426,22 @@ def find_counterexample(
 _MON_RULES = ("Mon-box", "Mon-diamond")
 
 
-def audit_rule(rule_id: str, cfg: SamplerConfig, budget: Optional[int] = None) -> RuleAudit:
+def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     """Search for a model where the premise of a monotonicity rule is
     valid but the conclusion is not."""
     if rule_id not in _MON_RULES:
         raise ValueError(f"unknown rule {rule_id!r}")
-    budget = budget if budget is not None else cfg.samples
     seed = derive_seed(cfg.seed, "rule", rule_id, cfg.n)
-    rng = random.Random(seed)
     ctx = cfg.context
     node = Box if rule_id == "Mon-box" else Diamond
+    props = PROP_NAMES[: cfg.num_propvars]
+    progs = PROGRAM_NAMES[: cfg.num_programs]
     premises_valid = 0
-    for trial in range(1, budget + 1):
-        model = sample_model(cfg, rng)
-        props = PROP_NAMES[: cfg.num_propvars]
-        progs = PROGRAM_NAMES[: cfg.num_programs]
+    for trial, rng, model in _trials(cfg, seed):
         phi = random_formula(rng, ctx, 2, props, progs)
         psi = random_formula(rng, ctx, 2, props, progs)
         program = random_program(rng, ctx, 2, props, progs)
-        premise = Implies(phi, psi)
-        ok, _ = valid_in_model(model, premise)
+        ok, _ = valid_in_model(model, Implies(phi, psi))
         if not ok:
             continue
         premises_valid += 1
@@ -438,8 +454,24 @@ def audit_rule(rule_id: str, cfg: SamplerConfig, budget: Optional[int] = None) -
                 rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
             )
     return RuleAudit(
-        rule_id, cfg.n, budget, premises_valid, "no-counterexample-found", seed
+        rule_id, cfg.n, cfg.samples, premises_valid, "no-counterexample-found", seed
     )
+
+
+def valid_check(
+    formula: Formula, cfg: SamplerConfig
+) -> tuple[int, Optional[Model], Optional[Refutation]]:
+    """Search sampled models for a state where the formula is below top.
+
+    Returns (models tested, refuting model, refutation); the last two
+    are None when the budget runs out first.
+    """
+    seed = derive_seed(cfg.seed, "valid", format_formula(formula), cfg.n)
+    for trial, _rng, model in _trials(cfg, seed, _sample_names(cfg, formula)):
+        ok, refutation = valid_in_model(model, formula)
+        if not ok:
+            return trial, model, refutation
+    return cfg.samples, None, None
 
 
 def audit_all(
@@ -485,8 +517,7 @@ def _require_modality_free(formula: Formula) -> None:
                 f"modal operator in {format_formula(node)!r}; "
                 "consequence checking covers modality-free formulas only"
             )
-        if isinstance(node, (And, Or, Implies)):
-            stack += [node.left, node.right]
+        stack.extend(children(node))
 
 
 def _prop_num(formula: Formula, valuation: Mapping[str, int], ctx: ChainContext) -> int:
@@ -518,16 +549,10 @@ def check_consequence_prop(
     also sends the conclusion to top, else (False, falsifying valuation).
     """
     premises = list(theta)
+    names: set[str] = set()
     for f in premises + [phi]:
         _require_modality_free(f)
-    names: set[str] = set()
-    stack: list[Formula] = premises + [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PropVar):
-            names.add(node.name)
-        elif isinstance(node, (And, Or, Implies)):
-            stack += [node.left, node.right]
+        names |= collect_names(f)[0]
     ordered = sorted(names)
     count = ctx.n ** len(ordered)
     if count > limit:
@@ -579,20 +604,8 @@ class EquivReport:
 
 def equiv_check(left: Formula, right: Formula, cfg: SamplerConfig) -> EquivReport:
     """Search sampled models for a state where the two formulas differ."""
-    from .syntax import collect_names
-
-    props: set[str] = set()
-    progs: set[str] = set()
-    for f in (left, right):
-        p, a = collect_names(f)
-        props |= p
-        progs |= a
-    prop_names = sorted(props | set(PROP_NAMES[: cfg.num_propvars]))
-    prog_names = sorted(progs | set(PROGRAM_NAMES[: cfg.num_programs]))
     seed = derive_seed(cfg.seed, "equiv", format_formula(left), format_formula(right), cfg.n)
-    rng = random.Random(seed)
-    for trial in range(1, cfg.samples + 1):
-        model = sample_model(cfg, rng, prop_names, prog_names)
+    for trial, _rng, model in _trials(cfg, seed, _sample_names(cfg, left, right)):
         evaluator = Evaluator(model)
         for s in model.space.states():
             lv = evaluator.value_num(left, s)

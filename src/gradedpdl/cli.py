@@ -12,21 +12,20 @@ import sys
 from pathlib import Path
 
 from .audit import (
+    STATE_CAP,
+    STATE_CAP_FORCED,
     SamplerConfig,
     all_schemata,
     audit_all,
     equiv_check,
+    valid_check,
 )
-from .chain import ChainContext, ChainMismatchError, NotAChainElement
+from .chain import ChainContext, ChainMismatchError, ChainValue, NotAChainElement
 from .filtration import NotClosedError, check_preservation, quotient
 from .modelio import ModelFormatError, dumps, load_model, model_to_dict
 from .proofcheck import DerivationFormatError, check_derivation, load_derivation
-from .semantics import Evaluator, Model, valid_in_model
+from .semantics import Evaluator, Model
 from .syntax import ClosureBudgetExceeded, ParseError, fl_closure, format_formula, parse_formula
-from .chain import ChainValue
-
-STATE_CAP = 4
-STATE_CAP_FORCED = 6
 
 
 class CliError(Exception):
@@ -91,27 +90,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_valid(args) -> int:
-    from .audit import PROGRAM_NAMES, PROP_NAMES, derive_seed, sample_model
-    from .syntax import collect_names
-    import random
-
     cfg = _sampler_config(args)
     formula = parse_formula(args.formula, cfg.context)
-    props, progs = collect_names(formula)
-    prop_names = sorted(props | set(PROP_NAMES[: cfg.num_propvars]))
-    prog_names = sorted(progs | set(PROGRAM_NAMES[: cfg.num_programs]))
-    rng = random.Random(derive_seed(cfg.seed, "valid", format_formula(formula), cfg.n))
-    for trial in range(1, cfg.samples + 1):
-        model = sample_model(cfg, rng, prop_names, prog_names)
-        ok, refutation = valid_in_model(model, formula)
-        if not ok:
-            print(
-                f"counterexample after {trial} models: value {refutation.value} "
-                f"at state {refutation.state_name}"
-            )
-            print(dumps(model_to_dict(model)))
-            return 1
-    print(f"no counterexample in {cfg.samples} sampled models")
+    models_tested, model, refutation = valid_check(formula, cfg)
+    if refutation is not None:
+        print(
+            f"counterexample after {models_tested} models: value {refutation.value} "
+            f"at state {refutation.state_name}"
+        )
+        print(dumps(model_to_dict(model)))
+        return 1
+    print(f"no counterexample in {models_tested} sampled models")
     return 0
 
 
@@ -182,7 +171,7 @@ def cmd_filtrate(args) -> int:
     names = model.state_names
     for c, members in enumerate(result.classes):
         print(f"  c{c}: {', '.join(names[m] for m in members)}")
-    preservation = check_preservation(model, gamma)
+    preservation = check_preservation(model, result)
     agree = sum(row["agreements"] for row in preservation.rows)
     total = sum(row["states"] for row in preservation.rows)
     print(f"value preservation: {agree}/{total} (formula, state) pairs agree")

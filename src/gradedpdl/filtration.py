@@ -52,13 +52,6 @@ class FiltrationResult:
     gamma: frozenset[Formula]
     warnings: tuple[str, ...] = ()
 
-    def classes_table(self) -> dict[str, list[str]]:
-        names = self.quotient.state_names
-        return {
-            names[c]: [f"s{m}" for m in members]
-            for c, members in enumerate(self.classes)
-        }
-
 
 def _signature(evaluator: Evaluator, gamma: Sequence[Formula], s: int) -> tuple[int, ...]:
     return tuple(evaluator.value_num(f, s) for f in gamma)
@@ -77,6 +70,24 @@ def _box_diamond_pairs(gamma: Iterable[Formula], name: str) -> list[Formula]:
     return sorted(boxes & diamonds, key=format_formula)
 
 
+def _sandwich(
+    evaluator: Evaluator,
+    prog: Atomic,
+    body: Formula,
+    source: int,
+    targets: Sequence[int],
+    top: int,
+) -> int:
+    """The box/diamond sandwich of one body at (source, targets):
+    (box -> meet of the body over targets) & (that meet -> diamond)."""
+    body_meet = top
+    for t in targets:
+        body_meet = min(body_meet, evaluator.value_num(body, t))
+    box_val = evaluator.value_num(Box(prog, body), source)
+    dia_val = evaluator.value_num(Diamond(prog, body), source)
+    return min(top, top - box_val + body_meet, top - body_meet + dia_val)
+
+
 def _gamma_meet(
     evaluator: Evaluator,
     name: str,
@@ -89,26 +100,13 @@ def _gamma_meet(
     acc = top
     prog = Atomic(name)
     for body in bodies:
-        body_meet = top
-        for t in targets:
-            body_meet = min(body_meet, evaluator.value_num(body, t))
-        box_val = evaluator.value_num(Box(prog, body), source)
-        dia_val = evaluator.value_num(Diamond(prog, body), source)
-        term = min(
-            min(top, top - box_val + body_meet),
-            min(top, top - body_meet + dia_val),
-        )
-        acc = min(acc, term)
+        acc = min(acc, _sandwich(evaluator, prog, body, source, targets, top))
         if acc == 0:
             break
     return acc
 
 
-def quotient(
-    model: Model,
-    gamma: Iterable[Formula],
-    check_representatives: bool = True,
-) -> FiltrationResult:
+def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     """Collapse states that agree on every member of the closed set."""
     gamma_set = frozenset(gamma)
     ctx = model.context
@@ -149,7 +147,7 @@ def quotient(
     atomics: dict[str, ReachRelation] = {}
     for name in sorted(model.atomics):
         rel = relation_for(name, reps_min)
-        if check_representatives and reps_max != reps_min:
+        if reps_max != reps_min:
             alt = relation_for(name, reps_max)
             if alt != rel:
                 warnings.append(
@@ -194,21 +192,20 @@ class Lemma4Report:
 
 def check_lemma4(
     model: Model,
-    gamma: Iterable[Formula],
+    result: FiltrationResult,
     program_name: str,
     corpus: Iterable[Formula],
 ) -> Lemma4Report:
     """Check that the quotient relation dominates the corpus meet.
 
-    For every state s and every target set T, the meet over the whole
-    corpus of the box/diamond sandwich at (s, T) must be at most the
-    quotient relation value at the corresponding class pair. The corpus
-    plays the role of "all formulas": whenever it contains the indexing
-    formulas of the quotient, the inequality is forced, because a meet
-    over more terms can only be smaller.
+    ``result`` is the quotient of ``model``. For every state s and every
+    target set T, the meet over the whole corpus of the box/diamond
+    sandwich at (s, T) must be at most the quotient relation value at the
+    corresponding class pair. The corpus plays the role of "all
+    formulas": whenever it contains the indexing formulas of the
+    quotient, the inequality is forced, because a meet over more terms
+    can only be smaller.
     """
-    gamma_set = frozenset(gamma)
-    result = quotient(model, gamma_set, check_representatives=False)
     evaluator = Evaluator(model)
     top = model.context.top
     corpus_list = _sorted_gamma(corpus)
@@ -221,15 +218,7 @@ def check_lemma4(
             unrestricted = top
             floor_formula: Optional[Formula] = None
             for body in corpus_list:
-                body_meet = top
-                for t in targets:
-                    body_meet = min(body_meet, evaluator.value_num(body, t))
-                box_val = evaluator.value_num(Box(prog, body), s)
-                dia_val = evaluator.value_num(Diamond(prog, body), s)
-                term = min(
-                    min(top, top - box_val + body_meet),
-                    min(top, top - body_meet + dia_val),
-                )
+                term = _sandwich(evaluator, prog, body, s, targets, top)
                 if term < unrestricted:
                     unrestricted = term
                     floor_formula = body
@@ -266,20 +255,19 @@ class PreservationReport:
         return {"rows": self.rows}
 
 
-def check_preservation(model: Model, gamma: Iterable[Formula]) -> PreservationReport:
-    """Compare each closed-set formula in the model and in its quotient.
+def check_preservation(model: Model, result: FiltrationResult) -> PreservationReport:
+    """Compare each closed-set formula in the model and in its quotient
+    ``result``.
 
     This emits an agreement table rather than asserting equality: the
     preservation theorem is proved for the canonical construction, and
     its behaviour on arbitrary explicit models is exactly what this
     report surfaces.
     """
-    gamma_set = frozenset(gamma)
-    result = quotient(model, gamma_set, check_representatives=False)
     evaluator = Evaluator(model)
     q_evaluator = Evaluator(result.quotient)
     report = PreservationReport()
-    for f in _sorted_gamma(gamma_set):
+    for f in _sorted_gamma(result.gamma):
         agreements = 0
         mismatches = []
         for s in model.space.states():

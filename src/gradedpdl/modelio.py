@@ -84,20 +84,29 @@ def model_from_dict(data: dict[str, Any]) -> Model:
     index = {name: i for i, name in enumerate(state_list)}
 
     def state(name: Any) -> int:
-        if name not in index:
+        if not isinstance(name, str) or name not in index:
             raise ModelFormatError(f"unknown state name {name!r}")
         return index[name]
 
+    def value(text: Any) -> int:
+        if not isinstance(text, str):
+            raise ModelFormatError(f"chain values are strings such as \"1/2\", got {text!r}")
+        return parse_value(text, ctx).numerator
+
+    def section(key: str) -> dict[str, Any]:
+        part = data.get(key) or {}
+        if not isinstance(part, dict):
+            raise ModelFormatError(f"{key!r} must be an object")
+        return part
+
     valuation: dict[str, dict[int, int]] = {}
-    for prop, row in (data.get("valuation") or {}).items():
+    for prop, row in section("valuation").items():
         if not isinstance(row, dict):
             raise ModelFormatError(f"valuation of {prop!r} must be an object")
-        valuation[prop] = {
-            state(sname): parse_value(text, ctx).numerator for sname, text in row.items()
-        }
+        valuation[prop] = {state(sname): value(text) for sname, text in row.items()}
 
     atomics: dict[str, ReachRelation] = {}
-    for prog, rows in (data.get("programs") or {}).items():
+    for prog, rows in section("programs").items():
         if not isinstance(rows, list):
             raise ModelFormatError(f"program {prog!r} must map to a list of entries")
         entries: dict[tuple[int, int], int] = {}
@@ -105,7 +114,7 @@ def model_from_dict(data: dict[str, Any]) -> Model:
             try:
                 src = state(row["from"])
                 targets = row["to"]
-                value = row["value"]
+                text = row["value"]
             except (KeyError, TypeError):
                 raise ModelFormatError(
                     f"program {prog!r} entries need 'from', 'to' and 'value'"
@@ -115,7 +124,7 @@ def model_from_dict(data: dict[str, Any]) -> Model:
             mask = 0
             for t in targets:
                 mask |= 1 << state(t)
-            num = parse_value(value, ctx).numerator
+            num = value(text)
             key = (src, mask)
             entries[key] = max(entries.get(key, 0), num)
         atomics[prog] = ReachRelation(space, ctx, entries)

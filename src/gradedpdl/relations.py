@@ -165,20 +165,13 @@ def iota(space: StateSpace, ctx: ChainContext) -> ReachRelation:
     return ReachRelation(space, ctx, {(s, 1 << s): top for s in space.states()})
 
 
-def union(r: ReachRelation, q: ReachRelation, literal: bool = False) -> ReachRelation:
-    """Pointwise join.
-
-    With ``literal=True`` the empty-set column is forced to bottom, which
-    is what the printed defining equation gives when its (vacuous) join
-    over members of the target set is read word for word.
-    """
+def union(r: ReachRelation, q: ReachRelation) -> ReachRelation:
+    """Pointwise join."""
     _check_same(r, q)
     table = dict(r.entries)
     for key, val in q.entries.items():
         if val > table.get(key, 0):
             table[key] = val
-    if literal:
-        table = {(s, m): v for (s, m), v in table.items() if m != 0}
     return ReachRelation(r.space, r.context, table)
 
 
@@ -221,12 +214,11 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     return ReachRelation(r.space, r.context, out)
 
 
-def parallel(r: ReachRelation, q: ReachRelation, disjoint: bool = False) -> ReachRelation:
+def parallel(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     """Parallel combination: join over splittings of the target set.
 
     (r (x) q)(s, X) joins r(s, T) (*) q(s, W) over all pairs with
-    T union W = X. Overlapping T and W are allowed; ``disjoint=True``
-    restricts to partitions for comparison.
+    T union W = X; T and W may overlap.
     """
     _check_same(r, q)
     top = r.context.top
@@ -237,8 +229,6 @@ def parallel(r: ReachRelation, q: ReachRelation, disjoint: bool = False) -> Reac
     out: dict[tuple[int, int], int] = {}
     for (s, tmask), rval in r.entries.items():
         for wmask, qval in q_by_state.get(s, ()):
-            if disjoint and (tmask & wmask):
-                continue
             val = rval + qval - top
             if val <= 0:
                 continue
@@ -254,19 +244,9 @@ def leq(r: ReachRelation, q: ReachRelation) -> bool:
     return all(val <= q.entries.get(key, 0) for key, val in r.entries.items())
 
 
-def power(r: ReachRelation, k: int) -> ReachRelation:
-    """Iterate p(0) = unit, p(i+1) = unit join (r o p(i))."""
-    if k < 0:
-        raise ValueError(f"power index must be >= 0, got {k}")
-    unit = iota(r.space, r.context)
-    acc = unit
-    for _ in range(k):
-        acc = union(unit, compose(r, acc))
-    return acc
-
-
 def star(r: ReachRelation) -> ReachRelation:
-    """Reflexive-transitive closure: limit of the power iteration.
+    """Reflexive-transitive closure: the limit of p(0) = unit,
+    p(i+1) = unit join (r o p(i)).
 
     The iterates grow monotonically in a finite lattice, so the loop is
     guaranteed to reach a fixpoint.

@@ -35,6 +35,7 @@ from .syntax import (
     Test,
     Union as PUnion,
     biconditional,
+    children,
 )
 
 
@@ -118,14 +119,8 @@ class AxiomSchema:
                 kinds[node.name] = "const"
             elif isinstance(node, ConstOp):
                 stack += [node.left, node.right]
-            elif isinstance(node, (And, Or, Implies, PUnion, Inter, Seq)):
-                stack += [node.left, node.right]
-            elif isinstance(node, (Box, Diamond)):
-                stack += [node.program, node.body]
-            elif isinstance(node, Star):
-                stack.append(node.body)
-            elif isinstance(node, Test):
-                stack.append(node.condition)
+            else:
+                stack.extend(children(node))
         return kinds
 
 
@@ -372,15 +367,10 @@ def instantiate_schema(
         if isinstance(node, ConstOp):
             a, b = need(node.left.name), need(node.right.name)
             return Constant(_apply_const_op(node.op, a, b))
-        if isinstance(node, (And, Or, Implies, PUnion, Inter, Seq)):
-            return type(node)(build(node.left), build(node.right))
-        if isinstance(node, (Box, Diamond)):
-            return type(node)(build(node.program), build(node.body))
-        if isinstance(node, Star):
-            return Star(build(node.body))
-        if isinstance(node, Test):
-            return Test(build(node.condition))
-        return node  # PropVar, Constant, Atomic
+        parts = children(node)
+        if not parts:
+            return node  # PropVar, Constant, Atomic
+        return type(node)(*map(build, parts))
 
     return build(schema.template)
 
@@ -427,15 +417,10 @@ def match_axiom_instance(
             return True
         if type(t) is not type(node):
             return False
-        if isinstance(t, (And, Or, Implies, PUnion, Inter, Seq)):
-            return walk(t.left, node.left) and walk(t.right, node.right)
-        if isinstance(t, (Box, Diamond)):
-            return walk(t.program, node.program) and walk(t.body, node.body)
-        if isinstance(t, Star):
-            return walk(t.body, node.body)
-        if isinstance(t, Test):
-            return walk(t.condition, node.condition)
-        return t == node  # PropVar, Constant, Atomic
+        parts = children(t)
+        if not parts:
+            return t == node  # PropVar, Constant, Atomic
+        return all(map(walk, parts, children(node)))
 
     if not walk(schema.template, formula):
         return False, None

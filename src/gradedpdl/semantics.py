@@ -99,12 +99,6 @@ class Model:
     def prop_num(self, name: str, s: int) -> int:
         return self.valuation.get(name, {}).get(s, 0)
 
-    def state_index(self, name: str) -> int:
-        try:
-            return self.state_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown state name {name!r}") from None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
             return NotImplemented

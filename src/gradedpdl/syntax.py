@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Union as _U
 
 from .chain import ChainContext, ChainValue, NotAChainElement, format_value, from_rational
@@ -382,17 +383,32 @@ def immediate_subformulas(f: Formula) -> list[Formula]:
     return []
 
 
+_BINARY = attrgetter("left", "right")
+_MODAL = attrgetter("program", "body")
+_CHILDREN = {
+    And: _BINARY,
+    Or: _BINARY,
+    Implies: _BINARY,
+    Box: _MODAL,
+    Diamond: _MODAL,
+    Union: _BINARY,
+    Inter: _BINARY,
+    Seq: _BINARY,
+    Star: lambda n: (n.body,),
+    Test: lambda n: (n.condition,),
+}
+
+
+def children(node: object) -> tuple:
+    """The subtrees of a compound node in constructor order, so that
+    ``type(node)(*children(node))`` rebuilds it; ``()`` for leaves."""
+    get = _CHILDREN.get(type(node))
+    return get(node) if get is not None else ()
+
+
 def ast_size(node: _U[Formula, Program]) -> int:
     """Node count of the whole tree, programs included."""
-    if isinstance(node, (And, Or, Implies, Union, Inter, Seq)):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, (Box, Diamond)):
-        return 1 + ast_size(node.program) + ast_size(node.body)
-    if isinstance(node, Star):
-        return 1 + ast_size(node.body)
-    if isinstance(node, Test):
-        return 1 + ast_size(node.condition)
-    return 1
+    return 1 + sum(map(ast_size, children(node)))
 
 
 def collect_names(node: _U[Formula, Program]) -> tuple[set[str], set[str]]:
@@ -406,16 +422,8 @@ def collect_names(node: _U[Formula, Program]) -> tuple[set[str], set[str]]:
             props.add(cur.name)
         elif isinstance(cur, Atomic):
             progs.add(cur.name)
-        elif isinstance(cur, (And, Or, Implies, Union, Inter, Seq)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, (Box, Diamond)):
-            stack.append(cur.program)
-            stack.append(cur.body)
-        elif isinstance(cur, Star):
-            stack.append(cur.body)
-        elif isinstance(cur, Test):
-            stack.append(cur.condition)
+        else:
+            stack.extend(children(cur))
     return props, progs
 
 
@@ -474,8 +482,3 @@ def closure_of_set(
 def fl_closure(formula: Formula, ctx: ChainContext, cap: int = 10_000) -> frozenset[Formula]:
     """Fischer-Ladner closure of a single formula."""
     return closure_of_set([formula], ctx, cap)
-
-
-def is_closed(formulas: Iterable[Formula], ctx: ChainContext, cap: int = 10_000) -> bool:
-    gamma = frozenset(formulas)
-    return closure_of_set(gamma, ctx, cap) == gamma

@@ -462,9 +462,9 @@ def test_criterion_10_filtration_random_pairs():
                 assert same == (result.class_of[s] == result.class_of[t])
         prog = rng.choice(sorted(model.atomics))
         corpus = list(gamma) + [rand_audit_formula(rng, ctx, 2)]
-        lemma = check_lemma4(model, gamma, prog, corpus)
+        lemma = check_lemma4(model, result, prog, corpus)
         assert lemma.ok, lemma.to_json()
-        preservation = check_preservation(model, gamma)
+        preservation = check_preservation(model, result)
         for row in preservation.rows:
             agreements += row["agreements"]
             total += row["states"]

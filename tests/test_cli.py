@@ -45,6 +45,23 @@ def test_eval_bad_constant_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"from": "s0", "to": ["s0"], "value": 0.5},
+        {"from": "s0", "to": [["s0"]], "value": "1"},
+    ],
+    ids=["numeric-value", "nested-target"],
+)
+def test_eval_malformed_model_is_usage_error(entry, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(dumps(dict(ONE_STATE_HALF_P, programs={"a": [entry]})))
+    assert main(["eval", str(path), "p"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_eval_missing_file(capsys):
     assert main(["eval", "/nonexistent/m.json", "p"]) == 2
 

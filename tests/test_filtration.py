@@ -131,10 +131,10 @@ def test_lemma4_identical_index_sets_coincide():
         )
         gamma = fl_closure(parse_formula("[a]p & <a>p", C3), C3)
         corpus = [PropVar("p")]
-        report = check_lemma4(model, gamma, "a", corpus)
+        result = quotient(model, gamma)
+        report = check_lemma4(model, result, "a", corpus)
         assert report.ok
         # equality, not just domination
-        result = quotient(model, gamma)
         ev = Evaluator(model)
         qrel = result.quotient.atomics["a"]
         top = C3.top
@@ -164,7 +164,7 @@ def test_lemma4_smaller_set_dominates():
     ]
     for _ in range(30):
         model = sample_model(cfg, rng)
-        report = check_lemma4(model, {PropVar("p")}, "a", corpus)
+        report = check_lemma4(model, quotient(model, {PropVar("p")}), "a", corpus)
         assert report.ok
         assert report.points_checked == model.space.size * (2**model.space.size)
 
@@ -177,14 +177,14 @@ def test_lemma4_random_trials():
         prog = rng.choice(sorted(model.atomics))
         extra = [random_formula(rng, ChainContext(n), 2) for _ in range(2)]
         corpus = list(gamma) + extra
-        report = check_lemma4(model, gamma, prog, corpus)
+        report = check_lemma4(model, quotient(model, gamma), prog, corpus)
         assert report.ok, report.to_json()
 
 
 def test_preservation_propvar_only():
     space = StateSpace(3)
     model = Model(C3, space, {}, {"p": {0: 2, 1: 1}})
-    report = check_preservation(model, {PropVar("p")})
+    report = check_preservation(model, quotient(model, {PropVar("p")}))
     assert report.all_agree
 
 
@@ -198,7 +198,7 @@ def test_preservation_on_separated_model():
     )
     result = quotient(model, gamma)
     assert len(result.classes) == 2
-    report = check_preservation(model, gamma)
+    report = check_preservation(model, result)
     assert report.all_agree
 
 
@@ -208,7 +208,7 @@ def test_preservation_report_structure():
     for _ in range(30):
         n = rng.choice((2, 3))
         model, gamma = _random_pair(rng, n)
-        report = check_preservation(model, gamma)
+        report = check_preservation(model, quotient(model, gamma))
         assert len(report.rows) == len(gamma)
         for row in report.rows:
             assert set(row) == {"formula", "states", "agreements", "mismatches"}

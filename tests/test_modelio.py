@@ -22,6 +22,18 @@ DOC = {
 }
 
 
+# Documents whose values or target names have the wrong JSON type.
+MALFORMED = [
+    {"n": 3, "states": ["s0", "s1"],
+     "programs": {"a": [{"from": "s0", "to": ["s1"], "value": 0.5}]}},
+    {"n": 3, "states": ["s0", "s1"],
+     "programs": {"a": [{"from": "s0", "to": [["s1"]], "value": "1"}]}},
+    {"n": 3, "states": ["s0"], "valuation": {"p": {"s0": 1}}},
+    {"n": 3, "states": ["s0"], "valuation": ["p"]},
+    {"n": 3, "states": ["s0"], "programs": ["a"]},
+]
+
+
 def test_load_basics():
     model = model_from_dict(DOC)
     assert model.context.n == 3
@@ -66,6 +78,9 @@ def test_errors():
         model_from_dict({"n": 4, "states": ["a"], "valuation": {"p": {"a": "1/2"}}})
     with pytest.raises(ModelFormatError):
         model_from_dict({"n": 2, "states": ["a"], "programs": {"a": [{"from": "a"}]}})
+    for malformed in MALFORMED:
+        with pytest.raises(ModelFormatError):
+            model_from_dict(malformed)
 
 
 def test_file_round_trip(tmp_path):
