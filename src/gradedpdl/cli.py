@@ -2,7 +2,8 @@
 
 Exit codes follow one convention across all subcommands: 0 when the
 checked property holds, 1 when a counterexample or rejection is the
-result, 2 on usage, parse, or validation errors.
+result, 2 on usage, parse, or validation errors, and 3 when the program
+itself fails, so that a crash is never read as a counterexample.
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # last resort: a crash must not exit 1, "counterexample"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

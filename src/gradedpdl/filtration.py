@@ -50,7 +50,16 @@ class FiltrationResult:
     classes: tuple[tuple[int, ...], ...]  # class index -> member states
     representatives: tuple[int, ...]  # class index -> minimal member
     gamma: frozenset[Formula]
+    # The input model's evaluator; it already holds every closed-set value
+    # at every state, which the checks below reuse.
+    evaluator: Evaluator = field(compare=False, repr=False)
     warnings: tuple[str, ...] = ()
+
+
+def _model_evaluator(model: Model, result: FiltrationResult) -> Evaluator:
+    if result.evaluator.model != model:
+        raise ValueError("the filtration result was computed from a different model")
+    return result.evaluator
 
 
 def _signature(evaluator: Evaluator, gamma: Sequence[Formula], s: int) -> tuple[int, ...]:
@@ -165,7 +174,7 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     names = tuple(f"c{c}" for c in qspace.states())
     qmodel = Model(ctx, qspace, atomics, valuation, names)
     return FiltrationResult(
-        qmodel, class_of, classes, reps_min, gamma_set, tuple(warnings)
+        qmodel, class_of, classes, reps_min, gamma_set, evaluator, tuple(warnings)
     )
 
 
@@ -206,7 +215,7 @@ def check_lemma4(
     quotient, the inequality is forced, because a meet over more terms
     can only be smaller.
     """
-    evaluator = Evaluator(model)
+    evaluator = _model_evaluator(model, result)
     top = model.context.top
     corpus_list = _sorted_gamma(corpus)
     prog = Atomic(program_name)
@@ -264,7 +273,7 @@ def check_preservation(model: Model, result: FiltrationResult) -> PreservationRe
     its behaviour on arbitrary explicit models is exactly what this
     report surfaces.
     """
-    evaluator = Evaluator(model)
+    evaluator = _model_evaluator(model, result)
     q_evaluator = Evaluator(result.quotient)
     report = PreservationReport()
     for f in _sorted_gamma(result.gamma):

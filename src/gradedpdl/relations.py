@@ -2,7 +2,8 @@
 
 A relation assigns a chain value to every pair (state, set of states);
 pairs that are not stored sit at bottom. State sets are bitmasks over
-0..size-1, which keeps the subset enumerations in composition cheap.
+0..size-1, so unions of target sets are bitwise ors and composition can
+index its tables of partial unions by intermediate-set masks.
 """
 
 from __future__ import annotations
@@ -180,37 +181,56 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
 
     (r o q)(s, T) is the join, over intermediate sets U and over families
     assigning each u in U a target set T_u with union T, of
-    r(s, U) (*) prod_u q(u, T_u), where (*) is strong conjunction. Only
-    nonzero factors can contribute, so enumeration runs over the stored
-    support, and a branch is dropped as soon as its running product hits
-    bottom. The empty U contributes r(s, empty) at T = empty.
+    r(s, U) (*) prod_u q(u, T_u), where (*) is strong conjunction. The
+    empty U contributes r(s, empty) at T = empty.
+
+    Families are not enumerated one by one. For each intermediate set U
+    in the support of ``r``, a table best[U] maps every reachable union
+    T to the largest product of one nonzero row q(u, T_u) per member u;
+    best[U] extends best[U minus its lowest member] by that member's
+    rows, and best[empty] = {empty: top}. Each r(s, U) is then combined
+    with best[U] once. This gives the same join because (*) is
+    associative and monotone: a family's product is its partial
+    product (*) the rest, so of all partial families with the same
+    partial union only the largest partial product can reach the
+    maximum. Products that hit bottom stay at bottom and are dropped.
+    A step costs at most (unions so far) x (rows of the member), while
+    listing every family costs the product of the members' row counts.
     """
     _check_same(r, q)
     top = r.context.top
-    by_state: dict[int, list[tuple[int, int]]] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
     for (u, mask), val in q.entries.items():
-        by_state.setdefault(u, []).append((mask, val))
+        rows.setdefault(1 << u, []).append((mask, val))
+
+    best: dict[int, dict[int, int]] = {0: {0: top}}
+
+    def table(umask: int) -> dict[int, int]:
+        found = best.get(umask)
+        if found is not None:
+            return found
+        low = umask & -umask
+        ext: dict[int, int] = {}
+        member_rows = rows.get(low)
+        if member_rows:
+            for pmask, pval in table(umask ^ low).items():
+                for tmask, qval in member_rows:
+                    val = pval + qval - top
+                    if val > 0:
+                        key = pmask | tmask
+                        if val > ext.get(key, 0):
+                            ext[key] = val
+        best[umask] = ext
+        return ext
 
     out: dict[tuple[int, int], int] = {}
     for (s, umask), rval in r.entries.items():
-        members = mask_states(umask)
-        choices = [by_state.get(u) for u in members]
-        if any(c is None for c in choices):
-            continue  # some intermediate state has no nonzero row
-
-        def descend(idx: int, acc_mask: int, acc_val: int) -> None:
-            if idx == len(members):
-                key = (s, acc_mask)
-                if acc_val > out.get(key, 0):
-                    out[key] = acc_val
-                return
-            for tmask, qval in choices[idx]:
-                val = acc_val + qval - top
-                if val <= 0:
-                    continue
-                descend(idx + 1, acc_mask | tmask, val)
-
-        descend(0, 0, rval)
+        for tmask, bval in table(umask).items():
+            val = rval + bval - top
+            if val > 0:
+                key = (s, tmask)
+                if val > out.get(key, 0):
+                    out[key] = val
     return ReachRelation(r.space, r.context, out)
 
 

@@ -29,6 +29,14 @@ from typing import Iterable, Union as _U
 from .chain import ChainContext, ChainValue, NotAChainElement, format_value, from_rational
 
 
+# Deepest nesting the parser accepts, and the most levels a parsed tree may
+# have. The parser recurses up to seven frames per bracket or prefix
+# operator, and hashing, comparing, evaluating and printing a tree up to
+# three per level, so at this depth each stays under half of Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 64
+
+
 class ParseError(ValueError):
     """Input text does not conform to the grammar."""
 
@@ -162,9 +170,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+        # Open nested() calls, which bound the parser's own recursion, and
+        # the height of the tree the last rule returned: chains such as
+        # p & q & ... nest to the left in the tree but not in the parser.
+        self.depth = 0
+        self.height = 0
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -172,20 +182,29 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> None:
-        kind, got, pos = self.peek()
+        kind, got, pos = self.tokens[self.i]
         if got != text or kind == "eof":
             shown = got if kind != "eof" else "end of input"
             raise ParseError(f"expected {text!r}, found {shown!r}", pos)
         self.i += 1
 
     def at(self, text: str) -> bool:
-        kind, got, _ = self.peek()
-        return kind != "eof" and got == text
+        # The end token's text is "", which no caller asks for.
+        return self.tokens[self.i][1] == text
 
     def done(self) -> None:
-        kind, got, pos = self.peek()
+        kind, got, pos = self.tokens[self.i]
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {got!r}", pos)
+
+    def nested(self, rule, pos: int):
+        """Parse ``rule`` one nesting level down."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        node = rule()
+        self.depth -= 1
+        return node
 
     # formulas
 
@@ -193,49 +212,59 @@ class _Parser:
         node = self.imp()
         while self.at("<->"):
             self.take()
+            height = self.height
             node = biconditional(node, self.imp())
+            self.height = max(height, self.height) + 2
         return node
 
     def imp(self) -> Formula:
         left = self.disj()
         if self.at("->"):
-            self.take()
-            return Implies(left, self.imp())
+            height = self.height
+            _, _, pos = self.take()
+            node = Implies(left, self.nested(self.imp, pos))
+            self.height = max(height, self.height) + 1
+            return node
         return left
 
     def disj(self) -> Formula:
         node = self.conj()
         while self.at("|"):
             self.take()
+            height = self.height
             node = Or(node, self.conj())
+            self.height = max(height, self.height) + 1
         return node
 
     def conj(self) -> Formula:
         node = self.unary()
         while self.at("&"):
             self.take()
+            height = self.height
             node = And(node, self.unary())
+            self.height = max(height, self.height) + 1
         return node
 
     def unary(self) -> Formula:
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if text == "~":
             self.take()
-            return negation(self.unary(), self.ctx)
-        if text == "[":
+            node = negation(self.nested(self.unary, pos), self.ctx)
+            self.height += 1
+            return node
+        if text == "[" or text == "<":
             self.take()
-            prog = self.program()
-            self.expect("]")
-            return Box(prog, self.unary())
-        if text == "<":
-            self.take()
-            prog = self.program()
-            self.expect(">")
-            return Diamond(prog, self.unary())
+            prog = self.nested(self.program, pos)
+            height = self.height
+            self.expect("]" if text == "[" else ">")
+            body = self.nested(self.unary, pos)
+            self.height = max(height, self.height) + 1
+            return Box(prog, body) if text == "[" else Diamond(prog, body)
         return self.atom()
 
     def atom(self) -> Formula:
         kind, text, pos = self.take()
+        self.height = 1
         if kind == "ident":
             return PropVar(text)
         if kind == "const":
@@ -250,7 +279,7 @@ class _Parser:
             except NotAChainElement as exc:
                 raise NotAChainElement(f"{exc} (at position {pos})") from None
         if text == "(":
-            node = self.formula()
+            node = self.nested(self.formula, pos)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -262,21 +291,27 @@ class _Parser:
         node = self.par()
         while self.at("+"):
             self.take()
+            height = self.height
             node = Union(node, self.par())
+            self.height = max(height, self.height) + 1
         return node
 
     def par(self) -> Program:
         node = self.seq()
         while self.at("^"):
             self.take()
+            height = self.height
             node = Inter(node, self.seq())
+            self.height = max(height, self.height) + 1
         return node
 
     def seq(self) -> Program:
         node = self.post()
         while self.at(";"):
             self.take()
+            height = self.height
             node = Seq(node, self.post())
+            self.height = max(height, self.height) + 1
         return node
 
     def post(self) -> Program:
@@ -284,37 +319,43 @@ class _Parser:
         while self.at("*"):
             self.take()
             node = Star(node)
+            self.height += 1
         return node
 
     def prim(self) -> Program:
         kind, text, pos = self.take()
         if kind == "ident":
+            self.height = 1
             return Atomic(text)
         if text == "?":
             self.expect("(")
-            cond = self.formula()
+            cond = self.nested(self.formula, pos)
             self.expect(")")
+            self.height += 1
             return Test(cond)
         if text == "(":
-            node = self.program()
+            node = self.nested(self.program, pos)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
         raise ParseError(f"expected a program, found {shown!r}", pos)
 
 
-def parse_formula(text: str, ctx: ChainContext) -> Formula:
+def _parse(text: str, ctx: ChainContext, rule):
     parser = _Parser(text, ctx)
-    node = parser.formula()
+    node = rule(parser)
     parser.done()
+    if parser.height > MAX_DEPTH:
+        raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
     return node
+
+
+def parse_formula(text: str, ctx: ChainContext) -> Formula:
+    return _parse(text, ctx, _Parser.formula)
 
 
 def parse_program(text: str, ctx: ChainContext) -> Program:
-    parser = _Parser(text, ctx)
-    node = parser.program()
-    parser.done()
-    return node
+    return _parse(text, ctx, _Parser.program)
 
 
 # -- printer -----------------------------------------------------------------

@@ -3,6 +3,10 @@
 Everything here recomputes the defining equations word for word with
 Fraction arithmetic and full enumeration over all subsets and all
 families, sharing no code with the package implementation.
+
+``enum_compose`` is the exception: the integer family enumeration that
+``relations.compose`` used before its subset-table form, kept as the
+differential reference for sizes the Fraction oracle is too slow for.
 """
 
 from fractions import Fraction
@@ -119,3 +123,38 @@ def oracle_star(r, size):
         if nxt == acc:
             return acc
         acc = nxt
+
+
+def enum_compose(r, q):
+    """Composition by enumerating every family over the stored support.
+
+    Takes two package ReachRelations and returns the (state, mask) ->
+    numerator entries of their composition. A branch is dropped as soon
+    as its running product hits bottom.
+    """
+    top = r.context.top
+    by_state = {}
+    for (u, mask), val in q.entries.items():
+        by_state.setdefault(u, []).append((mask, val))
+
+    out = {}
+    for (s, umask), rval in r.entries.items():
+        members = [u for u in range(r.space.size) if umask & (1 << u)]
+        choices = [by_state.get(u) for u in members]
+        if any(c is None for c in choices):
+            continue  # some intermediate state has no nonzero row
+
+        def descend(idx, acc_mask, acc_val):
+            if idx == len(members):
+                key = (s, acc_mask)
+                if acc_val > out.get(key, 0):
+                    out[key] = acc_val
+                return
+            for tmask, qval in choices[idx]:
+                val = acc_val + qval - top
+                if val <= 0:
+                    continue
+                descend(idx + 1, acc_mask | tmask, val)
+
+        descend(0, 0, rval)
+    return out

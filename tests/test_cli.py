@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gradedpdl
+from gradedpdl import cli
 from gradedpdl.cli import main
 from gradedpdl.modelio import dumps
+from gradedpdl.syntax import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -209,3 +215,42 @@ def test_states_cap_flag():
         main(["valid", "#1", "--n", "2", "--states", "5", "--samples", "1", "--force-states"])
         == 0
     )
+
+
+def _run_cli(*argv):
+    """Run the command in a fresh interpreter, as the installed script would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gradedpdl.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "gradedpdl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "formula,codes",
+    [
+        ("~" * 700 + "p", {2}),
+        ("(" * 400 + "p" + ")" * 400, {2}),
+        ("p" + " & p" * 5000, {2}),
+        ("~" * (MAX_DEPTH - 1) + "p", {0, 1}),
+        ("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, {0, 1}),
+    ],
+    ids=["700-negations", "400-parentheses", "5000-conjuncts", "deepest-negation",
+         "deepest-parentheses"],
+)
+def test_deep_formula_never_crashes(formula, codes):
+    done = _run_cli("valid", formula, "--samples", "2", "--states", "2")
+    assert done.returncode in codes
+    assert "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert done.stderr.startswith("error:")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_closure", broken)
+    assert main(["closure", "p"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"

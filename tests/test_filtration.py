@@ -225,3 +225,48 @@ def test_quotient_round_trips_through_model_json():
     result = quotient(model, gamma)
     reborn = model_from_dict(model_to_dict(result.quotient))
     assert reborn == result.quotient
+
+
+def test_filtrate_builds_one_evaluator_per_model(tmp_path, monkeypatch, capsys):
+    from gradedpdl import semantics
+    from gradedpdl.cli import main
+
+    rng = random.Random(10)
+    space = StateSpace(5)
+    entries = {
+        (s, mask): rng.randint(1, 2)
+        for s in space.states()
+        for mask in space.subset_masks()
+        if rng.random() < 0.2
+    }
+    model = Model(
+        C3,
+        space,
+        {"a": ReachRelation(space, C3, entries)},
+        {"p": {s: rng.randint(0, 2) for s in space.states()}},
+    )
+    path = tmp_path / "model.json"
+    path.write_text(dumps(model_to_dict(model)))
+    built = []
+    real_init = semantics.Evaluator.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        real_init(self, model)
+
+    monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
+    assert main(["filtrate", str(path), "[a]p & <a>p", "--force-states"]) == 0
+    capsys.readouterr()
+    assert len(built) == 2
+    assert built[0].space.size == 5 and built[1] is not built[0]
+
+
+def test_checks_refuse_a_result_from_another_model():
+    space = StateSpace(2)
+    model = Model(C3, space, {}, {"p": {0: 2, 1: 1}})
+    other = Model(C3, space, {}, {"p": {0: 1}})
+    result = quotient(model, {PropVar("p")})
+    with pytest.raises(ValueError):
+        check_preservation(other, result)
+    with pytest.raises(ValueError):
+        check_lemma4(other, result, "a", [PropVar("p")])

@@ -150,6 +150,39 @@ def test_compose_matches_oracle(n, size):
         assert_matches_oracle(compose(r, q), oracle.oracle_compose(rt, qt, size))
 
 
+def test_compose_matches_enumeration():
+    # The Fraction oracle stops at 3 states; the family enumeration that
+    # compose replaced reaches 4, and 5 with a sparse right factor.
+    rng = random.Random(7)
+    for n in (2, 3, 5):
+        ctx = ChainContext(n)
+        for size in (1, 2, 3, 4):
+            space = StateSpace(size)
+            for density in (0, 0.1, 0.4, 0.8, 1):
+                for _ in range(3):
+                    r = random_relation(rng, space, ctx, density)
+                    q = random_relation(rng, space, ctx, density)
+                    assert compose(r, q).entries == oracle.enum_compose(r, q)
+        space = StateSpace(5)
+        for q_density in (0.05, 0.1):
+            for _ in range(3):
+                r = random_relation(rng, space, ctx, 0.4)
+                q = random_relation(rng, space, ctx, q_density)
+                assert compose(r, q).entries == oracle.enum_compose(r, q)
+
+
+def test_compose_drops_families_whose_product_hits_bottom():
+    # Every member of U = {0, 1} has a row, but any family's product of
+    # the two halves is already bottom, so nothing reaches the output.
+    r = ReachRelation.of(S2, C3, [(0, [0, 1], "1")])
+    q = ReachRelation.of(S2, C3, [(0, [0], "1/2"), (1, [1], "1/2")])
+    assert compose(r, q) == zero_relation(S2, C3)
+    assert oracle.enum_compose(r, q) == {}
+    # with one member at top the other half survives
+    q = ReachRelation.of(S2, C3, [(0, [0], "1"), (1, [1], "1/2")])
+    assert compose(r, q).entries == oracle.enum_compose(r, q) == {(0, 3): 1}
+
+
 @pytest.mark.parametrize("n,size", [(2, 2), (3, 3), (4, 2)])
 def test_parallel_matches_oracle(n, size):
     ctx, space = ChainContext(n), StateSpace(size)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedpdl.chain import ChainContext, ChainValue, NotAChainElement
 from gradedpdl.syntax import (
+    MAX_DEPTH,
     And,
     Atomic,
     Box,
@@ -22,6 +23,7 @@ from gradedpdl.syntax import (
     Union,
     ast_size,
     biconditional,
+    children,
     closure_of_set,
     collect_names,
     fl_closure,
@@ -158,6 +160,39 @@ def formulas(draw, depth=3):
 @given(formulas())
 def test_round_trip_property(f):
     assert parse_formula(format_formula(f), C3) == f
+
+
+def _height(node):
+    return 1 + max(map(_height, children(node)), default=0)
+
+
+def test_depth_limit_is_exact():
+    # Each "p -> " adds one level, so the text parses exactly when its
+    # tree fits in MAX_DEPTH levels: the parser neither over- nor
+    # under-counts the height of what it built.
+    rng = random.Random(14)
+    for _ in range(150):
+        f = random_formula(rng, C3, 6)
+        prog = random_program(rng, C3, 5)
+        for text, node in ((format_formula(f), f), (f"[{format_program(prog)}]p", Box(prog, PropVar("p")))):
+            room = MAX_DEPTH - _height(node)
+            assert parse_formula("p -> " * room + text, C3) is not None
+            with pytest.raises(ParseError):
+                parse_formula("p -> " * (room + 1) + text, C3)
+    # p <-> q adds two levels, (p -> q) & (q -> p), and shares p and q
+    assert parse_formula("p -> p" + " <-> p" * 31, C3) is not None
+    with pytest.raises(ParseError):
+        parse_formula("p -> p -> p" + " <-> p" * 31, C3)
+    # ~p is p -> #0
+    assert parse_formula("~" * (MAX_DEPTH - 1) + "p", C3) is not None
+    with pytest.raises(ParseError):
+        parse_formula("~" * MAX_DEPTH + "p", C3)
+    # parentheses nest the parser without deepening the tree
+    assert parse_formula("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, C3) == PropVar("p")
+    with pytest.raises(ParseError):
+        parse_formula("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), C3)
+    with pytest.raises(ParseError):
+        parse_program("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), C3)
 
 
 # -- closure -------------------------------------------------------------------
