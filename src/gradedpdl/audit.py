@@ -520,21 +520,10 @@ def _require_modality_free(formula: Formula) -> None:
         stack.extend(children(node))
 
 
-def _prop_num(formula: Formula, valuation: Mapping[str, int], ctx: ChainContext) -> int:
-    top = ctx.top
-    if isinstance(formula, PropVar):
-        return valuation.get(formula.name, 0)
-    if isinstance(formula, Constant):
-        if formula.value.context != ctx:
-            raise ValueError("constant from a different chain")
-        return formula.value.numerator
-    if isinstance(formula, And):
-        return min(_prop_num(formula.left, valuation, ctx), _prop_num(formula.right, valuation, ctx))
-    if isinstance(formula, Or):
-        return max(_prop_num(formula.left, valuation, ctx), _prop_num(formula.right, valuation, ctx))
-    if isinstance(formula, Implies):
-        return min(top, top - _prop_num(formula.left, valuation, ctx) + _prop_num(formula.right, valuation, ctx))
-    raise TypeError(f"not a modality-free formula: {formula!r}")
+# Valuations per model in check_consequence_prop, one per state: enough
+# that one evaluation covers many, few enough that an enumeration up to
+# the limit is never held in one model.
+_VALUATION_BLOCK = 256
 
 
 def check_consequence_prop(
@@ -546,7 +535,10 @@ def check_consequence_prop(
     """Decide modality-free consequence by enumerating all valuations.
 
     Returns (True, None) when every valuation sending all premises to top
-    also sends the conclusion to top, else (False, falsifying valuation).
+    also sends the conclusion to top, else (False, falsifying valuation):
+    the first one in ``itertools.product`` order over the sorted names.
+    The valuations are the states of program-free models, a block per
+    model, evaluated by ``semantics.Evaluator``.
     """
     premises = list(theta)
     names: set[str] = set()
@@ -560,12 +552,14 @@ def check_consequence_prop(
             f"{count} valuations over {len(ordered)} variables exceed the limit {limit}"
         )
     top = ctx.top
-    for nums in itertools.product(range(ctx.n), repeat=len(ordered)):
-        valuation = dict(zip(ordered, nums))
-        if all(_prop_num(f, valuation, ctx) == top for f in premises):
-            if _prop_num(phi, valuation, ctx) != top:
-                witness = {name: ChainValue(num, ctx) for name, num in valuation.items()}
-                return False, witness
+    valuations = itertools.product(range(ctx.n), repeat=len(ordered))
+    while block := list(itertools.islice(valuations, _VALUATION_BLOCK)):
+        columns = {name: dict(enumerate(column)) for name, column in zip(ordered, zip(*block))}
+        evaluator = Evaluator(Model(ctx, StateSpace(len(block)), {}, columns))
+        for s, nums in enumerate(block):
+            if all(evaluator.value_num(f, s) == top for f in premises):
+                if evaluator.value_num(phi, s) != top:
+                    return False, {name: ChainValue(num, ctx) for name, num in zip(ordered, nums)}
     return True, None
 
 

@@ -10,6 +10,11 @@ clauses:
 
 with the empty meet at top, so a relation's mass on the empty set is
 vacuous for box and counts as success for diamond.
+
+``Evaluator`` computes a formula at all states of the model at once and
+memoizes the vector of numerators. For box and diamond it groups the
+relation's rows by source state once per program, so each state meets
+the body's vector only over its own target sets.
 """
 
 from __future__ import annotations
@@ -121,8 +126,13 @@ class Model:
 class Evaluator:
     """Memoizing interpreter for one model.
 
-    Caches the materialized relation of every compound program and the
-    value of every (formula, state) pair. A cache belongs to a single
+    Caches the materialized relation of every compound program and, for
+    every formula, one vector of numerators over all states: the formula
+    is evaluated at every state at once, the first time any state asks.
+    Propositional clauses combine the operands' vectors element-wise.
+    Box and diamond group their program's rows by source state once, each
+    target set already listed as its member states, so a state combines
+    only its own rows with the body's vector. A cache belongs to a single
     evaluation session; build a fresh one to re-derive values from
     scratch.
     """
@@ -130,7 +140,8 @@ class Evaluator:
     def __init__(self, model: Model):
         self.model = model
         self._relations: dict[Program, ReachRelation] = {}
-        self._values: dict[tuple[Formula, int], int] = {}
+        self._rows: dict[Program, list[list[tuple[int, list[int]]]]] = {}
+        self._vectors: dict[Formula, tuple[int, ...]] = {}
 
     def relation(self, program: Program) -> ReachRelation:
         cached = self._relations.get(program)
@@ -154,11 +165,8 @@ class Evaluator:
         elif isinstance(program, Star):
             rel = star(self.relation(program.body))
         elif isinstance(program, Test):
-            entries = {}
-            for s in model.space.states():
-                num = self.value_num(program.condition, s)
-                if num > 0:
-                    entries[(s, 1 << s)] = num
+            vector = self._vector(program.condition)
+            entries = {(s, 1 << s): num for s, num in enumerate(vector) if num > 0}
             rel = ReachRelation(model.space, model.context, entries)
         else:
             raise TypeError(f"not a program: {program!r}")
@@ -166,62 +174,88 @@ class Evaluator:
         return rel
 
     def value_num(self, formula: Formula, s: int) -> int:
-        key = (formula, s)
-        cached = self._values.get(key)
+        return self._vector(formula)[s]
+
+    def _rows_by_source(self, program: Program) -> list[list[tuple[int, list[int]]]]:
+        """Per source state, its (value, target members) rows."""
+        rows = self._rows.get(program)
+        if rows is None:
+            rows = [[] for _ in self.model.space.states()]
+            for (src, mask), rval in self.relation(program).entries.items():
+                rows[src].append((rval, mask_states(mask)))
+            self._rows[program] = rows
+        return rows
+
+    def _vector(self, formula: Formula) -> tuple[int, ...]:
+        cached = self._vectors.get(formula)
         if cached is not None:
             return cached
         model = self.model
         top = model.context.top
         if isinstance(formula, PropVar):
-            num = model.prop_num(formula.name, s)
+            row = model.valuation.get(formula.name, {})
+            vector = tuple(row.get(s, 0) for s in model.space.states())
         elif isinstance(formula, Constant):
             if formula.value.context != model.context:
                 raise ChainMismatchError(
                     f"constant {formula.value} belongs to a chain of order "
                     f"{formula.value.context.n}, model uses {model.context.n}"
                 )
-            num = formula.value.numerator
+            vector = (formula.value.numerator,) * model.space.size
         elif isinstance(formula, And):
-            num = min(self.value_num(formula.left, s), self.value_num(formula.right, s))
+            vector = tuple(map(min, self._vector(formula.left), self._vector(formula.right)))
         elif isinstance(formula, Or):
-            num = max(self.value_num(formula.left, s), self.value_num(formula.right, s))
+            vector = tuple(map(max, self._vector(formula.left), self._vector(formula.right)))
         elif isinstance(formula, Implies):
-            num = min(
-                top,
-                top - self.value_num(formula.left, s) + self.value_num(formula.right, s),
+            vector = tuple(
+                min(top, top - a + b)
+                for a, b in zip(self._vector(formula.left), self._vector(formula.right))
             )
         elif isinstance(formula, Box):
-            rel = self.relation(formula.program)
-            num = top
-            for (src, mask), rval in rel.entries.items():
-                if src != s:
-                    continue
-                body = top
-                for t in mask_states(mask):
-                    body = min(body, self.value_num(formula.body, t))
-                    if body == 0:
-                        break
-                num = min(num, min(top, top - rval + body))
-                if num == 0:
-                    break
+            rows = self._rows_by_source(formula.program)
+            body = self._vector(formula.body)
+            out = []
+            for state_rows in rows:
+                num = top
+                for rval, targets in state_rows:
+                    meet = top
+                    for t in targets:
+                        if body[t] < meet:
+                            meet = body[t]
+                            if meet == 0:
+                                break
+                    # num starts at top, which caps the implication
+                    val = top - rval + meet
+                    if val < num:
+                        num = val
+                        if num == 0:
+                            break
+                out.append(num)
+            vector = tuple(out)
         elif isinstance(formula, Diamond):
-            rel = self.relation(formula.program)
-            num = 0
-            for (src, mask), rval in rel.entries.items():
-                if src != s:
-                    continue
-                body = top
-                for t in mask_states(mask):
-                    body = min(body, self.value_num(formula.body, t))
-                    if body == 0:
-                        break
-                num = max(num, max(0, rval + body - top))
-                if num == top:
-                    break
+            rows = self._rows_by_source(formula.program)
+            body = self._vector(formula.body)
+            out = []
+            for state_rows in rows:
+                num = 0
+                for rval, targets in state_rows:
+                    meet = top
+                    for t in targets:
+                        if body[t] < meet:
+                            meet = body[t]
+                            if meet == 0:
+                                break
+                    val = rval + meet - top
+                    if val > num:
+                        num = val
+                        if num == top:
+                            break
+                out.append(num)
+            vector = tuple(out)
         else:
             raise TypeError(f"not a formula: {formula!r}")
-        self._values[key] = num
-        return num
+        self._vectors[formula] = vector
+        return vector
 
 
 def eval_formula(

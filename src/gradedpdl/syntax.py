@@ -22,7 +22,7 @@ negation or biconditional nodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Union as _U
 
@@ -35,6 +35,12 @@ from .chain import ChainContext, ChainValue, NotAChainElement, format_value, fro
 # three per level, so at this depth each stays under half of Python's
 # default recursion limit of 1000.
 MAX_DEPTH = 64
+
+# Most nodes a parsed tree may have once both sides of every "<->" are
+# written out. Evaluation walks the shared graph, but printing walks the
+# tree, and every formula that reaches a report or a seed is printed;
+# 15 chained "<->" links give 196 603 nodes, 16 give 393 211.
+MAX_NODES = 1 << 18
 
 
 class ParseError(ValueError):
@@ -52,75 +58,103 @@ class ClosureBudgetExceeded(RuntimeError):
 # -- abstract syntax --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make ``cls`` a frozen dataclass whose hash is computed once per node
+    and cached on it.
+
+    The cached value is the one the dataclass hash gives, the hash of the
+    field tuple, so sets and dicts of nodes iterate in the same order. A
+    dataclass hash re-hashes the whole subtree on every call. The cache is
+    left out of pickles, because string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in names}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class PropVar:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Constant:
     value: ChainValue
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Box:
     program: "Program"
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond:
     program: "Program"
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Atomic:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Union:
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class Inter:
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class Seq:
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class Star:
     body: "Program"
 
 
-@dataclass(frozen=True)
+@_node
 class Test:
     condition: "Formula"
 
@@ -175,6 +209,8 @@ class _Parser:
         # p & q & ... nest to the left in the tree but not in the parser.
         self.depth = 0
         self.height = 0
+        # Whether a "<->" put one subtree into the tree twice.
+        self.shared = False
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -212,6 +248,7 @@ class _Parser:
         node = self.imp()
         while self.at("<->"):
             self.take()
+            self.shared = True
             height = self.height
             node = biconditional(node, self.imp())
             self.height = max(height, self.height) + 2
@@ -347,6 +384,12 @@ def _parse(text: str, ctx: ChainContext, rule):
     parser.done()
     if parser.height > MAX_DEPTH:
         raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
+    # Without a shared subtree each token adds at most two nodes ("~p" is
+    # p -> #0), so short input needs no count.
+    if (parser.shared or 2 * len(parser.tokens) > MAX_NODES) and ast_size(node) > MAX_NODES:
+        raise ParseError(
+            f"formula or program has more than {MAX_NODES} nodes after expanding '~' and '<->'", 0
+        )
     return node
 
 
@@ -448,8 +491,22 @@ def children(node: object) -> tuple:
 
 
 def ast_size(node: _U[Formula, Program]) -> int:
-    """Node count of the whole tree, programs included."""
-    return 1 + sum(map(ast_size, children(node)))
+    """Node count of the whole tree, programs included.
+
+    A subtree held once and used twice, as both sides of a desugared
+    ``<->`` are, counts twice but is walked once, so the time is linear
+    in the distinct objects, not in the tree.
+    """
+    sizes: dict[int, int] = {}
+
+    def size(cur) -> int:
+        found = sizes.get(id(cur))
+        if found is None:
+            found = 1 + sum(map(size, children(cur)))
+            sizes[id(cur)] = found
+        return found
+
+    return size(node)
 
 
 def collect_names(node: _U[Formula, Program]) -> tuple[set[str], set[str]]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -21,7 +22,7 @@ from gradedpdl.schemas import all_schemata, schemata_named
 from gradedpdl.semantics import eval_formula, valid_in_model
 from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
-from gradedpdl.syntax import parse_formula
+from gradedpdl.syntax import collect_names, parse_formula
 
 C3 = ChainContext(3)
 
@@ -226,6 +227,31 @@ def test_consequence_with_premises():
         [parse_formula("p | q", C3)], parse_formula("p", C3), C3
     )
     assert not ok and witness["p"] < C3.one
+
+
+def test_consequence_witness_is_first_falsifying_valuation():
+    # With premises, several valuations falsify each case; the witness is
+    # the first in product order over the sorted names, including one past
+    # the first block of valuations (a, b, c, d all above 1/4 at n=5).
+    cases = [
+        (3, [], "p -> q"),
+        (5, ["q -> p"], "p -> q & #1/2"),
+        (5, [], "a & b & c & d -> #1/4"),
+    ]
+    for n, premises, text in cases:
+        ctx = ChainContext(n)
+        theta = [parse_formula(t, ctx) for t in premises]
+        phi = parse_formula(text, ctx)
+        names = sorted(collect_names(phi)[0].union(*(collect_names(f)[0] for f in theta)))
+        falsifying = []
+        for nums in itertools.product(range(n), repeat=len(names)):
+            model = Model(ctx, StateSpace(1), {}, {x: {0: k} for x, k in zip(names, nums)})
+            if all(valid_in_model(model, f)[0] for f in theta) and not valid_in_model(model, phi)[0]:
+                falsifying.append(dict(zip(names, nums)))
+        assert len(falsifying) > 1, text
+        ok, witness = check_consequence_prop(theta, phi, ctx)
+        assert not ok
+        assert {x: v.numerator for x, v in witness.items()} == falsifying[0], text
 
 
 def test_consequence_agrees_with_one_state_models():

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradedpdl
 from gradedpdl import cli
@@ -234,12 +238,15 @@ def _run_cli(*argv):
         ("p" + " & p" * 5000, {2}),
         ("~" * (MAX_DEPTH - 1) + "p", {0, 1}),
         ("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, {0, 1}),
+        ("p" + " <-> p" * 31, {2}),
     ],
     ids=["700-negations", "400-parentheses", "5000-conjuncts", "deepest-negation",
-         "deepest-parentheses"],
+         "deepest-parentheses", "31-biconditionals"],
 )
 def test_deep_formula_never_crashes(formula, codes):
+    start = time.monotonic()
     done = _run_cli("valid", formula, "--samples", "2", "--states", "2")
+    assert time.monotonic() - start < 10
     assert done.returncode in codes
     assert "Traceback" not in done.stderr
     if done.returncode == 2:
@@ -254,3 +261,42 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert main(["closure", "p"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+THREE_STATES = {
+    "n": 3,
+    "states": ["s0", "s1", "s2"],
+    "valuation": {"p": {"s0": "1/2", "s2": "1"}, "q": {"s1": "1"}},
+    "programs": {
+        "a": [
+            {"from": "s0", "to": ["s1", "s2"], "value": "1"},
+            {"from": "s1", "to": [], "value": "1/2"},
+            {"from": "s2", "to": ["s2"], "value": "1/2"},
+        ],
+        "b": [{"from": "s0", "to": ["s0"], "value": "1/2"}],
+    },
+}
+
+TOKENS = st.sampled_from(
+    ["p", "q", "r", "a", "b", "x1", "#0", "#1", "#1/2", "#2/4", "#1/3", "#3/2", "#1/0",
+     "~", "&", "|", "->", "<->", "[", "]", "<", ">", "(", ")", "+", "^", ";", "*", "?"]
+)
+
+
+@pytest.fixture(scope="module")
+def three_state_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(dumps(THREE_STATES))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TOKENS, st.sampled_from(["", " "])), max_size=30))
+def test_eval_on_fuzzed_formula_text_never_crashes(three_state_model, tokens):
+    # Token runs, glued or spaced, so that "<" "->" can also read as "<->".
+    text = "".join(token + gap for token, gap in tokens)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["eval", three_state_model, text])
+    assert code in (0, 1, 2), (text, stderr.getvalue())
+    assert "internal error" not in stderr.getvalue()

@@ -4,20 +4,28 @@ import random
 import pytest
 
 from gradedpdl.chain import ChainContext, ChainMismatchError, ChainValue
-from gradedpdl.relations import ReachRelation, StateSpace
+from gradedpdl.relations import ReachRelation, StateSpace, zero_relation
 from gradedpdl.semantics import Evaluator, Model, eval_formula, eval_program, valid_in_model
 from gradedpdl.syntax import (
+    Atomic,
     Box,
     Constant,
     Diamond,
     Implies,
+    Inter,
     PropVar,
+    Seq,
+    Star,
+    Test,
+    Union,
+    children,
     parse_formula,
     parse_program,
 )
 from gradedpdl.audit import SamplerConfig, random_formula, random_program, sample_model
 
 import oracle_classical as classical
+from oracle_semantics import PointwiseEvaluator
 
 C3 = ChainContext(3)
 
@@ -93,6 +101,17 @@ def test_wrong_chain_constant_rejected():
     alien = Constant(ChainContext(4).value(1))
     with pytest.raises(ChainMismatchError):
         eval_formula(model, alien, 0)
+
+
+def test_foreign_constant_raises_under_an_empty_box():
+    # Every body is evaluated at every state, so a constant from another
+    # chain is caught even where no relation row reaches it; the pointwise
+    # evaluator never looked at the body there.
+    model = Model(C3, StateSpace(2), {"a": zero_relation(StateSpace(2), C3)})
+    alien = Box(Atomic("a"), Constant(ChainContext(4).value(1)))
+    assert PointwiseEvaluator(model).value_num(alien, 0) == C3.top
+    with pytest.raises(ChainMismatchError):
+        Evaluator(model).value_num(alien, 0)
 
 
 def test_valid_in_model():
@@ -236,6 +255,54 @@ def test_modal_monotonicity():
             for s in model.space.states():
                 assert ev.value_num(Box(prog, f), s) <= ev.value_num(Box(prog, g), s)
                 assert ev.value_num(Diamond(prog, f), s) <= ev.value_num(Diamond(prog, g), s)
+
+
+PROGRAMS = (Atomic, Inter, Seq, Star, Test, Union)
+
+
+def _random_model(rng, ctx, size, density):
+    space = StateSpace(size)
+    atomics = {
+        name: ReachRelation(space, ctx, {
+            (s, mask): rng.randint(1, ctx.top)
+            for s in space.states()
+            for mask in space.subset_masks()
+            if rng.random() < density
+        })
+        for name in "ab"
+    }
+    valuation = {name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in "pq"}
+    return Model(ctx, space, atomics, valuation)
+
+
+def _nodes(node):
+    yield node
+    for child in children(node):
+        yield from _nodes(child)
+
+
+def test_vectors_match_pointwise_evaluator():
+    # "z" names no program of the models, and at density 0 every relation
+    # is empty; each model's two evaluators are shared by all its formulas.
+    fixed = ["[z]p", "<z>p", "[a](p -> q)", "<a ^ b>p", "<?(p) ; a*>q", "[(a + ?(q))* ; b]#0"]
+    for n in (2, 3, 5):
+        ctx = ChainContext(n)
+        for size in (1, 2, 3, 4):
+            for density in (0, 0.1, 0.4, 1):
+                rng = random.Random(f"{n}:{size}:{density}")
+                model = _random_model(rng, ctx, size, density)
+                formulas = [parse_formula(text, ctx) for text in fixed]
+                formulas += [random_formula(rng, ctx, 3, "pq", "abz") for _ in range(6)]
+                vectors, pointwise = Evaluator(model), PointwiseEvaluator(model)
+                for formula in formulas:
+                    for node in _nodes(formula):
+                        if isinstance(node, PROGRAMS):
+                            want = pointwise.relation(node).entries
+                            assert vectors.relation(node).entries == want, (model, node)
+                            continue
+                        for s in model.space.states():
+                            want = pointwise.value_num(node, s)
+                            assert vectors.value_num(node, s) == want, (model, node, s)
 
 
 def test_cache_matches_cold_evaluation():

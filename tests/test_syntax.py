@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gradedpdl.chain import ChainContext, ChainValue, NotAChainElement
 from gradedpdl.syntax import (
     MAX_DEPTH,
+    MAX_NODES,
     And,
     Atomic,
     Box,
@@ -32,6 +35,7 @@ from gradedpdl.syntax import (
     immediate_subformulas,
     parse_formula,
     parse_program,
+    _tokenize,
 )
 
 C3 = ChainContext(3)
@@ -179,10 +183,12 @@ def test_depth_limit_is_exact():
             assert parse_formula("p -> " * room + text, C3) is not None
             with pytest.raises(ParseError):
                 parse_formula("p -> " * (room + 1) + text, C3)
-    # p <-> q adds two levels, (p -> q) & (q -> p), and shares p and q
-    assert parse_formula("p -> p" + " <-> p" * 31, C3) is not None
-    with pytest.raises(ParseError):
-        parse_formula("p -> p -> p" + " <-> p" * 31, C3)
+    # p <-> q adds two levels, (p -> q) & (q -> p), and shares p and q;
+    # 15 links stay under MAX_NODES
+    chain = "(p" + " <-> p" * 15 + ")"
+    assert parse_formula("p -> " * (MAX_DEPTH - 31) + chain, C3) is not None
+    with pytest.raises(ParseError, match="deeper"):
+        parse_formula("p -> " * (MAX_DEPTH - 30) + chain, C3)
     # ~p is p -> #0
     assert parse_formula("~" * (MAX_DEPTH - 1) + "p", C3) is not None
     with pytest.raises(ParseError):
@@ -193,6 +199,45 @@ def test_depth_limit_is_exact():
         parse_formula("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), C3)
     with pytest.raises(ParseError):
         parse_program("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), C3)
+
+
+def test_nodes_hash_once_like_dataclasses():
+    # Two parses build separate but equal trees, which hash equal; every
+    # node's hash is the frozen-dataclass one, hash of its field tuple.
+    text = "[a ; b* + ?(p <-> q) ^ c]~(p & #1/2) | <a>q"
+    one, two = parse_formula(text, C3), parse_formula(text, C3)
+    assert one == two and one is not two
+    assert hash(one) == hash(two)
+    stack, kinds = [one], set()
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node))
+        assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
+        stack.extend(children(node))
+    assert kinds == {PropVar, Constant, And, Or, Implies, Box, Diamond,
+                     Atomic, Union, Inter, Seq, Star, Test}
+    # the cached hash stays out of pickles: string hashes differ by process
+    copy = pickle.loads(pickle.dumps(one))
+    assert copy == one and "_hash" not in vars(copy)
+
+
+def test_node_cap_counts_the_expanded_tree():
+    # a chain of k "<->" links expands to 6 * 2**k - 5 nodes
+    for links in (1, 5, 15):
+        f = parse_formula("p" + " <-> p" * links, C3)
+        assert ast_size(f) == 6 * 2**links - 5 <= MAX_NODES
+    for links in (16, 31):
+        with pytest.raises(ParseError, match="nodes"):
+            parse_formula("p" + " <-> p" * links, C3)
+    with pytest.raises(ParseError, match="nodes"):
+        parse_program("?(p" + " <-> p" * 16 + ")", C3)
+    # Without "<->" each token adds at most two nodes ("~p" is p -> #0),
+    # which lets the parser skip the count on short input.
+    rng = random.Random(15)
+    for _ in range(100):
+        text = format_formula(random_formula(rng, C3, 5))
+        for t in (text, "~" * 20 + f"({text})"):
+            assert ast_size(parse_formula(t, C3)) <= 2 * len(_tokenize(t))
 
 
 # -- closure -------------------------------------------------------------------
