@@ -18,6 +18,7 @@ modality-free consequence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
@@ -100,7 +101,7 @@ class SamplerConfig:
         if self.samples < 1:
             raise ValueError("sample budget must be positive")
 
-    @property
+    @functools.cached_property
     def context(self) -> ChainContext:
         return ChainContext(self.n)
 
@@ -111,31 +112,74 @@ def derive_seed(seed: int, *parts: object) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+# Per space size, the space and the (state, mask) keys in the order the
+# sampler visits them: states ascending, target masks ascending per state.
+_SHAPES: dict[int, tuple[StateSpace, tuple[tuple[int, int], ...]]] = {}
+
+
+def _below(getrandbits, width: int) -> int:
+    """``randrange(width)`` for ``width >= 1``, drawn as CPython 3.10 to
+    3.13 draw it: ``getrandbits`` of the bit length of ``width`` until
+    the draw falls below ``width``."""
+    bits = width.bit_length()
+    r = getrandbits(bits)
+    while r >= width:
+        r = getrandbits(bits)
+    return r
+
+
 def sample_model(
     cfg: SamplerConfig,
     rng: Optional[random.Random] = None,
     prop_names: Optional[Sequence[str]] = None,
     prog_names: Optional[Sequence[str]] = None,
 ) -> Model:
-    """One pseudorandom model, reproducible from the rng state."""
+    """One pseudorandom model, reproducible from the rng state.
+
+    Draws, in order: the size (``randint(1, max_states)``); per program,
+    state and target mask, one ``random()`` and, below the density, the
+    entry (``randint(1, top)``); per proposition and state, its value
+    (``randint(0, top)``). Each ``randint(a, b)`` is taken as
+    ``a + _below(b - a + 1)``, which is how ``random.Random.randint``
+    draws it, so the stream, and every model, is the same with fewer
+    calls per draw. ``rng`` must be a ``random.Random``.
+    """
     rng = rng or random.Random(cfg.seed)
+    draw, getrandbits = rng.random, rng.getrandbits
     ctx = cfg.context
-    size = rng.randint(1, cfg.max_states)
-    space = StateSpace(size)
-    props = list(prop_names or PROP_NAMES[: cfg.num_propvars])
-    progs = list(prog_names or PROGRAM_NAMES[: cfg.num_programs])
+    top = ctx.top
+    density = cfg.density
+
+    size = 1 + _below(getrandbits, cfg.max_states)
+    shape = _SHAPES.get(size)
+    if shape is None:
+        keys = tuple(itertools.product(range(size), range(1 << size)))
+        shape = _SHAPES[size] = (StateSpace(size), keys)
+    space, keys = shape
+
+    props = prop_names or PROP_NAMES[: cfg.num_propvars]
+    progs = prog_names or PROGRAM_NAMES[: cfg.num_programs]
+    bits = top.bit_length()
     atomics = {}
     for name in progs:
         entries = {}
-        for s in space.states():
-            for mask in space.subset_masks():
-                if rng.random() < cfg.density:
-                    entries[(s, mask)] = rng.randint(1, ctx.top)
-        atomics[name] = ReachRelation(space, ctx, entries)
-    valuation = {
-        name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in props
-    }
-    return Model(ctx, space, atomics, valuation)
+        for key in keys:
+            if draw() < density:
+                r = getrandbits(bits)  # 1 + _below(getrandbits, top), inlined
+                while r >= top:
+                    r = getrandbits(bits)
+                entries[key] = r + 1
+        atomics[name] = ReachRelation._unchecked(space, ctx, entries)
+
+    valuation = {}
+    for name in props:
+        row = {}
+        for s in range(size):
+            num = _below(getrandbits, top + 1)
+            if num:
+                row[s] = num
+        valuation[name] = row
+    return Model._unchecked(ctx, space, atomics, valuation)
 
 
 # -- random instantiation ----------------------------------------------------------

@@ -9,7 +9,7 @@ exhaustively rather than up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class NotAChainElement(ValueError):
@@ -25,15 +25,14 @@ class ChainContext:
     """A chain of ``n`` equally spaced truth values, n >= 2."""
 
     n: int
+    # Numerator of the greatest element, n - 1. A plain attribute, not a
+    # property: the relation algebra and the evaluator read it per call.
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"chain order must be an integer >= 2, got {self.n!r}")
-
-    @property
-    def top(self) -> int:
-        """Numerator of the greatest element."""
-        return self.n - 1
+        object.__setattr__(self, "top", self.n - 1)
 
     @property
     def zero(self) -> ChainValue:

@@ -52,12 +52,23 @@ def _check_model_size(model: Model, force: bool) -> None:
         )
 
 
+def _chain_order(n: int) -> int:
+    if n < 2:
+        raise CliError(f"--n {n} is below 2, the smallest chain order")
+    return n
+
+
 def _sampler_config(args, num_programs=2, num_propvars=2) -> SamplerConfig:
     states = getattr(args, "states", 3)
     force = getattr(args, "force_states", False)
     cap = _state_cap(force)
+    _chain_order(args.n)
+    if states < 1:
+        raise CliError(f"--states {states} is below 1")
     if states > cap:
         raise CliError(f"--states {states} exceeds the cap {cap}")
+    if args.samples < 1:
+        raise CliError(f"--samples {args.samples} is below 1")
     return SamplerConfig(
         n=args.n,
         max_states=states,
@@ -135,7 +146,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    ctx = ChainContext(args.n)
+    ctx = ChainContext(_chain_order(args.n))
     formula = parse_formula(args.formula, ctx)
     members = fl_closure(formula, ctx, cap=args.cap)
     for text in sorted(format_formula(f) for f in members):
@@ -319,8 +330,7 @@ _EXPECTED_ERRORS = (
     NotClosedError,
     DerivationFormatError,
     ClosureBudgetExceeded,
-    FileNotFoundError,
-    ValueError,
+    OSError,
 )
 
 

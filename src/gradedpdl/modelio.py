@@ -69,8 +69,8 @@ def model_from_dict(data: dict[str, Any]) -> Model:
         state_list = data["states"]
     except KeyError as exc:
         raise ModelFormatError(f"model document is missing {exc.args[0]!r}") from None
-    if not isinstance(n, int):
-        raise ModelFormatError(f"chain order must be an integer, got {n!r}")
+    if not isinstance(n, int) or n < 2:
+        raise ModelFormatError(f"chain order must be an integer >= 2, got {n!r}")
     if (
         not isinstance(state_list, list)
         or not state_list
@@ -136,7 +136,7 @@ def load_model(path: str | Path) -> Model:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
     return model_from_dict(data)
 

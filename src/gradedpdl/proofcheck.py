@@ -86,6 +86,21 @@ def _reject(step: int, reason: str, message: str) -> Verdict:
     return Verdict(False, step, reason, message)
 
 
+# A rejection message shows a formula of up to this many characters in
+# full and a longer one by its head and tail: a formula's text grows with
+# its expanded tree, which a short chain of ``<->`` makes huge.
+SHOWN_FORMULA_CHARS = 2000
+
+
+def _shown(formula: Formula) -> str:
+    text = format_formula(formula)
+    if len(text) <= SHOWN_FORMULA_CHARS:
+        return repr(text)
+    keep = SHOWN_FORMULA_CHARS // 2
+    left_out = len(text) - 2 * keep
+    return f"{text[:keep]!r} ... [{left_out} characters left out] ... {text[-keep:]!r}"
+
+
 def check_derivation(
     derivation: Derivation,
     system: str = "DL",
@@ -125,14 +140,14 @@ def check_derivation(
             if not matched:
                 return _reject(
                     k, "axiom-mismatch",
-                    f"step {k}: {format_formula(step.formula)!r} is not an instance "
+                    f"step {k}: {_shown(step.formula)} is not an instance "
                     f"of schema {step.schema_id}",
                 )
         elif isinstance(step, PremiseStep):
             if step.formula not in derivation.premises:
                 return _reject(
                     k, "not-a-premise",
-                    f"step {k}: {format_formula(step.formula)!r} is not among the premises",
+                    f"step {k}: {_shown(step.formula)} is not among the premises",
                 )
         elif isinstance(step, MPStep):
             i, j = step.antecedent, step.implication
@@ -146,8 +161,8 @@ def check_derivation(
                 return _reject(
                     k, "mp-mismatch",
                     f"step {k}: step {j} is not an implication with antecedent "
-                    f"{format_formula(derived[i - 1])!r} and consequent "
-                    f"{format_formula(step.formula)!r}",
+                    f"{_shown(derived[i - 1])} and consequent "
+                    f"{_shown(step.formula)}",
                 )
         elif isinstance(step, MonStep):
             if not allow_mon:
@@ -164,8 +179,8 @@ def check_derivation(
             if not _mon_lift_ok(derived[i - 1], step.formula):
                 return _reject(
                     k, "mon-mismatch",
-                    f"step {k}: {format_formula(step.formula)!r} does not lift "
-                    f"{format_formula(derived[i - 1])!r} under one modality",
+                    f"step {k}: {_shown(step.formula)} does not lift "
+                    f"{_shown(derived[i - 1])} under one modality",
                 )
         else:  # pragma: no cover - parser produces only the above
             return _reject(k, "unknown-step", f"step {k}: unrecognized step kind")
@@ -199,6 +214,13 @@ _MP_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<j>\d+)\s+(?P<formula>.*)$")
 _MON_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<formula>.*)$")
 
 
+def _number(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise DerivationFormatError(f"line {lineno}: number {digits[:20]}... is too long") from None
+
+
 def parse_derivation(text: str) -> Derivation:
     ctx: Optional[ChainContext] = None
     premises: list[Formula] = []
@@ -214,7 +236,10 @@ def parse_derivation(text: str) -> Derivation:
                 raise DerivationFormatError(
                     f"line {lineno}: expected the chain header 'n: <int>' first"
                 )
-            ctx = ChainContext(int(m.group(1)))
+            n = _number(m.group(1), lineno)
+            if n < 2:
+                raise DerivationFormatError(f"line {lineno}: chain order must be >= 2, got {n}")
+            ctx = ChainContext(n)
             continue
         if line.startswith("premise:"):
             if steps:
@@ -226,7 +251,7 @@ def parse_derivation(text: str) -> Derivation:
         m = _STEP_RE.match(line)
         if not m:
             raise DerivationFormatError(f"line {lineno}: unrecognized step {line!r}")
-        num = int(m.group("num"))
+        num = _number(m.group("num"), lineno)
         if num != len(steps) + 1:
             raise DerivationFormatError(
                 f"line {lineno}: step numbered {num}, expected {len(steps) + 1}"
@@ -255,8 +280,8 @@ def parse_derivation(text: str) -> Derivation:
                 )
             steps.append(
                 MPStep(
-                    int(head.group("i")),
-                    int(head.group("j")),
+                    _number(head.group("i"), lineno),
+                    _number(head.group("j"), lineno),
                     parse_formula(head.group("formula"), ctx),
                 )
             )
@@ -266,7 +291,9 @@ def parse_derivation(text: str) -> Derivation:
                 raise DerivationFormatError(
                     f"line {lineno}: monotonicity steps read '<k> mon <i> <formula>'"
                 )
-            steps.append(MonStep(int(head.group("i")), parse_formula(head.group("formula"), ctx)))
+            steps.append(
+                MonStep(_number(head.group("i"), lineno), parse_formula(head.group("formula"), ctx))
+            )
     if ctx is None:
         raise DerivationFormatError("empty derivation: missing the 'n: <int>' header")
     return Derivation(ctx, premises, steps)
@@ -274,4 +301,8 @@ def parse_derivation(text: str) -> Derivation:
 
 def load_derivation(path) -> Derivation:
     with open(path, encoding="utf-8") as handle:
-        return parse_derivation(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DerivationFormatError(f"{path}: {exc}") from None
+    return parse_derivation(text)

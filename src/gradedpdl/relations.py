@@ -67,7 +67,15 @@ class ReachRelation:
     """Finite-support map (state, state set) -> chain value.
 
     Stored entries are the nonzero ones: ``entries`` maps (state, mask)
-    to a positive numerator. Instances are treated as immutable values.
+    to a positive numerator at most top, with the state and every
+    member of the mask inside the space. Instances are treated as
+    immutable values.
+
+    The constructor checks its entries, so input from outside goes
+    through it. Relations the library computes from checked operands
+    (``iota``, ``union``, ``compose``, ``parallel``, ``star``, tests and
+    sampled atomics) hold these invariants by construction and are
+    wrapped by ``_unchecked`` instead.
     """
 
     __slots__ = ("space", "context", "entries")
@@ -93,6 +101,18 @@ class ReachRelation:
             if num > 0:
                 table[(s, mask)] = num
         self.entries = table
+
+    @classmethod
+    def _unchecked(
+        cls, space: StateSpace, context: ChainContext, entries: dict[tuple[int, int], int]
+    ) -> "ReachRelation":
+        """Wrap entries that already hold the invariants; takes ownership
+        of the dict."""
+        rel = object.__new__(cls)
+        rel.space = space
+        rel.context = context
+        rel.entries = entries
+        return rel
 
     @classmethod
     def of(
@@ -146,24 +166,24 @@ class ReachRelation:
 
 
 def _check_same(a: ReachRelation, b: ReachRelation) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError(
             f"state spaces differ: {a.space.size} vs {b.space.size}"
         )
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ChainMismatchError(
             f"chains differ: order {a.context.n} vs {b.context.n}"
         )
 
 
 def zero_relation(space: StateSpace, ctx: ChainContext) -> ReachRelation:
-    return ReachRelation(space, ctx, {})
+    return ReachRelation._unchecked(space, ctx, {})
 
 
 def iota(space: StateSpace, ctx: ChainContext) -> ReachRelation:
     """Unit relation: top at (s, {s}), bottom elsewhere."""
     top = ctx.top
-    return ReachRelation(space, ctx, {(s, 1 << s): top for s in space.states()})
+    return ReachRelation._unchecked(space, ctx, {(s, 1 << s): top for s in space.states()})
 
 
 def union(r: ReachRelation, q: ReachRelation) -> ReachRelation:
@@ -173,7 +193,7 @@ def union(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     for key, val in q.entries.items():
         if val > table.get(key, 0):
             table[key] = val
-    return ReachRelation(r.space, r.context, table)
+    return ReachRelation._unchecked(r.space, r.context, table)
 
 
 def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
@@ -231,7 +251,7 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
                 key = (s, tmask)
                 if val > out.get(key, 0):
                     out[key] = val
-    return ReachRelation(r.space, r.context, out)
+    return ReachRelation._unchecked(r.space, r.context, out)
 
 
 def parallel(r: ReachRelation, q: ReachRelation) -> ReachRelation:
@@ -255,7 +275,7 @@ def parallel(r: ReachRelation, q: ReachRelation) -> ReachRelation:
             key = (s, tmask | wmask)
             if val > out.get(key, 0):
                 out[key] = val
-    return ReachRelation(r.space, r.context, out)
+    return ReachRelation._unchecked(r.space, r.context, out)
 
 
 def leq(r: ReachRelation, q: ReachRelation) -> bool:

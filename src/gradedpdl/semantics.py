@@ -19,6 +19,7 @@ the body's vector only over its own target sets.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -56,13 +57,28 @@ from .syntax import (
 logger = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=None)
+def _default_state_names(size: int) -> tuple[str, ...]:
+    """``s0``, ``s1``, ... for a space of the given size."""
+    return tuple(f"s{i}" for i in range(size))
+
+
+# Member states of each target mask seen so far, shared by all
+# evaluators: a mask's members never change.
+_MEMBERS: dict[int, tuple[int, ...]] = {}
+
+
 class Model:
     """A finite graded model.
 
     ``atomics`` maps atomic program names to relations; ``valuation``
     maps proposition names to per-state numerators (absent means bottom).
     Atomic-program names and proposition names live in separate
-    namespaces, so the same name may appear in both maps.
+    namespaces, so the same name may appear in both maps. The
+    constructor checks that every relation lives on the model's space
+    and chain and every valuation entry on its states and chain, and
+    drops zero entries; the sampler, whose parts hold this by
+    construction, builds its models with ``_unchecked``.
     """
 
     __slots__ = ("context", "space", "atomics", "valuation", "state_names")
@@ -96,10 +112,30 @@ class Model:
             table[name] = row
         self.valuation = table
         if state_names is None:
-            state_names = tuple(f"s{i}" for i in space.states())
+            state_names = _default_state_names(space.size)
         if len(state_names) != space.size:
             raise ValueError("state_names length must match the space size")
         self.state_names = tuple(state_names)
+
+    @classmethod
+    def _unchecked(
+        cls,
+        context: ChainContext,
+        space: StateSpace,
+        atomics: dict[str, ReachRelation],
+        valuation: dict[str, dict[int, int]],
+    ) -> "Model":
+        """Wrap parts that already hold the constructor's invariants:
+        relations on this space and chain, valuation rows without zeros
+        and inside the space and chain. States get the default names.
+        Takes ownership of the dicts."""
+        model = object.__new__(cls)
+        model.context = context
+        model.space = space
+        model.atomics = atomics
+        model.valuation = valuation
+        model.state_names = _default_state_names(space.size)
+        return model
 
     def prop_num(self, name: str, s: int) -> int:
         return self.valuation.get(name, {}).get(s, 0)
@@ -140,7 +176,7 @@ class Evaluator:
     def __init__(self, model: Model):
         self.model = model
         self._relations: dict[Program, ReachRelation] = {}
-        self._rows: dict[Program, list[list[tuple[int, list[int]]]]] = {}
+        self._rows: dict[Program, list[list[tuple[int, tuple[int, ...]]]]] = {}
         self._vectors: dict[Formula, tuple[int, ...]] = {}
 
     def relation(self, program: Program) -> ReachRelation:
@@ -167,7 +203,7 @@ class Evaluator:
         elif isinstance(program, Test):
             vector = self._vector(program.condition)
             entries = {(s, 1 << s): num for s, num in enumerate(vector) if num > 0}
-            rel = ReachRelation(model.space, model.context, entries)
+            rel = ReachRelation._unchecked(model.space, model.context, entries)
         else:
             raise TypeError(f"not a program: {program!r}")
         self._relations[program] = rel
@@ -176,13 +212,16 @@ class Evaluator:
     def value_num(self, formula: Formula, s: int) -> int:
         return self._vector(formula)[s]
 
-    def _rows_by_source(self, program: Program) -> list[list[tuple[int, list[int]]]]:
+    def _rows_by_source(self, program: Program) -> list[list[tuple[int, tuple[int, ...]]]]:
         """Per source state, its (value, target members) rows."""
         rows = self._rows.get(program)
         if rows is None:
             rows = [[] for _ in self.model.space.states()]
             for (src, mask), rval in self.relation(program).entries.items():
-                rows[src].append((rval, mask_states(mask)))
+                members = _MEMBERS.get(mask)
+                if members is None:
+                    members = _MEMBERS[mask] = tuple(mask_states(mask))
+                rows[src].append((rval, members))
             self._rows[program] = rows
         return rows
 

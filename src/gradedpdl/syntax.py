@@ -306,11 +306,14 @@ class _Parser:
             return PropVar(text)
         if kind == "const":
             body = text[1:]
-            if "/" in body:
-                p_str, q_str = body.split("/", 1)
-                p, q = int(p_str), int(q_str)
-            else:
-                p, q = int(body), 1
+            try:
+                if "/" in body:
+                    p_str, q_str = body.split("/", 1)
+                    p, q = int(p_str), int(q_str)
+                else:
+                    p, q = int(body), 1
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"constant {text[:20]!r}... is too long", pos) from None
             try:
                 return Constant(from_rational(p, q, self.ctx))
             except NotAChainElement as exc:

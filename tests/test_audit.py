@@ -24,6 +24,8 @@ from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
 from gradedpdl.syntax import collect_names, parse_formula
 
+from oracle_sampler import reference_sample_model
+
 C3 = ChainContext(3)
 
 
@@ -42,6 +44,36 @@ def test_sampler_determinism():
     a = sample_model(cfg, random.Random(9))
     b = sample_model(cfg, random.Random(9))
     assert a == b and a.atomics == b.atomics and a.valuation == b.valuation
+
+
+def _same_model(got, want):
+    # Model equality ignores empty valuation rows; the parts must match too.
+    assert got == want
+    assert got.atomics == want.atomics
+    assert got.valuation == want.valuation
+    assert got.state_names == want.state_names
+    assert list(got.atomics) == list(want.atomics)
+
+
+def test_sampler_matches_reference_stream():
+    names = (None, None), (["p", "r", "z"], ["a", "x"])
+    for n in range(2, 9):
+        for max_states in range(1, 7):
+            for density in (0, 0.1, 0.4, 1):
+                cfg = SamplerConfig(
+                    n=n, max_states=max_states, density=density, allow_large=True
+                )
+                for props, progs in names:
+                    seed = f"{n}:{max_states}:{density}:{props}"
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    for _ in range(3 if max_states > 4 else 8):
+                        got = sample_model(cfg, rng, props, progs)
+                        want = reference_sample_model(cfg, ref_rng, props, progs)
+                        _same_model(got, want)
+                        assert rng.getstate() == ref_rng.getstate(), (n, max_states, density)
+    # without an rng both start from the configured seed
+    cfg = SamplerConfig(n=4, max_states=3, seed=12)
+    _same_model(sample_model(cfg), reference_sample_model(cfg))
 
 
 def test_sampler_density_extremes():

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +16,7 @@ import gradedpdl
 from gradedpdl import cli
 from gradedpdl.cli import main
 from gradedpdl.modelio import dumps
+from gradedpdl.proofcheck import SHOWN_FORMULA_CHARS
 from gradedpdl.syntax import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -263,6 +266,82 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["valid", "p", "--n", "1"],
+        ["valid", "p", "--states", "0"],
+        ["valid", "p", "--states", "-2"],
+        ["valid", "p", "--samples", "0"],
+        ["valid", "p", "--density", "2"],
+        ["equiv", "p", "q", "--samples", "-1"],
+        ["audit", "--n", "0", "--samples", "1"],
+        ["audit", "--states", "0", "--samples", "1"],
+        ["closure", "p", "--n", "1"],
+        ["closure", "#" + "1" * 5000],
+    ],
+    ids=["n-1", "states-0", "states-negative", "samples-0", "density-option",
+         "equiv-samples-negative", "audit-n-0", "audit-states-0", "closure-n-1",
+         "5000-digit-constant"],
+)
+def test_bad_options_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    [
+        ("eval", dumps(dict(ONE_STATE_HALF_P, n=1, valuation={}))),
+        ("eval", dumps(dict(ONE_STATE_HALF_P, n=True, valuation={}))),
+        ("eval", b'{"n": 3, "states": ["s\xff"]}'),
+        ("eval", "[" * 100_000 + "]" * 100_000),
+        ("check-proof", "n: 1\n1 premise p\n"),
+        ("check-proof", "n: 3\n" + "1" * 5000 + " axiom A1 p -> (q -> p)\n"),
+        ("check-proof", "n: 3\npremise: p\n1 premise p\n2 mp 1 " + "9" * 5000 + " q\n"),
+        ("check-proof", b"n: 3\n1 premise \xff\n"),
+    ],
+    ids=["model-n-1", "model-n-true", "model-not-utf8", "model-deep-json", "proof-n-1",
+         "proof-long-step-number", "proof-long-reference", "proof-not-utf8"],
+)
+def test_bad_input_files_are_usage_errors(command, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    argv = [command, str(path), "p"] if command == "eval" else [command, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    assert main(["eval", str(tmp_path), "p"]) == 2
+    assert main(["audit", "--samples", "1", "--no-rules", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+def test_unexpected_value_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_closure", broken)
+    assert main(["closure", "p"]) == 3
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_check_proof_rejection_line_is_bounded(tmp_path, capsys):
+    # the step's formula expands to 288 KB of text; the line shows its ends
+    path = tmp_path / "big.proof"
+    path.write_text("n: 3\n1 axiom A2 p" + " <-> p" * 14 + "\n")
+    assert main(["check-proof", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("rejected at step 1: step 1: ")
+    assert "characters left out" in out
+    assert len(out) < SHOWN_FORMULA_CHARS + 200
+
+
 THREE_STATES = {
     "n": 3,
     "states": ["s0", "s1", "s2"],
@@ -299,4 +378,126 @@ def test_eval_on_fuzzed_formula_text_never_crashes(three_state_model, tokens):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["eval", three_state_model, text])
     assert code in (0, 1, 2), (text, stderr.getvalue())
+    assert "internal error" not in stderr.getvalue()
+
+
+# -- fuzzed input files ---------------------------------------------------------------
+#
+# Input files are checked where they enter; whatever a mutated document or
+# derivation holds, the command ends with an answer or a usage error.
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 8),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["", "s0", "s1", "s2", "s9", "0", "1", "1/2", "2/4", "1/3", "3/2",
+                     "1/0", "-1/2", "#1", "p", "a"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "from", "to", "value", "p", "a", "s0"]), inner,
+                      max_size=3),
+    max_leaves=6,
+)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "delete", "add"]), st.integers(0, 999), JSON_VALUES),
+    min_size=1, max_size=4,
+)
+
+
+def _slots(doc):
+    """Every (container, key) pair of a JSON document, depth first."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_slots(value))
+    return out
+
+
+def _mutate(doc, edits):
+    for action, pick, value in edits:
+        slots = _slots(doc)
+        if not slots:
+            return doc
+        container, key = slots[pick % len(slots)]
+        if action == "replace":
+            container[key] = value
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, value)
+        else:
+            container[str(value)] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDITS, st.sampled_from(["<a ; b>p -> [a*]q", "[a ^ b](p & q)", "<?(p) + a>#1/2"]))
+def test_eval_on_fuzzed_model_documents_never_crashes(tmp_path_factory, edits, formula):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(_mutate(json.loads(json.dumps(THREE_STATES)), edits)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["eval", str(path), formula])
+    assert code in (0, 1, 2), (path.read_text(), stderr.getvalue())
+    assert "internal error" not in stderr.getvalue()
+
+
+PROOF_TOKENS = st.sampled_from(
+    ["n:", "0", "1", "2", "3", "12", "99", "axiom", "premise", "premise:", "mp", "mon",
+     "A1", "A2", "D7/corrected", "D7/printed", "D16", "X9", "p", "q", "->", "(", ")",
+     "[a]p", "<a>q", "#1/2", "#3/2", "~", "&", "<->", "#", ""]
+)
+PROOF_EDITS = st.lists(
+    st.tuples(st.sampled_from(["token", "delete", "duplicate", "swap", "cut"]),
+              st.integers(0, 999), st.integers(0, 999), PROOF_TOKENS),
+    min_size=1, max_size=4,
+)
+
+
+def _mutate_proof(lines, edits, renumber):
+    for action, i, j, token in edits:
+        if not lines:
+            break
+        k = i % len(lines)
+        if action == "token":
+            words = lines[k].split(" ")
+            words[j % len(words)] = token
+            lines[k] = " ".join(words)
+        elif action == "delete":
+            del lines[k]
+        elif action == "duplicate":
+            lines.insert(k, lines[k])
+        elif action == "swap":
+            m = j % len(lines)
+            lines[k], lines[m] = lines[m], lines[k]
+        else:
+            lines[k] = lines[k][: j % (len(lines[k]) + 1)]
+    if renumber:  # so that edited derivations also reach the checker
+        steps = itertools.count(1)
+        lines = [re.sub(r"^\d+ ", lambda _: f"{next(steps)} ", line) for line in lines]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["identity.proof", "mixed22.proof"]),
+    PROOF_EDITS,
+    st.booleans(),
+    st.sampled_from([[], ["--system", "pl"], ["--any-schema"], ["--allow-mon"]]),
+)
+def test_check_proof_on_fuzzed_derivations_never_crashes(
+    tmp_path_factory, fixture, edits, renumber, flags
+):
+    lines = (FIXTURES / fixture).read_text().splitlines()
+    path = tmp_path_factory.mktemp("proof") / "fuzzed.proof"
+    path.write_text("\n".join(_mutate_proof(lines, edits, renumber)) + "\n")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["check-proof", str(path), *flags])
+    assert code in (0, 1, 2), (path.read_text(), stderr.getvalue())
     assert "internal error" not in stderr.getvalue()

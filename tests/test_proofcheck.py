@@ -10,11 +10,12 @@ from gradedpdl.proofcheck import (
     DerivationFormatError,
     MPStep,
     PremiseStep,
+    SHOWN_FORMULA_CHARS,
     check_derivation,
     load_derivation,
     parse_derivation,
 )
-from gradedpdl.syntax import format_formula, parse_formula
+from gradedpdl.syntax import PropVar, format_formula, parse_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C3 = ChainContext(3)
@@ -207,3 +208,27 @@ def test_rejections_always_carry_step_and_reason():
         assert not verdict.accepted
         assert isinstance(verdict.failed_step, int)
         assert verdict.reason and verdict.message
+
+
+def test_rejection_message_cuts_long_formulas():
+    # One A2 step over a 14-link <-> chain: the formula's text is the
+    # expanded tree, 288 KB long, and the message keeps its head and tail.
+    chain = "p" + " <-> p" * 14
+    verdict = check_derivation(parse_derivation(f"n: 3\n1 axiom A2 {chain}\n"))
+    assert (verdict.failed_step, verdict.reason) == (1, "axiom-mismatch")
+    full = format_formula(parse_formula(chain, C3))
+    assert len(full) > 250_000
+    keep = SHOWN_FORMULA_CHARS // 2
+    assert verdict.message == (
+        f"step 1: {full[:keep]!r} ... [{len(full) - 2 * keep} characters left out] ... "
+        f"{full[-keep:]!r} is not an instance of schema A2"
+    )
+
+
+def test_rejection_message_shows_formulas_up_to_the_cap_whole():
+    for length, cut in ((SHOWN_FORMULA_CHARS, False), (SHOWN_FORMULA_CHARS + 1, True)):
+        name = "x" * length
+        verdict = check_derivation(Derivation(C3, [], [PremiseStep(PropVar(name))]))
+        assert verdict.reason == "not-a-premise"
+        assert (repr(name) in verdict.message) is not cut
+        assert ("[1 characters left out]" in verdict.message) is cut

@@ -4,7 +4,16 @@ import random
 import pytest
 
 from gradedpdl.chain import ChainContext, ChainMismatchError, ChainValue
-from gradedpdl.relations import ReachRelation, StateSpace, zero_relation
+from gradedpdl.relations import (
+    ReachRelation,
+    StateSpace,
+    compose,
+    iota,
+    parallel,
+    star,
+    union,
+    zero_relation,
+)
 from gradedpdl.semantics import Evaluator, Model, eval_formula, eval_program, valid_in_model
 from gradedpdl.syntax import (
     Atomic,
@@ -303,6 +312,36 @@ def test_vectors_match_pointwise_evaluator():
                         for s in model.space.states():
                             want = pointwise.value_num(node, s)
                             assert vectors.value_num(node, s) == want, (model, node, s)
+
+
+def test_library_relations_pass_the_validating_constructor():
+    # The library builds these relations without the constructor's checks;
+    # each must come out of the checking constructor unchanged: positive
+    # int numerators at most top, states and masks inside the space.
+    fixed = ["a ; b", "a + b", "a ^ b", "a*", "?(p)", "?([a ; b]q) ; (a ^ b + ?(#0))*"]
+    for n in (2, 3, 5):
+        ctx = ChainContext(n)
+        programs = [parse_program(text, ctx) for text in fixed]
+        for density in (0, 0.1, 0.4, 1):
+            cfg = SamplerConfig(n=n, max_states=4, density=density)
+            rng = random.Random(f"{n}:{density}")
+            for _ in range(5):
+                model = sample_model(cfg, rng)
+                a, b = model.atomics["a"], model.atomics["b"]
+                built = list(model.atomics.values()) + [
+                    iota(model.space, ctx), zero_relation(model.space, ctx),
+                    compose(a, b), union(a, b), parallel(a, b), star(a),
+                ]
+                evaluator = Evaluator(model)
+                for program in programs + [random_program(rng, ctx, 3, "pq", "ab") for _ in range(4)]:
+                    built += [
+                        evaluator.relation(node) for node in _nodes(program)
+                        if isinstance(node, PROGRAMS)
+                    ]
+                for rel in built:
+                    assert all(type(num) is int for num in rel.entries.values())
+                    checked = ReachRelation(rel.space, rel.context, rel.entries)
+                    assert checked.entries == rel.entries, (model, rel)
 
 
 def test_cache_matches_cold_evaluation():
