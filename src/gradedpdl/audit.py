@@ -72,9 +72,33 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would exceed its configured limit."""
 
 
+class SamplerConfigError(ValueError):
+    """A sampler setting, or the state count of a model, is out of range."""
+
+
+def check_state_count(states: int, allow_large: bool) -> None:
+    """The state cap: set operations are doubly exponential in the number
+    of states, so a model has at most STATE_CAP of them, or
+    STATE_CAP_FORCED with ``allow_large`` (``--force-states``)."""
+    if states < 1:
+        raise SamplerConfigError(f"{states} states; a model needs at least 1")
+    cap = STATE_CAP_FORCED if allow_large else STATE_CAP
+    if states > cap:
+        lift = "" if allow_large else (
+            f" (--force-states, or allow_large, raises it to {STATE_CAP_FORCED})"
+        )
+        raise SamplerConfigError(f"{states} states; the cap is {cap}{lift}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Shape of the random models and the search budget."""
+    """Shape of the random models and the search budget.
+
+    The one place the sampler's settings are checked, and the one home of
+    what follows from them: the chain, the sampled proposition and
+    program names and the adversarial binding pools, each built once per
+    config.
+    """
 
     n: int
     max_states: int = 3
@@ -87,23 +111,34 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"chain order must be >= 2, got {self.n}")
-        cap = STATE_CAP_FORCED if self.allow_large else STATE_CAP
-        if not 1 <= self.max_states <= cap:
-            raise ValueError(
-                f"max_states must be in 1..{cap} (pass allow_large for up to "
-                f"{STATE_CAP_FORCED}), got {self.max_states}"
-            )
+            raise SamplerConfigError(f"chain order {self.n} is below 2")
+        check_state_count(self.max_states, self.allow_large)
         if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density must be in [0, 1], got {self.density}")
+            raise SamplerConfigError(f"density must be in [0, 1], got {self.density}")
         if self.num_programs < 1 or self.num_propvars < 1:
-            raise ValueError("need at least one atomic program and one propvar")
+            raise SamplerConfigError("need at least one atomic program and one propvar")
         if self.samples < 1:
-            raise ValueError("sample budget must be positive")
+            raise SamplerConfigError(f"sample budget {self.samples} is below 1")
 
     @functools.cached_property
     def context(self) -> ChainContext:
         return ChainContext(self.n)
+
+    @functools.cached_property
+    def prop_names(self) -> str:
+        return PROP_NAMES[: self.num_propvars]
+
+    @functools.cached_property
+    def program_names(self) -> str:
+        return PROGRAM_NAMES[: self.num_programs]
+
+    @functools.cached_property
+    def formula_pool(self) -> tuple[Formula, ...]:
+        return _adversarial_formulas(self.context, self.prop_names)
+
+    @functools.cached_property
+    def program_pool(self) -> tuple[Program, ...]:
+        return _adversarial_programs(self.prop_names, self.program_names)
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -157,8 +192,8 @@ def sample_model(
         shape = _SHAPES[size] = (StateSpace(size), keys)
     space, keys = shape
 
-    props = prop_names or PROP_NAMES[: cfg.num_propvars]
-    progs = prog_names or PROGRAM_NAMES[: cfg.num_programs]
+    props = prop_names or cfg.prop_names
+    progs = prog_names or cfg.program_names
     bits = top.bit_length()
     atomics = {}
     for name in progs:
@@ -194,26 +229,15 @@ def random_formula(
 ) -> Formula:
     if depth <= 0 or rng.random() < 0.35:
         if rng.random() < 0.6:
-            return PropVar(rng.choice(list(props)))
+            return PropVar(rng.choice(props))
         return Constant(ChainValue(rng.randint(0, ctx.top), ctx))
     kind = rng.randrange(5)
-    if kind == 0:
-        return And(
+    if kind < 3:
+        return (And, Or, Implies)[kind](
             random_formula(rng, ctx, depth - 1, props, progs),
             random_formula(rng, ctx, depth - 1, props, progs),
         )
-    if kind == 1:
-        return Or(
-            random_formula(rng, ctx, depth - 1, props, progs),
-            random_formula(rng, ctx, depth - 1, props, progs),
-        )
-    if kind == 2:
-        return Implies(
-            random_formula(rng, ctx, depth - 1, props, progs),
-            random_formula(rng, ctx, depth - 1, props, progs),
-        )
-    node = Box if kind == 3 else Diamond
-    return node(
+    return (Box, Diamond)[kind - 3](
         random_program(rng, ctx, depth - 1, props, progs),
         random_formula(rng, ctx, depth - 1, props, progs),
     )
@@ -227,20 +251,10 @@ def random_program(
     progs: Sequence[str] = PROGRAM_NAMES[:2],
 ) -> Program:
     if depth <= 0 or rng.random() < 0.4:
-        return Atomic(rng.choice(list(progs)))
+        return Atomic(rng.choice(progs))
     kind = rng.randrange(5)
-    if kind == 0:
-        return PUnion(
-            random_program(rng, ctx, depth - 1, props, progs),
-            random_program(rng, ctx, depth - 1, props, progs),
-        )
-    if kind == 1:
-        return Inter(
-            random_program(rng, ctx, depth - 1, props, progs),
-            random_program(rng, ctx, depth - 1, props, progs),
-        )
-    if kind == 2:
-        return Seq(
+    if kind < 3:
+        return (PUnion, Inter, Seq)[kind](
             random_program(rng, ctx, depth - 1, props, progs),
             random_program(rng, ctx, depth - 1, props, progs),
         )
@@ -249,7 +263,7 @@ def random_program(
     return Test(random_formula(rng, ctx, depth - 1, props, progs))
 
 
-def _adversarial_formulas(ctx: ChainContext, props: Sequence[str]) -> list[Formula]:
+def _adversarial_formulas(ctx: ChainContext, props: Sequence[str]) -> tuple[Formula, ...]:
     """Counterexamples concentrate at mid-chain values, so the pool leads
     with bare propvars and near-half constants."""
     p = PropVar(props[0])
@@ -259,40 +273,36 @@ def _adversarial_formulas(ctx: ChainContext, props: Sequence[str]) -> list[Formu
         pool.append(PropVar(props[1]))
     if ctx.top - (ctx.top + 1) // 2 != mid:
         pool.append(Constant(ChainValue((ctx.top + 1) // 2, ctx)))
-    return pool
+    return tuple(pool)
 
 
-def _adversarial_programs(ctx: ChainContext, props: Sequence[str], progs: Sequence[str]) -> list[Program]:
+def _adversarial_programs(props: Sequence[str], progs: Sequence[str]) -> tuple[Program, ...]:
     a = Atomic(progs[0])
     pool: list[Program] = [a, Star(a), Test(PropVar(props[0]))]
     if len(progs) > 1:
         pool.append(Inter(a, Atomic(progs[1])))
-    return pool
+    return tuple(pool)
 
 
 def sample_bindings(
-    schema: AxiomSchema,
-    rng: random.Random,
-    cfg: SamplerConfig,
-    props: Optional[Sequence[str]] = None,
-    progs: Optional[Sequence[str]] = None,
+    schema: AxiomSchema, rng: random.Random, cfg: SamplerConfig
 ) -> dict[str, Binding]:
+    """One random binding per metavariable, in name order: half the time
+    from the config's adversarial pool (the midpoint for a constant),
+    otherwise freshly generated."""
     ctx = cfg.context
-    props = list(props or PROP_NAMES[: cfg.num_propvars])
-    progs = list(progs or PROGRAM_NAMES[: cfg.num_programs])
-    formula_pool = _adversarial_formulas(ctx, props)
-    program_pool = _adversarial_programs(ctx, props, progs)
+    props, progs = cfg.prop_names, cfg.program_names
     mid = ctx.top // 2
     bindings: dict[str, Binding] = {}
-    for name, kind in sorted(schema.meta_names().items()):
+    for name, kind in schema.metas:
         if kind == "formula":
             if rng.random() < 0.5:
-                bindings[name] = rng.choice(formula_pool)
+                bindings[name] = rng.choice(cfg.formula_pool)
             else:
                 bindings[name] = random_formula(rng, ctx, 3, props, progs)
         elif kind == "program":
             if rng.random() < 0.5:
-                bindings[name] = rng.choice(program_pool)
+                bindings[name] = rng.choice(cfg.program_pool)
             else:
                 bindings[name] = random_program(rng, ctx, 2, props, progs)
         else:
@@ -439,8 +449,8 @@ def _trials(cfg: SamplerConfig, seed: int, names=(None, None)):
 def _sample_names(cfg: SamplerConfig, *formulas: Formula) -> tuple[list[str], list[str]]:
     """Proposition and program names of the sampled models: the
     configured ones plus every name the formulas mention."""
-    props = set(PROP_NAMES[: cfg.num_propvars])
-    progs = set(PROGRAM_NAMES[: cfg.num_programs])
+    props = set(cfg.prop_names)
+    progs = set(cfg.program_names)
     for f in formulas:
         p, a = collect_names(f)
         props |= p
@@ -478,8 +488,7 @@ def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     seed = derive_seed(cfg.seed, "rule", rule_id, cfg.n)
     ctx = cfg.context
     node = Box if rule_id == "Mon-box" else Diamond
-    props = PROP_NAMES[: cfg.num_propvars]
-    progs = PROGRAM_NAMES[: cfg.num_programs]
+    props, progs = cfg.prop_names, cfg.program_names
     premises_valid = 0
     for trial, rng, model in _trials(cfg, seed):
         phi = random_formula(rng, ctx, 2, props, progs)

@@ -9,6 +9,7 @@ itself fails, so that a crash is never read as a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from .audit import (
     STATE_CAP,
     STATE_CAP_FORCED,
     SamplerConfig,
+    SamplerConfigError,
     all_schemata,
     audit_all,
+    check_state_count,
     equiv_check,
     valid_check,
 )
@@ -33,18 +36,9 @@ class CliError(Exception):
     """Usage-level failure; prints to stderr, exits 2."""
 
 
-def _state_cap(force: bool) -> int:
-    return STATE_CAP_FORCED if force else STATE_CAP
-
-
 def _check_model_size(model: Model, force: bool) -> None:
-    cap = _state_cap(force)
-    if model.space.size > cap:
-        hint = "" if force else " (pass --force-states to allow up to 6)"
-        raise CliError(
-            f"model has {model.space.size} states; the cap is {cap}{hint}"
-        )
-    if force and model.space.size > STATE_CAP:
+    check_state_count(model.space.size, force)
+    if model.space.size > STATE_CAP:
         print(
             f"warning: {model.space.size} states; set operations are "
             "doubly exponential and may be slow",
@@ -52,36 +46,18 @@ def _check_model_size(model: Model, force: bool) -> None:
         )
 
 
-def _chain_order(n: int) -> int:
-    if n < 2:
-        raise CliError(f"--n {n} is below 2, the smallest chain order")
-    return n
-
-
-def _sampler_config(args, num_programs=2, num_propvars=2) -> SamplerConfig:
-    states = getattr(args, "states", 3)
-    force = getattr(args, "force_states", False)
-    cap = _state_cap(force)
-    _chain_order(args.n)
-    if states < 1:
-        raise CliError(f"--states {states} is below 1")
-    if states > cap:
-        raise CliError(f"--states {states} exceeds the cap {cap}")
-    if args.samples < 1:
-        raise CliError(f"--samples {args.samples} is below 1")
+def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(
         n=args.n,
-        max_states=states,
+        max_states=args.states,
         samples=args.samples,
         seed=args.seed,
-        num_programs=num_programs,
-        num_propvars=num_propvars,
-        allow_large=force,
+        allow_large=args.force_states,
     )
 
 
 def _write_out(args, document) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(dumps(document) + "\n", encoding="utf-8")
 
 
@@ -146,7 +122,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    ctx = ChainContext(_chain_order(args.n))
+    if args.n < 2:
+        raise CliError(f"--n {args.n} is below 2, the smallest chain order")
+    ctx = ChainContext(args.n)
     formula = parse_formula(args.formula, ctx)
     members = fl_closure(formula, ctx, cap=args.cap)
     for text in sorted(format_formula(f) for f in members):
@@ -246,33 +224,38 @@ def cmd_equiv(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call of ``main``; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gradedpdl",
         description="Workbench for concurrent dynamic logic graded over finite chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument(
+        "--force-states", action="store_true",
+        help=f"allow up to {STATE_CAP_FORCED} states instead of {STATE_CAP}",
+    )
+    search = argparse.ArgumentParser(add_help=False, parents=[force])
+    search.add_argument("--n", type=int, default=3, help="chain order")
+    search.add_argument("--states", type=int, default=3, help="most states per sampled model")
+    search.add_argument(
+        "--samples", type=int, default=1000, help="trial budget (per schema for audit)"
+    )
+    search.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("eval", help="evaluate a formula at every state of a model")
+    p = sub.add_parser("eval", parents=[force],
+                       help="evaluate a formula at every state of a model")
     p.add_argument("model", help="model JSON path")
     p.add_argument("formula")
-    p.add_argument("--force-states", action="store_true")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("valid", help="search sampled models for a validity counterexample")
+    p = sub.add_parser("valid", parents=[search],
+                       help="search sampled models for a validity counterexample")
     p.add_argument("formula")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force-states", action="store_true")
-    p.set_defaults(func=cmd_valid)
 
-    p = sub.add_parser("audit", help="soundness audit of the axiom schemata")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000, help="trial budget per schema")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("audit", parents=[search], help="soundness audit of the axiom schemata")
     p.add_argument(
         "--inter-box",
         choices=["printed", "corrected", "both"],
@@ -281,14 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-rules", action="store_true", help="skip the rule audits")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--force-states", action="store_true")
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("closure", help="list the closure of a formula")
     p.add_argument("formula")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--cap", type=int, default=10_000)
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("check-proof", help="verify a derivation file")
     p.add_argument("path")
@@ -297,32 +277,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept an axiom step when any schema matches")
     p.add_argument("--allow-mon", action="store_true",
                    help="accept monotonicity steps")
-    p.set_defaults(func=cmd_check_proof)
 
-    p = sub.add_parser("filtrate", help="quotient a model through a formula's closure")
+    p = sub.add_parser("filtrate", parents=[force],
+                       help="quotient a model through a formula's closure")
     p.add_argument("model", help="model JSON path")
     p.add_argument("formula")
     p.add_argument("--out", help="write the quotient JSON here")
     p.add_argument("--dot", help="write a DOT class graph here")
-    p.add_argument("--force-states", action="store_true")
-    p.set_defaults(func=cmd_filtrate)
 
-    p = sub.add_parser("equiv", help="search for a state separating two formulas")
+    p = sub.add_parser("equiv", parents=[search],
+                       help="search for a state separating two formulas")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--force-states", action="store_true")
-    p.set_defaults(func=cmd_equiv)
 
     return parser
 
 
 _EXPECTED_ERRORS = (
     CliError,
+    SamplerConfigError,
     ParseError,
     NotAChainElement,
     ChainMismatchError,
@@ -335,14 +309,16 @@ _EXPECTED_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # looked up per call, not bound into the cached parser, so that a
+    # replaced cmd_* function is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ auditor discriminates between the two empirically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union as _U
 
@@ -105,8 +106,10 @@ class AxiomSchema:
     def label(self) -> str:
         return self.id if self.variant is None else f"{self.id}/{self.variant}"
 
-    def meta_names(self) -> dict[str, str]:
-        """Map metavariable name -> kind ('formula' | 'program' | 'const')."""
+    @functools.cached_property
+    def metas(self) -> tuple[tuple[str, str], ...]:
+        """(name, kind) per metavariable, sorted by name; kind is
+        'formula', 'program' or 'const'. Built on first use, then kept."""
         kinds: dict[str, str] = {}
         stack: list[object] = [self.template]
         while stack:
@@ -121,7 +124,7 @@ class AxiomSchema:
                 stack += [node.left, node.right]
             else:
                 stack.extend(children(node))
-        return kinds
+        return tuple(sorted(kinds.items()))
 
 
 # -- catalog -------------------------------------------------------------------

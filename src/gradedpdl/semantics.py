@@ -297,22 +297,14 @@ class Evaluator:
         return vector
 
 
-def eval_formula(
-    model: Model, formula: Formula, state: int, evaluator: Optional[Evaluator] = None
-) -> ChainValue:
-    ev = evaluator or Evaluator(model)
-    return ChainValue(ev.value_num(formula, state), model.context)
+def eval_formula(model: Model, formula: Formula, state: int) -> ChainValue:
+    return ChainValue(Evaluator(model).value_num(formula, state), model.context)
 
 
 def eval_program(
-    model: Model,
-    program: Program,
-    state: int,
-    target: StateSetLike,
-    evaluator: Optional[Evaluator] = None,
+    model: Model, program: Program, state: int, target: StateSetLike
 ) -> ChainValue:
-    ev = evaluator or Evaluator(model)
-    return ev.relation(program).value(state, target)
+    return Evaluator(model).relation(program).value(state, target)
 
 
 @dataclass(frozen=True)
@@ -324,11 +316,9 @@ class Refutation:
     value: ChainValue
 
 
-def valid_in_model(
-    model: Model, formula: Formula, evaluator: Optional[Evaluator] = None
-) -> tuple[bool, Optional[Refutation]]:
+def valid_in_model(model: Model, formula: Formula) -> tuple[bool, Optional[Refutation]]:
     """True iff the formula takes the top value at every state."""
-    ev = evaluator or Evaluator(model)
+    ev = Evaluator(model)
     for s in model.space.states():
         num = ev.value_num(formula, s)
         if num < model.context.top:

@@ -30,10 +30,11 @@ from .chain import ChainContext, ChainValue, NotAChainElement, format_value, fro
 
 
 # Deepest nesting the parser accepts, and the most levels a parsed tree may
-# have. The parser recurses up to seven frames per bracket or prefix
-# operator, and hashing, comparing, evaluating and printing a tree up to
-# three per level, so at this depth each stays under half of Python's
-# default recursion limit of 1000.
+# have. The parser recurses up to ten frames per nesting level (a bracket
+# that opens an operand shares the operand's level), and hashing,
+# comparing, evaluating and printing a tree up to three per level, so at
+# this depth each stays under 650 frames of Python's default recursion
+# limit of 1000.
 MAX_DEPTH = 64
 
 # Most nodes a parsed tree may have once both sides of every "<->" are
@@ -209,6 +210,8 @@ class _Parser:
         # p & q & ... nest to the left in the tree but not in the parser.
         self.depth = 0
         self.height = 0
+        # Token index at which the last operand nested() began.
+        self.level_start = -1
         # Whether a "<->" put one subtree into the tree twice.
         self.shared = False
 
@@ -233,11 +236,17 @@ class _Parser:
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {got!r}", pos)
 
-    def nested(self, rule, pos: int):
-        """Parse ``rule`` one nesting level down."""
+    def nested(self, rule, pos: int, bracket: bool = False):
+        """Parse ``rule`` one nesting level down. A bracket that opens an
+        operand, as in [a](p & q) or ~(p | q), stays on the operand's
+        level, so that every printed tree of at most MAX_DEPTH levels
+        parses."""
+        if bracket and self.i - 1 == self.level_start:
+            return rule()
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self.level_start = -1 if bracket else self.i
         node = rule()
         self.depth -= 1
         return node
@@ -319,7 +328,7 @@ class _Parser:
             except NotAChainElement as exc:
                 raise NotAChainElement(f"{exc} (at position {pos})") from None
         if text == "(":
-            node = self.nested(self.formula, pos)
+            node = self.nested(self.formula, pos, bracket=True)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -374,7 +383,7 @@ class _Parser:
             self.height += 1
             return Test(cond)
         if text == "(":
-            node = self.nested(self.program, pos)
+            node = self.nested(self.program, pos, bracket=True)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -534,32 +543,20 @@ def collect_names(node: _U[Formula, Program]) -> tuple[set[str], set[str]]:
 def _expansions(f: Formula, ctx: ChainContext) -> list[Formula]:
     """Formulas forced into a closed set by the presence of ``f``."""
     out = list(immediate_subformulas(f))
-    if isinstance(f, Box):
-        p, body = f.program, f.body
-        if isinstance(p, Union):
-            out += [Box(p.left, body), Box(p.right, body)]
-        elif isinstance(p, Inter):
-            one = Constant(ctx.one)
-            out += [Box(p.left, body), Box(p.right, body), Box(p.left, one), Box(p.right, one)]
+    if isinstance(f, (Box, Diamond)):
+        node, p, body = type(f), f.program, f.body
+        if isinstance(p, (Union, Inter)):
+            out += [node(p.left, body), node(p.right, body)]
+            if isinstance(p, Inter) and node is Box:
+                # only the box rule adds the top-constant boxes
+                one = Constant(ctx.one)
+                out += [Box(p.left, one), Box(p.right, one)]
         elif isinstance(p, Seq):
-            out.append(Box(p.left, Box(p.right, body)))
+            out.append(node(p.left, node(p.right, body)))
         elif isinstance(p, Star):
-            out.append(Box(p.body, f))
+            out.append(node(p.body, f))
         elif isinstance(p, Test):
-            out.append(Implies(p.condition, body))
-    elif isinstance(f, Diamond):
-        p, body = f.program, f.body
-        if isinstance(p, Union):
-            out += [Diamond(p.left, body), Diamond(p.right, body)]
-        elif isinstance(p, Inter):
-            # No top-constant diamonds here; only the box rule adds those.
-            out += [Diamond(p.left, body), Diamond(p.right, body)]
-        elif isinstance(p, Seq):
-            out.append(Diamond(p.left, Diamond(p.right, body)))
-        elif isinstance(p, Star):
-            out.append(Diamond(p.body, f))
-        elif isinstance(p, Test):
-            out.append(And(p.condition, body))
+            out.append((Implies if node is Box else And)(p.condition, body))
     return out
 
 

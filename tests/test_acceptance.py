@@ -21,6 +21,7 @@ from gradedpdl.audit import (
     check_consequence_prop,
     equiv_check,
     find_counterexample,
+    random_formula,
     sample_bindings,
     sample_model,
 )
@@ -47,7 +48,6 @@ from gradedpdl.syntax import (
 )
 
 from test_proofcheck import _MUTATIONS, fixture_text
-from test_syntax import random_formula as rand_formula
 
 
 def _report(number: int, ok: bool, detail: str = "") -> None:
@@ -348,7 +348,7 @@ def _pl_corpus(ctx):
                 "phi": parse_formula(phi.replace("#1/2", mid), ctx),
                 "psi": parse_formula(psi.replace("#1/2", mid), ctx),
             }
-            if "chi" in schema.meta_names():
+            if "chi" in dict(schema.metas):
                 bindings["chi"] = parse_formula(chi.replace("#1/2", mid), ctx)
             corpus.append(instantiate_schema(schema, bindings, ctx))
     for c_text, d_text, op in _A5_TRIPLES:
@@ -415,7 +415,7 @@ def test_criterion_09_closure_on_random_formulas():
 
     sizes = []
     while len(sizes) < 100:
-        formula = rand_formula(rng, ctx, 5)
+        formula = random_formula(rng, ctx, 5, "pqr", "abc")
         if ast_size(formula) > 25:
             continue
         closure = fl_closure(formula, ctx)
@@ -439,7 +439,6 @@ def test_criterion_09_closure_on_random_formulas():
 
 def test_criterion_10_filtration_random_pairs():
     rng = random.Random(1010)
-    from gradedpdl.audit import random_formula as rand_audit_formula
 
     agreements = total = 0
     for trial in range(500):
@@ -449,7 +448,7 @@ def test_criterion_10_filtration_random_pairs():
             n=n, max_states=4, density=0.35, seed=rng.randrange(10**6)
         )
         model = sample_model(cfg, rng)
-        gamma = fl_closure(rand_audit_formula(rng, ctx, 3), ctx)
+        gamma = fl_closure(random_formula(rng, ctx, 3), ctx)
         result = quotient(model, gamma)
         assert len(result.classes) <= min(model.space.size, n ** len(gamma))
         # equivalence relation, as computed
@@ -461,7 +460,7 @@ def test_criterion_10_filtration_random_pairs():
                 same = all(ev.value_num(f, s) == ev.value_num(f, t) for f in ordered)
                 assert same == (result.class_of[s] == result.class_of[t])
         prog = rng.choice(sorted(model.atomics))
-        corpus = list(gamma) + [rand_audit_formula(rng, ctx, 2)]
+        corpus = list(gamma) + [random_formula(rng, ctx, 2)]
         lemma = check_lemma4(model, result, prog, corpus)
         assert lemma.ok, lemma.to_json()
         preservation = check_preservation(model, result)

@@ -8,12 +8,14 @@ from gradedpdl.audit import (
     BudgetExceeded,
     ModalFormulaRejected,
     SamplerConfig,
+    SamplerConfigError,
     audit_all,
     audit_rule,
     check_consequence_prop,
     derive_seed,
     equiv_check,
     find_counterexample,
+    sample_bindings,
     sample_model,
 )
 from gradedpdl.chain import ChainContext
@@ -24,7 +26,7 @@ from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
 from gradedpdl.syntax import collect_names, parse_formula
 
-from oracle_sampler import reference_sample_model
+from oracle_sampler import reference_sample_bindings, reference_sample_model
 
 C3 = ChainContext(3)
 
@@ -87,15 +89,34 @@ def test_sampler_density_extremes():
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplerConfigError):
         SamplerConfig(n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplerConfigError, match="cap is 4 .*force-states.* 6"):
         SamplerConfig(n=3, max_states=5)
     SamplerConfig(n=3, max_states=5, allow_large=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplerConfigError):
         SamplerConfig(n=3, max_states=7, allow_large=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplerConfigError):
+        SamplerConfig(n=3, max_states=0)
+    with pytest.raises(SamplerConfigError):
         SamplerConfig(n=3, density=1.5)
+    with pytest.raises(SamplerConfigError):
+        SamplerConfig(n=3, samples=0)
+
+
+def test_bindings_match_reference_stream():
+    # the config's names and pools and each schema's meta table, built
+    # once, give the bindings and draws of the per-call reference
+    for n in range(2, 8):
+        for names in (1, 2, 3):
+            cfg = SamplerConfig(n=n, num_propvars=names, num_programs=names)
+            for schema in all_schemata("DL"):
+                for seed in range(4):
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    for _ in range(5):
+                        got = sample_bindings(schema, rng, cfg)
+                        assert got == reference_sample_bindings(schema, ref_rng, cfg)
+                        assert rng.getstate() == ref_rng.getstate(), (n, schema.label)
 
 
 def test_derive_seed_is_stable():

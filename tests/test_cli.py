@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedpdl
-from gradedpdl import cli
+from gradedpdl import audit, cli
 from gradedpdl.cli import main
 from gradedpdl.modelio import dumps
 from gradedpdl.proofcheck import SHOWN_FORMULA_CHARS
+from gradedpdl.schemas import AxiomSchema, all_schemata
 from gradedpdl.syntax import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -222,6 +224,53 @@ def test_states_cap_flag():
         main(["valid", "#1", "--n", "2", "--states", "5", "--samples", "1", "--force-states"])
         == 0
     )
+
+
+def test_states_cap_message_names_the_lift(capsys):
+    assert main(["valid", "p", "--states", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "the cap is 4" in err and "--force-states" in err and "6" in err
+
+
+SUBCOMMANDS = ["eval", "valid", "audit", "closure", "check-proof", "filtrate", "equiv"]
+SAMPLER_OPTIONS = ["--n", "--states", "--samples", "--seed", "--force-states"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_for_every_subcommand(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: gradedpdl {command}")
+    if command in ("valid", "audit", "equiv"):
+        assert all(option in out for option in SAMPLER_OPTIONS)
+
+
+def test_parser_schema_tables_and_pools_built_once(monkeypatch, capsys):
+    counts = {"pools": 0, "tables": 0}
+
+    def counted(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(audit, "_adversarial_formulas",
+                        counted("pools", audit._adversarial_formulas))
+    monkeypatch.setattr(audit, "_adversarial_programs",
+                        counted("pools", audit._adversarial_programs))
+    table = functools.cached_property(counted("tables", AxiomSchema.metas.func))
+    table.__set_name__(AxiomSchema, "metas")
+    monkeypatch.setattr(AxiomSchema, "metas", table)
+    for schema in all_schemata("DL"):
+        vars(schema).pop("metas", None)
+    cli.build_parser.cache_clear()
+    assert main(["audit", "--samples", "50"]) == 1
+    assert counts == {"pools": 2, "tables": len(all_schemata("DL"))}
+    assert main(["closure", "p"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def _run_cli(*argv):

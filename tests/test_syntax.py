@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedpdl.audit import random_formula, random_program
 from gradedpdl.chain import ChainContext, ChainValue, NotAChainElement
 from gradedpdl.syntax import (
     MAX_DEPTH,
@@ -100,42 +101,17 @@ def test_constants_parse_and_print():
 # -- random round-trip --------------------------------------------------------
 
 
-def random_formula(rng, ctx, depth):
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.5:
-            return PropVar(rng.choice("pqr"))
-        return Constant(ChainValue(rng.randint(0, ctx.top), ctx))
-    kind = rng.randrange(5)
-    if kind < 3:
-        node = (And, Or, Implies)[kind]
-        return node(random_formula(rng, ctx, depth - 1), random_formula(rng, ctx, depth - 1))
-    node = (Box, Diamond)[kind - 3]
-    return node(random_program(rng, ctx, depth - 1), random_formula(rng, ctx, depth - 1))
-
-
-def random_program(rng, ctx, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return Atomic(rng.choice("abc"))
-    kind = rng.randrange(5)
-    if kind < 3:
-        node = (Union, Inter, Seq)[kind]
-        return node(random_program(rng, ctx, depth - 1), random_program(rng, ctx, depth - 1))
-    if kind == 3:
-        return Star(random_program(rng, ctx, depth - 1))
-    return Test(random_formula(rng, ctx, depth - 1))
-
-
 def test_round_trip_random_formulas():
     rng = random.Random(12)
     for _ in range(300):
-        f = random_formula(rng, C3, 4)
+        f = random_formula(rng, C3, 4, "pqr", "abc")
         assert parse_formula(format_formula(f), C3) == f
 
 
 def test_round_trip_random_programs():
     rng = random.Random(13)
     for _ in range(300):
-        p = random_program(rng, C3, 4)
+        p = random_program(rng, C3, 4, "pqr", "abc")
         assert parse_program(format_program(p), C3) == p
 
 
@@ -176,13 +152,18 @@ def test_depth_limit_is_exact():
     # under-counts the height of what it built.
     rng = random.Random(14)
     for _ in range(150):
-        f = random_formula(rng, C3, 6)
-        prog = random_program(rng, C3, 5)
+        f = random_formula(rng, C3, 6, "pqr", "abc")
+        prog = random_program(rng, C3, 5, "pqr", "abc")
         for text, node in ((format_formula(f), f), (f"[{format_program(prog)}]p", Box(prog, PropVar("p")))):
             room = MAX_DEPTH - _height(node)
             assert parse_formula("p -> " * room + text, C3) is not None
             with pytest.raises(ParseError):
                 parse_formula("p -> " * (room + 1) + text, C3)
+    # the bracket under each box shares the body's level: [a](q -> [a](q -> ...))
+    deep = PropVar("p")
+    for _ in range((MAX_DEPTH - 1) // 2):
+        deep = Box(Atomic("a"), Implies(PropVar("q"), deep))
+    assert parse_formula(format_formula(deep), C3) == deep
     # p <-> q adds two levels, (p -> q) & (q -> p), and shares p and q;
     # 15 links stay under MAX_NODES
     chain = "(p" + " <-> p" * 15 + ")"
@@ -235,7 +216,7 @@ def test_node_cap_counts_the_expanded_tree():
     # which lets the parser skip the count on short input.
     rng = random.Random(15)
     for _ in range(100):
-        text = format_formula(random_formula(rng, C3, 5))
+        text = format_formula(random_formula(rng, C3, 5, "pqr", "abc"))
         for t in (text, "~" * 20 + f"({text})"):
             assert ast_size(parse_formula(t, C3)) <= 2 * len(_tokenize(t))
 
@@ -287,7 +268,7 @@ def test_closure_cap():
 def test_closure_properties_random():
     rng = random.Random(99)
     for _ in range(100):
-        f = random_formula(rng, C3, 4)
+        f = random_formula(rng, C3, 4, "pqr", "abc")
         closure = fl_closure(f, C3)
         assert f in closure
         # subformula-closed
