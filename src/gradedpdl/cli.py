@@ -124,6 +124,8 @@ def cmd_audit(args) -> int:
 def cmd_closure(args) -> int:
     if args.n < 2:
         raise CliError(f"--n {args.n} is below 2, the smallest chain order")
+    if args.cap < 1:
+        raise CliError(f"--cap {args.cap} is below 1; a closure holds at least its formula")
     ctx = ChainContext(args.n)
     formula = parse_formula(args.formula, ctx)
     members = fl_closure(formula, ctx, cap=args.cap)

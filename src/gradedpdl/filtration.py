@@ -141,8 +141,9 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     qspace = StateSpace(len(classes))
     top = ctx.top
 
-    def relation_for(name: str, reps: tuple[int, ...]) -> ReachRelation:
-        bodies = _box_diamond_pairs(gamma_set, name)
+    def relation_for(
+        name: str, bodies: list[Formula], reps: tuple[int, ...]
+    ) -> ReachRelation:
         entries: dict[tuple[int, int], int] = {}
         for c in qspace.states():
             for mask in qspace.subset_masks():
@@ -155,9 +156,10 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     warnings: list[str] = []
     atomics: dict[str, ReachRelation] = {}
     for name in sorted(model.atomics):
-        rel = relation_for(name, reps_min)
+        bodies = _box_diamond_pairs(gamma_set, name)
+        rel = relation_for(name, bodies, reps_min)
         if reps_max != reps_min:
-            alt = relation_for(name, reps_max)
+            alt = relation_for(name, bodies, reps_max)
             if alt != rel:
                 warnings.append(
                     f"relation {name!r} depends on the choice of class representatives"

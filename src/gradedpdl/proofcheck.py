@@ -121,23 +121,18 @@ def check_derivation(
     derived: list[Formula] = []
     for k, step in enumerate(derivation.steps, start=1):
         if isinstance(step, AxiomStep):
-            candidates = schemata_named(step.schema_id, step.variant)
-            candidates = [s for s in candidates if system in s.systems]
-            if not candidates and not any_schema:
-                label = step.schema_id if step.variant is None else f"{step.schema_id}/{step.variant}"
-                return _reject(
-                    k, "unknown-schema",
-                    f"step {k}: no schema named {label!r} in system {system}",
-                )
-            matched = any(
-                match_axiom_instance(s, step.formula, ctx)[0] for s in candidates
-            )
-            if not matched and any_schema:
-                matched = any(
-                    match_axiom_instance(s, step.formula, ctx)[0]
-                    for s in all_schemata(system)
-                )
-            if not matched:
+            if any_schema:
+                candidates = all_schemata(system)
+            else:
+                candidates = schemata_named(step.schema_id, step.variant)
+                candidates = [s for s in candidates if system in s.systems]
+                if not candidates:
+                    label = step.schema_id if step.variant is None else f"{step.schema_id}/{step.variant}"
+                    return _reject(
+                        k, "unknown-schema",
+                        f"step {k}: no schema named {label!r} in system {system}",
+                    )
+            if not any(match_axiom_instance(s, step.formula, ctx)[0] for s in candidates):
                 return _reject(
                     k, "axiom-mismatch",
                     f"step {k}: {_shown(step.formula)} is not an instance "

@@ -2,17 +2,15 @@
 
 Concrete syntax (whitespace-insensitive)::
 
-    formula := imp ( "<->" imp )*
-    imp     := or ( "->" imp )?          right-associative
-    or      := and ( "|" and )*
-    and     := unary ( "&" unary )*
+    formula := unary ( op unary )*       op: "<->" "->" "|" "&"
     unary   := "~" unary | "[" program "]" unary | "<" program ">" unary | atom
     atom    := ident | "#" int ( "/" int )? | "(" formula ")"
-    program := par ( "+" par )*
-    par     := seq ( "^" seq )*
-    seq     := post ( ";" post )*
+    program := post ( op post )*         op: "+" "^" ";"
     post    := prim ( "*" )*
     prim    := ident | "?" "(" formula ")" | "(" program ")"
+
+How tightly each binary operator binds and which way it groups is written
+once, in ``_INFIX``, which the parser and the printer both read.
 
 ``~f`` is notation for ``f -> #0`` and ``f <-> g`` for the conjunction of
 the two implications; the parser removes both, so the ASTs below have no
@@ -30,11 +28,12 @@ from .chain import ChainContext, ChainValue, NotAChainElement, format_value, fro
 
 
 # Deepest nesting the parser accepts, and the most levels a parsed tree may
-# have. The parser recurses up to ten frames per nesting level (a bracket
-# that opens an operand shares the operand's level), and hashing,
-# comparing, evaluating and printing a tree up to three per level, so at
-# this depth each stays under 650 frames of Python's default recursion
-# limit of 1000.
+# have. The parser recurses up to five frames per nesting level (a bracket
+# that opens an operand shares the operand's level): 64 nested parentheses
+# parse under a recursion limit of 330, measured in a fresh interpreter on
+# Python 3.10-3.13. Hashing, comparing, evaluating and printing a tree
+# take up to three frames per level, so at this depth each stays far under
+# Python's default recursion limit of 1000.
 MAX_DEPTH = 64
 
 # Most nodes a parsed tree may have once both sides of every "<->" are
@@ -176,6 +175,32 @@ def biconditional(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
+# -- operators -----------------------------------------------------------------
+
+# The binary operators of both sorts: node class -> (text, binding power,
+# right-associative). A higher power binds tighter; the prefix forms ("~",
+# "[π]", "<π>"), "*" and atoms bind tighter than all of these. The parser
+# and the printer both read this table.
+_INFIX = {
+    Implies: ("->", 1, True),
+    Or: ("|", 2, False),
+    And: ("&", 3, False),
+    Union: ("+", 1, False),
+    Inter: ("^", 2, False),
+    Seq: (";", 3, False),
+}
+
+
+def _operators(*classes) -> dict:
+    """The parser's table for one sort: text -> (builder, power, right)."""
+    return {_INFIX[cls][0]: (cls, *_INFIX[cls][1:]) for cls in classes}
+
+
+# "<->" is notation and binds loosest of all.
+_FORMULA_OPS = {"<->": (biconditional, 0, False), **_operators(Implies, Or, And)}
+_PROGRAM_OPS = _operators(Union, Inter, Seq)
+
+
 # -- tokenizer ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -227,83 +252,66 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {shown!r}", pos)
         self.i += 1
 
-    def at(self, text: str) -> bool:
-        # The end token's text is "", which no caller asks for.
-        return self.tokens[self.i][1] == text
-
     def done(self) -> None:
         kind, got, pos = self.tokens[self.i]
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {got!r}", pos)
 
-    def nested(self, rule, pos: int, bracket: bool = False):
-        """Parse ``rule`` one nesting level down. A bracket that opens an
-        operand, as in [a](p & q) or ~(p | q), stays on the operand's
-        level, so that every printed tree of at most MAX_DEPTH levels
-        parses."""
+    def nested(self, pos: int, rule, *args, bracket: bool = False):
+        """Parse ``rule(*args)`` one nesting level down. A bracket that
+        opens an operand, as in [a](p & q) or ~(p | q), stays on the
+        operand's level, so that every printed tree of at most MAX_DEPTH
+        levels parses."""
         if bracket and self.i - 1 == self.level_start:
-            return rule()
+            return rule(*args)
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
         self.level_start = -1 if bracket else self.i
-        node = rule()
+        node = rule(*args)
         self.depth -= 1
         return node
+
+    def infix(self, ops: dict, operand, floor: int = 0):
+        """Operands joined by the operators of ``ops`` whose power is at
+        least ``floor`` (precedence climbing). The right operand of a
+        right-associative operator is one nesting level down."""
+        node = operand()
+        while True:
+            op = ops.get(self.tokens[self.i][1])
+            if op is None or op[1] < floor:
+                return node
+            build, power, right = op
+            _, _, pos = self.take()
+            height = self.height
+            if right:
+                node = build(node, self.nested(pos, self.infix, ops, operand, power))
+            else:
+                node = build(node, self.infix(ops, operand, power + 1))
+            if build is biconditional:
+                self.shared = True
+                self.height = max(height, self.height) + 2
+            else:
+                self.height = max(height, self.height) + 1
 
     # formulas
 
     def formula(self) -> Formula:
-        node = self.imp()
-        while self.at("<->"):
-            self.take()
-            self.shared = True
-            height = self.height
-            node = biconditional(node, self.imp())
-            self.height = max(height, self.height) + 2
-        return node
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.at("->"):
-            height = self.height
-            _, _, pos = self.take()
-            node = Implies(left, self.nested(self.imp, pos))
-            self.height = max(height, self.height) + 1
-            return node
-        return left
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.at("|"):
-            self.take()
-            height = self.height
-            node = Or(node, self.conj())
-            self.height = max(height, self.height) + 1
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.at("&"):
-            self.take()
-            height = self.height
-            node = And(node, self.unary())
-            self.height = max(height, self.height) + 1
-        return node
+        return self.infix(_FORMULA_OPS, self.unary)
 
     def unary(self) -> Formula:
         kind, text, pos = self.tokens[self.i]
         if text == "~":
             self.take()
-            node = negation(self.nested(self.unary, pos), self.ctx)
+            node = negation(self.nested(pos, self.unary), self.ctx)
             self.height += 1
             return node
         if text == "[" or text == "<":
             self.take()
-            prog = self.nested(self.program, pos)
+            prog = self.nested(pos, self.program)
             height = self.height
             self.expect("]" if text == "[" else ">")
-            body = self.nested(self.unary, pos)
+            body = self.nested(pos, self.unary)
             self.height = max(height, self.height) + 1
             return Box(prog, body) if text == "[" else Diamond(prog, body)
         return self.atom()
@@ -328,7 +336,7 @@ class _Parser:
             except NotAChainElement as exc:
                 raise NotAChainElement(f"{exc} (at position {pos})") from None
         if text == "(":
-            node = self.nested(self.formula, pos, bracket=True)
+            node = self.nested(pos, self.formula, bracket=True)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -337,35 +345,11 @@ class _Parser:
     # programs
 
     def program(self) -> Program:
-        node = self.par()
-        while self.at("+"):
-            self.take()
-            height = self.height
-            node = Union(node, self.par())
-            self.height = max(height, self.height) + 1
-        return node
-
-    def par(self) -> Program:
-        node = self.seq()
-        while self.at("^"):
-            self.take()
-            height = self.height
-            node = Inter(node, self.seq())
-            self.height = max(height, self.height) + 1
-        return node
-
-    def seq(self) -> Program:
-        node = self.post()
-        while self.at(";"):
-            self.take()
-            height = self.height
-            node = Seq(node, self.post())
-            self.height = max(height, self.height) + 1
-        return node
+        return self.infix(_PROGRAM_OPS, self.post)
 
     def post(self) -> Program:
         node = self.prim()
-        while self.at("*"):
+        while self.tokens[self.i][1] == "*":
             self.take()
             node = Star(node)
             self.height += 1
@@ -378,12 +362,12 @@ class _Parser:
             return Atomic(text)
         if text == "?":
             self.expect("(")
-            cond = self.nested(self.formula, pos)
+            cond = self.nested(pos, self.formula)
             self.expect(")")
             self.height += 1
             return Test(cond)
         if text == "(":
-            node = self.nested(self.program, pos, bracket=True)
+            node = self.nested(pos, self.program, bracket=True)
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -415,57 +399,46 @@ def parse_program(text: str, ctx: ChainContext) -> Program:
 
 # -- printer -----------------------------------------------------------------
 
-# Formula precedence levels, loosest to tightest.
-_IMP, _OR, _AND, _UNARY, _FATOM = 1, 2, 3, 4, 5
-# Program levels.
-_UNION, _INTER, _SEQ, _POST, _PRIM = 1, 2, 3, 4, 5
+# The power of the prefix forms, "*" and atoms, above every power in _INFIX.
+_TIGHT = 4
 
 
 def _wrap(rendered: tuple[str, int], floor: int) -> str:
-    text, level = rendered
-    return text if level >= floor else f"({text})"
+    text, power = rendered
+    return text if power >= floor else f"({text})"
 
 
-def _ff(f: Formula) -> tuple[str, int]:
-    if isinstance(f, PropVar):
-        return f.name, _FATOM
-    if isinstance(f, Constant):
-        return "#" + format_value(f.value), _FATOM
-    if isinstance(f, And):
-        return f"{_wrap(_ff(f.left), _AND)} & {_wrap(_ff(f.right), _UNARY)}", _AND
-    if isinstance(f, Or):
-        return f"{_wrap(_ff(f.left), _OR)} | {_wrap(_ff(f.right), _AND)}", _OR
-    if isinstance(f, Implies):
-        return f"{_wrap(_ff(f.left), _OR)} -> {_wrap(_ff(f.right), _IMP)}", _IMP
-    if isinstance(f, Box):
-        return f"[{format_program(f.program)}]{_wrap(_ff(f.body), _UNARY)}", _UNARY
-    if isinstance(f, Diamond):
-        return f"<{format_program(f.program)}>{_wrap(_ff(f.body), _UNARY)}", _UNARY
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _fp(p: Program) -> tuple[str, int]:
-    if isinstance(p, Atomic):
-        return p.name, _PRIM
-    if isinstance(p, Union):
-        return f"{_wrap(_fp(p.left), _UNION)} + {_wrap(_fp(p.right), _INTER)}", _UNION
-    if isinstance(p, Inter):
-        return f"{_wrap(_fp(p.left), _INTER)} ^ {_wrap(_fp(p.right), _SEQ)}", _INTER
-    if isinstance(p, Seq):
-        return f"{_wrap(_fp(p.left), _SEQ)} ; {_wrap(_fp(p.right), _POST)}", _SEQ
-    if isinstance(p, Star):
-        return f"{_wrap(_fp(p.body), _POST)}*", _POST
-    if isinstance(p, Test):
-        return f"?({format_formula(p.condition)})", _PRIM
-    raise TypeError(f"not a program: {p!r}")
+def _render(node) -> tuple[str, int]:
+    """The text of a formula or program and the power of its outermost
+    operator. An operand is bracketed when it binds looser than its
+    place allows: the left operand of a right-associative operator and
+    the right operand of a left-associative one must bind tighter."""
+    kind = type(node)
+    if kind is PropVar or kind is Atomic:
+        return node.name, _TIGHT
+    if kind is Constant:
+        return "#" + format_value(node.value), _TIGHT
+    if kind is Box:
+        return f"[{_render(node.program)[0]}]{_wrap(_render(node.body), _TIGHT)}", _TIGHT
+    if kind is Diamond:
+        return f"<{_render(node.program)[0]}>{_wrap(_render(node.body), _TIGHT)}", _TIGHT
+    if kind is Star:
+        return f"{_wrap(_render(node.body), _TIGHT)}*", _TIGHT
+    if kind is Test:
+        return f"?({_render(node.condition)[0]})", _TIGHT
+    if kind not in _INFIX:
+        raise TypeError(f"not a formula or program: {node!r}")
+    text, power, right = _INFIX[kind]
+    left = _wrap(_render(node.left), power + right)
+    return f"{left} {text} {_wrap(_render(node.right), power + (not right))}", power
 
 
 def format_formula(f: Formula) -> str:
-    return _ff(f)[0]
+    return _render(f)[0]
 
 
 def format_program(p: Program) -> str:
-    return _fp(p)[0]
+    return _render(p)[0]
 
 
 # -- structure helpers ---------------------------------------------------------

@@ -1,0 +1,328 @@
+"""The tokenizer, parser and printer that ``syntax`` replaced, kept as
+test-only references.
+
+This is ``gradedpdl.syntax`` before one operator table, ``_INFIX``, held
+every binding power: the parser has one rule per precedence level
+(``formula``, ``imp``, ``disj``, ``conj`` for formulas; ``program``,
+``par``, ``seq`` for programs), and the printer has one renderer per sort
+with its own level constants. The nodes, the desugaring helpers and the
+caps are the package's own.
+
+The differential tests assert that each text gives equal trees, or the
+same exception type and message, under both parsers, and that both
+printers print every tree the same.
+"""
+
+import re
+
+from gradedpdl.chain import ChainContext, NotAChainElement, format_value, from_rational
+from gradedpdl.syntax import (
+    MAX_DEPTH,
+    MAX_NODES,
+    And,
+    Atomic,
+    Box,
+    Constant,
+    Diamond,
+    Formula,
+    Implies,
+    Inter,
+    Or,
+    ParseError,
+    Program,
+    PropVar,
+    Seq,
+    Star,
+    Test,
+    Union,
+    ast_size,
+    biconditional,
+    negation,
+)
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<const>\#\d+(?:/\d+)?)"
+    r"|(?P<op><->|->|[~&|()\[\]<>+^;*?])"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, ctx: ChainContext):
+        self.tokens = _tokenize(text)
+        self.ctx = ctx
+        self.i = 0
+        # Open nested() calls, which bound the parser's own recursion, and
+        # the height of the tree the last rule returned: chains such as
+        # p & q & ... nest to the left in the tree but not in the parser.
+        self.depth = 0
+        self.height = 0
+        # Token index at which the last operand nested() began.
+        self.level_start = -1
+        # Whether a "<->" put one subtree into the tree twice.
+        self.shared = False
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        kind, got, pos = self.tokens[self.i]
+        if got != text or kind == "eof":
+            shown = got if kind != "eof" else "end of input"
+            raise ParseError(f"expected {text!r}, found {shown!r}", pos)
+        self.i += 1
+
+    def at(self, text: str) -> bool:
+        # The end token's text is "", which no caller asks for.
+        return self.tokens[self.i][1] == text
+
+    def done(self) -> None:
+        kind, got, pos = self.tokens[self.i]
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {got!r}", pos)
+
+    def nested(self, rule, pos: int, bracket: bool = False):
+        """Parse ``rule`` one nesting level down. A bracket that opens an
+        operand, as in [a](p & q) or ~(p | q), stays on the operand's
+        level, so that every printed tree of at most MAX_DEPTH levels
+        parses."""
+        if bracket and self.i - 1 == self.level_start:
+            return rule()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self.level_start = -1 if bracket else self.i
+        node = rule()
+        self.depth -= 1
+        return node
+
+    # formulas
+
+    def formula(self) -> Formula:
+        node = self.imp()
+        while self.at("<->"):
+            self.take()
+            self.shared = True
+            height = self.height
+            node = biconditional(node, self.imp())
+            self.height = max(height, self.height) + 2
+        return node
+
+    def imp(self) -> Formula:
+        left = self.disj()
+        if self.at("->"):
+            height = self.height
+            _, _, pos = self.take()
+            node = Implies(left, self.nested(self.imp, pos))
+            self.height = max(height, self.height) + 1
+            return node
+        return left
+
+    def disj(self) -> Formula:
+        node = self.conj()
+        while self.at("|"):
+            self.take()
+            height = self.height
+            node = Or(node, self.conj())
+            self.height = max(height, self.height) + 1
+        return node
+
+    def conj(self) -> Formula:
+        node = self.unary()
+        while self.at("&"):
+            self.take()
+            height = self.height
+            node = And(node, self.unary())
+            self.height = max(height, self.height) + 1
+        return node
+
+    def unary(self) -> Formula:
+        kind, text, pos = self.tokens[self.i]
+        if text == "~":
+            self.take()
+            node = negation(self.nested(self.unary, pos), self.ctx)
+            self.height += 1
+            return node
+        if text == "[" or text == "<":
+            self.take()
+            prog = self.nested(self.program, pos)
+            height = self.height
+            self.expect("]" if text == "[" else ">")
+            body = self.nested(self.unary, pos)
+            self.height = max(height, self.height) + 1
+            return Box(prog, body) if text == "[" else Diamond(prog, body)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, text, pos = self.take()
+        self.height = 1
+        if kind == "ident":
+            return PropVar(text)
+        if kind == "const":
+            body = text[1:]
+            try:
+                if "/" in body:
+                    p_str, q_str = body.split("/", 1)
+                    p, q = int(p_str), int(q_str)
+                else:
+                    p, q = int(body), 1
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"constant {text[:20]!r}... is too long", pos) from None
+            try:
+                return Constant(from_rational(p, q, self.ctx))
+            except NotAChainElement as exc:
+                raise NotAChainElement(f"{exc} (at position {pos})") from None
+        if text == "(":
+            node = self.nested(self.formula, pos, bracket=True)
+            self.expect(")")
+            return node
+        shown = text if kind != "eof" else "end of input"
+        raise ParseError(f"expected a formula, found {shown!r}", pos)
+
+    # programs
+
+    def program(self) -> Program:
+        node = self.par()
+        while self.at("+"):
+            self.take()
+            height = self.height
+            node = Union(node, self.par())
+            self.height = max(height, self.height) + 1
+        return node
+
+    def par(self) -> Program:
+        node = self.seq()
+        while self.at("^"):
+            self.take()
+            height = self.height
+            node = Inter(node, self.seq())
+            self.height = max(height, self.height) + 1
+        return node
+
+    def seq(self) -> Program:
+        node = self.post()
+        while self.at(";"):
+            self.take()
+            height = self.height
+            node = Seq(node, self.post())
+            self.height = max(height, self.height) + 1
+        return node
+
+    def post(self) -> Program:
+        node = self.prim()
+        while self.at("*"):
+            self.take()
+            node = Star(node)
+            self.height += 1
+        return node
+
+    def prim(self) -> Program:
+        kind, text, pos = self.take()
+        if kind == "ident":
+            self.height = 1
+            return Atomic(text)
+        if text == "?":
+            self.expect("(")
+            cond = self.nested(self.formula, pos)
+            self.expect(")")
+            self.height += 1
+            return Test(cond)
+        if text == "(":
+            node = self.nested(self.program, pos, bracket=True)
+            self.expect(")")
+            return node
+        shown = text if kind != "eof" else "end of input"
+        raise ParseError(f"expected a program, found {shown!r}", pos)
+
+
+def _parse(text: str, ctx: ChainContext, rule):
+    parser = _Parser(text, ctx)
+    node = rule(parser)
+    parser.done()
+    if parser.height > MAX_DEPTH:
+        raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
+    # Without a shared subtree each token adds at most two nodes ("~p" is
+    # p -> #0), so short input needs no count.
+    if (parser.shared or 2 * len(parser.tokens) > MAX_NODES) and ast_size(node) > MAX_NODES:
+        raise ParseError(
+            f"formula or program has more than {MAX_NODES} nodes after expanding '~' and '<->'", 0
+        )
+    return node
+
+
+def parse_formula(text: str, ctx: ChainContext) -> Formula:
+    return _parse(text, ctx, _Parser.formula)
+
+
+def parse_program(text: str, ctx: ChainContext) -> Program:
+    return _parse(text, ctx, _Parser.program)
+
+
+# Formula precedence levels, loosest to tightest.
+_IMP, _OR, _AND, _UNARY, _FATOM = 1, 2, 3, 4, 5
+# Program levels.
+_UNION, _INTER, _SEQ, _POST, _PRIM = 1, 2, 3, 4, 5
+
+
+def _wrap(rendered: tuple[str, int], floor: int) -> str:
+    text, level = rendered
+    return text if level >= floor else f"({text})"
+
+
+def _ff(f: Formula) -> tuple[str, int]:
+    if isinstance(f, PropVar):
+        return f.name, _FATOM
+    if isinstance(f, Constant):
+        return "#" + format_value(f.value), _FATOM
+    if isinstance(f, And):
+        return f"{_wrap(_ff(f.left), _AND)} & {_wrap(_ff(f.right), _UNARY)}", _AND
+    if isinstance(f, Or):
+        return f"{_wrap(_ff(f.left), _OR)} | {_wrap(_ff(f.right), _AND)}", _OR
+    if isinstance(f, Implies):
+        return f"{_wrap(_ff(f.left), _OR)} -> {_wrap(_ff(f.right), _IMP)}", _IMP
+    if isinstance(f, Box):
+        return f"[{format_program(f.program)}]{_wrap(_ff(f.body), _UNARY)}", _UNARY
+    if isinstance(f, Diamond):
+        return f"<{format_program(f.program)}>{_wrap(_ff(f.body), _UNARY)}", _UNARY
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _fp(p: Program) -> tuple[str, int]:
+    if isinstance(p, Atomic):
+        return p.name, _PRIM
+    if isinstance(p, Union):
+        return f"{_wrap(_fp(p.left), _UNION)} + {_wrap(_fp(p.right), _INTER)}", _UNION
+    if isinstance(p, Inter):
+        return f"{_wrap(_fp(p.left), _INTER)} ^ {_wrap(_fp(p.right), _SEQ)}", _INTER
+    if isinstance(p, Seq):
+        return f"{_wrap(_fp(p.left), _SEQ)} ; {_wrap(_fp(p.right), _POST)}", _SEQ
+    if isinstance(p, Star):
+        return f"{_wrap(_fp(p.body), _POST)}*", _POST
+    if isinstance(p, Test):
+        return f"?({format_formula(p.condition)})", _PRIM
+    raise TypeError(f"not a program: {p!r}")
+
+
+def format_formula(f: Formula) -> str:
+    return _ff(f)[0]
+
+
+def format_program(p: Program) -> str:
+    return _fp(p)[0]

@@ -327,15 +327,24 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         ["audit", "--n", "0", "--samples", "1"],
         ["audit", "--states", "0", "--samples", "1"],
         ["closure", "p", "--n", "1"],
+        ["closure", "p", "--cap", "0"],
+        ["closure", "p", "--cap", "-5"],
         ["closure", "#" + "1" * 5000],
     ],
     ids=["n-1", "states-0", "states-negative", "samples-0", "density-option",
          "equiv-samples-negative", "audit-n-0", "audit-states-0", "closure-n-1",
-         "5000-digit-constant"],
+         "closure-cap-0", "closure-cap-negative", "5000-digit-constant"],
 )
 def test_bad_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_closure_cap_below_one_names_the_option(capsys):
+    assert main(["closure", "p", "--cap", "-5"]) == 2
+    assert capsys.readouterr().err == "error: --cap -5 is below 1; a closure holds at least its formula\n"
+    # a cap of 1 is the smallest that a one-formula closure fits
+    assert main(["closure", "p", "--cap", "1"]) == 0
 
 
 @pytest.mark.parametrize(

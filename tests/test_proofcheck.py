@@ -1,9 +1,11 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from gradedpdl.audit import check_consequence_prop
 from gradedpdl.chain import ChainContext
+from gradedpdl import proofcheck
 from gradedpdl.proofcheck import (
     AxiomStep,
     Derivation,
@@ -15,6 +17,7 @@ from gradedpdl.proofcheck import (
     load_derivation,
     parse_derivation,
 )
+from gradedpdl.schemas import all_schemata
 from gradedpdl.syntax import PropVar, format_formula, parse_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -134,6 +137,31 @@ def test_any_schema_mode_searches_the_catalog():
     strict = check_derivation(parse_derivation(text))
     assert not strict.accepted and strict.reason == "axiom-mismatch"
     assert check_derivation(parse_derivation(text), any_schema=True).accepted
+
+
+def test_any_schema_mode_matches_each_schema_once(monkeypatch):
+    calls = Counter()
+    real = proofcheck.match_axiom_instance
+
+    def counting(schema, formula, ctx):
+        calls[schema.label, formula] += 1
+        return real(schema, formula, ctx)
+
+    monkeypatch.setattr(proofcheck, "match_axiom_instance", counting)
+    # p -> p fits no schema, so every schema of the system is tried, once
+    for system in ("PL", "DL"):
+        calls.clear()
+        derivation = parse_derivation("n: 3\n1 axiom A1 p -> p\n")
+        verdict = check_derivation(derivation, system=system, any_schema=True)
+        assert verdict.failed_step == 1 and verdict.reason == "axiom-mismatch"
+        assert max(calls.values()) == 1
+        assert {label for label, _ in calls} == {s.label for s in all_schemata(system)}
+    # an A3 instance cited as A1 is accepted, A1 tried once on the way
+    calls.clear()
+    text = "n: 3\n1 axiom A1 ((p -> q) -> q) -> ((q -> p) -> p)\n"
+    assert check_derivation(parse_derivation(text), any_schema=True).accepted
+    assert calls[("A1", parse_formula("((p -> q) -> q) -> ((q -> p) -> p)", C3))] == 1
+    assert max(calls.values()) == 1
 
 
 def test_variant_selection():

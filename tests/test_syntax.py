@@ -1,10 +1,17 @@
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedpdl
+import oracle_syntax
 from gradedpdl.audit import random_formula, random_program
 from gradedpdl.chain import ChainContext, ChainValue, NotAChainElement
 from gradedpdl.syntax import (
@@ -180,6 +187,122 @@ def test_depth_limit_is_exact():
         parse_formula("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), C3)
     with pytest.raises(ParseError):
         parse_program("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), C3)
+
+
+# -- the deepest inputs: parser frames ---------------------------------------------
+
+# The deepest accepted input of each shape, as (text of k levels, k), and
+# the least recursion limit under which it parses in a fresh interpreter,
+# measured on Python 3.11.7 (3.10.13, 3.12.1 and 3.13.0 need the same or
+# up to two less). The parser this one replaced needed 460, 138, 138, 353,
+# 384 and 401.
+DEEPEST_SHAPES = {
+    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH, 330),
+    "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1, 136),
+    "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1, 136),
+    "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2, 289),
+    "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2, 289),
+    "program-parentheses": (lambda k: "[" + "(" * k + "a" + ")" * k + "]p", MAX_DEPTH, 334),
+}
+# Room above each measured limit for the interpreter's own frames, which
+# differ by a few between Python versions.
+FRAME_HEADROOM = 20
+
+_UNDER_LIMIT = """
+import json, sys
+from gradedpdl.chain import ChainContext
+from gradedpdl.syntax import parse_formula
+for name, (text, limit) in json.loads(sys.argv[1]).items():
+    sys.setrecursionlimit(limit)
+    try:
+        parse_formula(text, ChainContext(3))
+    except RecursionError:
+        print(name)
+    sys.setrecursionlimit(1000)
+"""
+
+
+def test_deepest_inputs_parse_within_a_frame_budget():
+    budget = {}
+    for name, (make, k, limit) in DEEPEST_SHAPES.items():
+        parse_formula(make(k), C3)
+        with pytest.raises(ParseError):
+            parse_formula(make(k + 1), C3)
+        budget[name] = (make(k), limit + FRAME_HEADROOM)
+    src = str(Path(gradedpdl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _UNDER_LIMIT, json.dumps(budget)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
+
+
+# -- differential: the parser and printer against tests/oracle_syntax.py -------------
+
+_SOUP = ["p", "q", "a", "b", "#0", "#1", "#1/2", "#2", "#1/0", "~", "&", "|", "->", "<->",
+         "-", "(", ")", "[", "]", "<", ">", "+", "^", ";", "*", "?", " ", "$"]
+# Text put around the soup, repeated to reach the depth cap.
+_WRAPPERS = [("(", ")"), ("~", ""), ("p -> ", ""), ("p & ", ""), ("p & (", ")"), ("[a]", ""),
+             ("[?(", ")]p"), ("<(", ")>p"), ("a ; ", ""), ("(a ^ ", ")"), ("?([a]", ")")]
+
+
+# One sort's infix operators, and fragments that each parse as an operand.
+_CHAINS = [
+    (["<->", "->", "|", "&"], ["", "", "~", "[a]", "<b*>"],
+     ["p", "q", "#1/2", "(p -> q)", "(p | q)"], [""]),
+    (["+", "^", ";"], [""], ["a", "b", "?(p)", "(a + b)", "(a ; b)"], ["", "", "*"]),
+]
+
+
+@st.composite
+def _token_soup(draw):
+    """Tokens at random, or operands joined by one sort's infix operators,
+    which parse far more often."""
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(_SOUP), max_size=40))
+        return draw(st.sampled_from(["", " "])).join(tokens)
+    ops, prefixes, operands, suffixes = draw(st.sampled_from(_CHAINS))
+    parts = []
+    for _ in range(draw(st.integers(1, 8))):
+        parts += [draw(st.sampled_from(prefixes)) + draw(st.sampled_from(operands))
+                  + draw(st.sampled_from(suffixes)), draw(st.sampled_from(ops))]
+    return " ".join(parts[:-1])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, C3)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.sampled_from(_WRAPPERS),
+    st.one_of(st.just(0), st.integers(1, MAX_DEPTH + 4)),
+    _token_soup(),
+)
+def test_parsers_match_the_oracle_on_token_soup(wrapper, repeats, soup):
+    text = wrapper[0] * repeats + soup + wrapper[1] * repeats
+    for parse, show, reference, reference_show in (
+        (parse_formula, format_formula, oracle_syntax.parse_formula, oracle_syntax.format_formula),
+        (parse_program, format_program, oracle_syntax.parse_program, oracle_syntax.format_program),
+    ):
+        got = _outcome(parse, text)
+        assert got == _outcome(reference, text)
+        if not isinstance(got, tuple):
+            assert show(got) == reference_show(got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8))
+def test_printers_match_the_oracle(rng, depth):
+    f = random_formula(rng, C3, depth, "pqr", "abc")
+    p = random_program(rng, C3, depth, "pqr", "abc")
+    assert format_formula(f) == oracle_syntax.format_formula(f)
+    assert format_program(p) == oracle_syntax.format_program(p)
 
 
 def test_nodes_hash_once_like_dataclasses():
