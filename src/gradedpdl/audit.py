@@ -57,8 +57,10 @@ from .syntax import (
     format_program,
 )
 
-PROGRAM_NAMES = "abcdefgh"
-PROP_NAMES = "pqrstuvw"
+# The atomic programs and propositions of every sampled model and
+# generated formula, besides the names a checked formula mentions.
+PROGRAM_NAMES = "ab"
+PROP_NAMES = "pq"
 
 STATE_CAP = 4
 STATE_CAP_FORCED = 6
@@ -95,16 +97,13 @@ class SamplerConfig:
     """Shape of the random models and the search budget.
 
     The one place the sampler's settings are checked, and the one home of
-    what follows from them: the chain, the sampled proposition and
-    program names and the adversarial binding pools, each built once per
-    config.
+    what follows from them: the chain and the adversarial formula pool,
+    each built once per config.
     """
 
     n: int
     max_states: int = 3
     density: float = 0.4
-    num_programs: int = 2
-    num_propvars: int = 2
     samples: int = 1000
     seed: int = 0
     allow_large: bool = False
@@ -115,8 +114,6 @@ class SamplerConfig:
         check_state_count(self.max_states, self.allow_large)
         if not 0.0 <= self.density <= 1.0:
             raise SamplerConfigError(f"density must be in [0, 1], got {self.density}")
-        if self.num_programs < 1 or self.num_propvars < 1:
-            raise SamplerConfigError("need at least one atomic program and one propvar")
         if self.samples < 1:
             raise SamplerConfigError(f"sample budget {self.samples} is below 1")
 
@@ -125,20 +122,8 @@ class SamplerConfig:
         return ChainContext(self.n)
 
     @functools.cached_property
-    def prop_names(self) -> str:
-        return PROP_NAMES[: self.num_propvars]
-
-    @functools.cached_property
-    def program_names(self) -> str:
-        return PROGRAM_NAMES[: self.num_programs]
-
-    @functools.cached_property
     def formula_pool(self) -> tuple[Formula, ...]:
-        return _adversarial_formulas(self.context, self.prop_names)
-
-    @functools.cached_property
-    def program_pool(self) -> tuple[Program, ...]:
-        return _adversarial_programs(self.prop_names, self.program_names)
+        return _adversarial_formulas(self.context)
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -192,8 +177,8 @@ def sample_model(
         shape = _SHAPES[size] = (StateSpace(size), keys)
     space, keys = shape
 
-    props = prop_names or cfg.prop_names
-    progs = prog_names or cfg.program_names
+    props = prop_names or PROP_NAMES
+    progs = prog_names or PROGRAM_NAMES
     bits = top.bit_length()
     atomics = {}
     for name in progs:
@@ -224,8 +209,8 @@ def random_formula(
     rng: random.Random,
     ctx: ChainContext,
     depth: int,
-    props: Sequence[str] = PROP_NAMES[:2],
-    progs: Sequence[str] = PROGRAM_NAMES[:2],
+    props: Sequence[str] = PROP_NAMES,
+    progs: Sequence[str] = PROGRAM_NAMES,
 ) -> Formula:
     if depth <= 0 or rng.random() < 0.35:
         if rng.random() < 0.6:
@@ -247,8 +232,8 @@ def random_program(
     rng: random.Random,
     ctx: ChainContext,
     depth: int,
-    props: Sequence[str] = PROP_NAMES[:2],
-    progs: Sequence[str] = PROGRAM_NAMES[:2],
+    props: Sequence[str] = PROP_NAMES,
+    progs: Sequence[str] = PROGRAM_NAMES,
 ) -> Program:
     if depth <= 0 or rng.random() < 0.4:
         return Atomic(rng.choice(progs))
@@ -263,35 +248,32 @@ def random_program(
     return Test(random_formula(rng, ctx, depth - 1, props, progs))
 
 
-def _adversarial_formulas(ctx: ChainContext, props: Sequence[str]) -> tuple[Formula, ...]:
+def _adversarial_formulas(ctx: ChainContext) -> tuple[Formula, ...]:
     """Counterexamples concentrate at mid-chain values, so the pool leads
     with bare propvars and near-half constants."""
-    p = PropVar(props[0])
+    p, q = map(PropVar, PROP_NAMES)
     mid = ctx.top // 2
-    pool: list[Formula] = [p, Constant(ChainValue(mid, ctx)), Implies(p, Constant(ctx.zero))]
-    if len(props) > 1:
-        pool.append(PropVar(props[1]))
+    pool: list[Formula] = [p, Constant(ChainValue(mid, ctx)), Implies(p, Constant(ctx.zero)), q]
     if ctx.top - (ctx.top + 1) // 2 != mid:
         pool.append(Constant(ChainValue((ctx.top + 1) // 2, ctx)))
     return tuple(pool)
 
 
-def _adversarial_programs(props: Sequence[str], progs: Sequence[str]) -> tuple[Program, ...]:
-    a = Atomic(progs[0])
-    pool: list[Program] = [a, Star(a), Test(PropVar(props[0]))]
-    if len(progs) > 1:
-        pool.append(Inter(a, Atomic(progs[1])))
-    return tuple(pool)
+def _adversarial_programs() -> tuple[Program, ...]:
+    a, b = map(Atomic, PROGRAM_NAMES)
+    return (a, Star(a), Test(PropVar(PROP_NAMES[0])), Inter(a, b))
+
+
+_PROGRAM_POOL = _adversarial_programs()
 
 
 def sample_bindings(
     schema: AxiomSchema, rng: random.Random, cfg: SamplerConfig
 ) -> dict[str, Binding]:
     """One random binding per metavariable, in name order: half the time
-    from the config's adversarial pool (the midpoint for a constant),
+    from the adversarial pools (the midpoint for a constant),
     otherwise freshly generated."""
     ctx = cfg.context
-    props, progs = cfg.prop_names, cfg.program_names
     mid = ctx.top // 2
     bindings: dict[str, Binding] = {}
     for name, kind in schema.metas:
@@ -299,12 +281,12 @@ def sample_bindings(
             if rng.random() < 0.5:
                 bindings[name] = rng.choice(cfg.formula_pool)
             else:
-                bindings[name] = random_formula(rng, ctx, 3, props, progs)
+                bindings[name] = random_formula(rng, ctx, 3)
         elif kind == "program":
             if rng.random() < 0.5:
-                bindings[name] = rng.choice(cfg.program_pool)
+                bindings[name] = rng.choice(_PROGRAM_POOL)
             else:
-                bindings[name] = random_program(rng, ctx, 2, props, progs)
+                bindings[name] = random_program(rng, ctx, 2)
         else:
             num = mid if rng.random() < 0.5 else rng.randint(0, ctx.top)
             bindings[name] = ChainValue(num, ctx)
@@ -449,8 +431,8 @@ def _trials(cfg: SamplerConfig, seed: int, names=(None, None)):
 def _sample_names(cfg: SamplerConfig, *formulas: Formula) -> tuple[list[str], list[str]]:
     """Proposition and program names of the sampled models: the
     configured ones plus every name the formulas mention."""
-    props = set(cfg.prop_names)
-    progs = set(cfg.program_names)
+    props = set(PROP_NAMES)
+    progs = set(PROGRAM_NAMES)
     for f in formulas:
         p, a = collect_names(f)
         props |= p
@@ -488,12 +470,11 @@ def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     seed = derive_seed(cfg.seed, "rule", rule_id, cfg.n)
     ctx = cfg.context
     node = Box if rule_id == "Mon-box" else Diamond
-    props, progs = cfg.prop_names, cfg.program_names
     premises_valid = 0
     for trial, rng, model in _trials(cfg, seed):
-        phi = random_formula(rng, ctx, 2, props, progs)
-        psi = random_formula(rng, ctx, 2, props, progs)
-        program = random_program(rng, ctx, 2, props, progs)
+        phi = random_formula(rng, ctx, 2)
+        psi = random_formula(rng, ctx, 2)
+        program = random_program(rng, ctx, 2)
         ok, _ = valid_in_model(model, Implies(phi, psi))
         if not ok:
             continue
@@ -545,8 +526,8 @@ def audit_all(
         config={
             "max_states": cfg.max_states,
             "density": cfg.density,
-            "num_programs": cfg.num_programs,
-            "num_propvars": cfg.num_propvars,
+            "num_programs": len(PROGRAM_NAMES),
+            "num_propvars": len(PROP_NAMES),
             "samples": cfg.samples,
         },
     )

@@ -28,6 +28,7 @@ from .chain import ChainContext, ChainMismatchError, ChainValue, NotAChainElemen
 from .filtration import NotClosedError, check_preservation, quotient
 from .modelio import ModelFormatError, dumps, load_model, model_to_dict
 from .proofcheck import DerivationFormatError, check_derivation, load_derivation
+from .relations import mask_states
 from .semantics import Evaluator, Model
 from .syntax import ClosureBudgetExceeded, ParseError, fl_closure, format_formula, parse_formula
 
@@ -156,8 +157,6 @@ def cmd_filtrate(args) -> int:
     formula = parse_formula(args.formula, model.context)
     gamma = fl_closure(formula, model.context)
     result = quotient(model, gamma)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print(f"closed set: {len(gamma)} formulas")
     print(f"classes: {len(result.classes)}")
     names = model.state_names
@@ -174,26 +173,29 @@ def cmd_filtrate(args) -> int:
             for c, members in enumerate(result.classes)
         },
         "preservation": preservation.to_json(),
-        "warnings": list(result.warnings),
+        "warnings": [],  # always empty; kept so the document's format holds
     }
     _write_out(args, document)
     if args.dot:
-        Path(args.dot).write_text(_class_graph_dot(result), encoding="utf-8")
+        Path(args.dot).write_text(_class_graph_dot(result, names), encoding="utf-8")
     return 0
 
 
-def _class_graph_dot(result) -> str:
-    from .relations import mask_states
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
+
+def _class_graph_dot(result, state_names) -> str:
+    """The quotient's classes, labelled with their members' names, and
+    an edge per (program, class, class) that some relation entry joins."""
     lines = ["digraph filtration {"]
     qnames = result.quotient.state_names
-    for c in range(len(result.classes)):
-        members = ",".join(f"s{m}" for m in result.classes[c])
-        lines.append(f'  {qnames[c]} [label="{qnames[c]}: {{{members}}}"];')
+    for c, members in enumerate(result.classes):
+        label = ",".join(_dot_escape(state_names[m]) for m in members)
+        lines.append(f'  {qnames[c]} [label="{qnames[c]}: {{{label}}}"];')
     seen = set()
     for prog, rel in sorted(result.quotient.atomics.items()):
-        for (c, mask), num in sorted(rel.entries.items()):
-            value = ChainValue(num, result.quotient.context)
+        for c, mask in sorted(rel.entries):
             for d in mask_states(mask):
                 key = (prog, c, d)
                 if key in seen:

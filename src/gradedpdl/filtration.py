@@ -3,17 +3,16 @@
 States collapse when they agree on the value of every member of the
 closed set. The quotient relation for an atomic program at a pair
 (class, class set) is the meet, over formulas whose box and diamond
-under that program both lie in the closed set, of
+under that program both lie in the closed set, of the sandwich
 
     (value of the box at the source) -> (meet of the body over targets)
     conjoined with
     (meet of the body over targets) -> (value of the diamond at the source)
 
-computed from minimal-index class representatives; an empty meet is top.
-Because every indexing formula lies in the closed set itself, class
-members agree on all the inputs, so the construction cannot depend on
-the representatives; the quotient recomputes with maximal-index
-representatives anyway and flags any discrepancy as a warning.
+at the classes' least members; an empty meet is top. Every input of that
+meet, the box, the diamond and the body itself, is a member of the
+closed set, on which all members of a class agree, so any other choice
+of class members gives the same relation.
 """
 
 from __future__ import annotations
@@ -47,13 +46,11 @@ def _sorted_gamma(gamma: Iterable[Formula]) -> list[Formula]:
 class FiltrationResult:
     quotient: Model
     class_of: tuple[int, ...]  # state -> class index
-    classes: tuple[tuple[int, ...], ...]  # class index -> member states
-    representatives: tuple[int, ...]  # class index -> minimal member
+    classes: tuple[tuple[int, ...], ...]  # class index -> member states, least first
     gamma: frozenset[Formula]
     # The input model's evaluator; it already holds every closed-set value
     # at every state, which the checks below reuse.
     evaluator: Evaluator = field(compare=False, repr=False)
-    warnings: tuple[str, ...] = ()
 
 
 def _model_evaluator(model: Model, result: FiltrationResult) -> Evaluator:
@@ -62,57 +59,55 @@ def _model_evaluator(model: Model, result: FiltrationResult) -> Evaluator:
     return result.evaluator
 
 
-def _signature(evaluator: Evaluator, gamma: Sequence[Formula], s: int) -> tuple[int, ...]:
-    return tuple(evaluator.value_num(f, s) for f in gamma)
-
-
 def _box_diamond_pairs(gamma: Iterable[Formula], name: str) -> list[Formula]:
     """Bodies phi with both the box and the diamond of phi under the
     named atomic program in the set."""
-    boxes = set()
-    diamonds = set()
-    for f in gamma:
-        if isinstance(f, Box) and f.program == Atomic(name):
-            boxes.add(f.body)
-        elif isinstance(f, Diamond) and f.program == Atomic(name):
-            diamonds.add(f.body)
+    prog = Atomic(name)
+    boxes = {f.body for f in gamma if isinstance(f, Box) and f.program == prog}
+    diamonds = {f.body for f in gamma if isinstance(f, Diamond) and f.program == prog}
     return sorted(boxes & diamonds, key=format_formula)
 
 
-def _sandwich(
-    evaluator: Evaluator,
-    prog: Atomic,
-    body: Formula,
-    source: int,
-    targets: Sequence[int],
-    top: int,
-) -> int:
-    """The box/diamond sandwich of one body at (source, targets):
-    (box -> meet of the body over targets) & (that meet -> diamond)."""
-    body_meet = top
-    for t in targets:
-        body_meet = min(body_meet, evaluator.value_num(body, t))
-    box_val = evaluator.value_num(Box(prog, body), source)
-    dia_val = evaluator.value_num(Diamond(prog, body), source)
-    return min(top, top - box_val + body_meet, top - body_meet + dia_val)
+Term = tuple[tuple[int, ...], tuple[int, ...], list[int]]
 
 
-def _gamma_meet(
-    evaluator: Evaluator,
-    name: str,
-    bodies: Sequence[Formula],
-    source: int,
-    targets: Sequence[int],
-    top: int,
-) -> int:
-    """The defining meet at one (source state, target states) pair."""
-    acc = top
+def _terms(
+    evaluator: Evaluator, name: str, bodies: Sequence[Formula], points: Sequence[int]
+) -> list[Term]:
+    """Per body: the vectors of its box and its diamond under the named
+    program, and its meet over each subset of ``points``, indexed by the
+    bit mask of positions in ``points`` (the empty meet is top)."""
     prog = Atomic(name)
+    top = evaluator.model.context.top
+    terms = []
     for body in bodies:
-        acc = min(acc, _sandwich(evaluator, prog, body, source, targets, top))
-        if acc == 0:
-            break
-    return acc
+        vector = evaluator.vector(body)
+        meets = [top]
+        for point in points:
+            value = vector[point]
+            meets += [min(meet, value) for meet in meets]
+        terms.append(
+            (evaluator.vector(Box(prog, body)), evaluator.vector(Diamond(prog, body)), meets)
+        )
+    return terms
+
+
+def _sandwich(
+    terms: Sequence[Term], source: int, mask: int, top: int
+) -> tuple[int, Optional[int]]:
+    """The meet over the terms of the box/diamond sandwich at (source,
+    targets in mask): (box -> body meet) & (body meet -> diamond). Also
+    the index of the first term that sets it, None when every term is
+    top."""
+    acc, first = top, None
+    for i, (box, diamond, meets) in enumerate(terms):
+        meet = meets[mask]
+        term = min(top - box[source] + meet, top - meet + diamond[source])
+        if term < acc:
+            acc, first = term, i
+            if acc == 0:
+                break
+    return acc, first
 
 
 def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
@@ -121,63 +116,40 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     ctx = model.context
     if closure_of_set(gamma_set, ctx) != gamma_set:
         raise NotClosedError("the formula set is not closed")
-    ordered = _sorted_gamma(gamma_set)
     evaluator = Evaluator(model)
 
+    vectors = [evaluator.vector(f) for f in _sorted_gamma(gamma_set)]
+    signatures = list(zip(*vectors)) or [()] * model.space.size
     by_signature: dict[tuple[int, ...], list[int]] = {}
-    for s in model.space.states():
-        by_signature.setdefault(_signature(evaluator, ordered, s), []).append(s)
-    classes = tuple(
-        tuple(members) for members in sorted(by_signature.values(), key=lambda ms: ms[0])
-    )
-    class_of_list = [0] * model.space.size
-    for c, members in enumerate(classes):
-        for s in members:
-            class_of_list[s] = c
-    class_of = tuple(class_of_list)
-    reps_min = tuple(members[0] for members in classes)
-    reps_max = tuple(members[-1] for members in classes)
+    for s, signature in enumerate(signatures):
+        by_signature.setdefault(signature, []).append(s)
+    # first seen, first listed: classes come in least-member order
+    index = {signature: c for c, signature in enumerate(by_signature)}
+    class_of = tuple(index[signature] for signature in signatures)
+    classes = tuple(map(tuple, by_signature.values()))
+    reps = [members[0] for members in classes]
 
     qspace = StateSpace(len(classes))
     top = ctx.top
-
-    def relation_for(
-        name: str, bodies: list[Formula], reps: tuple[int, ...]
-    ) -> ReachRelation:
-        entries: dict[tuple[int, int], int] = {}
-        for c in qspace.states():
-            for mask in qspace.subset_masks():
-                targets = [reps[d] for d in mask_states(mask)]
-                num = _gamma_meet(evaluator, name, bodies, reps[c], targets, top)
-                if num > 0:
-                    entries[(c, mask)] = num
-        return ReachRelation(qspace, ctx, entries)
-
-    warnings: list[str] = []
     atomics: dict[str, ReachRelation] = {}
     for name in sorted(model.atomics):
-        bodies = _box_diamond_pairs(gamma_set, name)
-        rel = relation_for(name, bodies, reps_min)
-        if reps_max != reps_min:
-            alt = relation_for(name, bodies, reps_max)
-            if alt != rel:
-                warnings.append(
-                    f"relation {name!r} depends on the choice of class representatives"
-                )
-        atomics[name] = rel
+        terms = _terms(evaluator, name, _box_diamond_pairs(gamma_set, name), reps)
+        entries: dict[tuple[int, int], int] = {}
+        for c, rep in enumerate(reps):
+            for mask in qspace.subset_masks():
+                num, _ = _sandwich(terms, rep, mask, top)
+                if num > 0:
+                    entries[(c, mask)] = num
+        atomics[name] = ReachRelation._unchecked(qspace, ctx, entries)
 
-    valuation: dict[str, dict[int, int]] = {}
-    for f in gamma_set:
-        if isinstance(f, PropVar):
-            valuation[f.name] = {
-                c: model.prop_num(f.name, reps_min[c]) for c in qspace.states()
-            }
-
+    valuation = {
+        f.name: {c: model.prop_num(f.name, rep) for c, rep in enumerate(reps)}
+        for f in gamma_set
+        if isinstance(f, PropVar)
+    }
     names = tuple(f"c{c}" for c in qspace.states())
     qmodel = Model(ctx, qspace, atomics, valuation, names)
-    return FiltrationResult(
-        qmodel, class_of, classes, reps_min, gamma_set, evaluator, tuple(warnings)
-    )
+    return FiltrationResult(qmodel, class_of, classes, gamma_set, evaluator)
 
 
 # -- the computable inequality check ---------------------------------------------
@@ -215,37 +187,34 @@ def check_lemma4(
     corresponding class pair. The corpus plays the role of "all
     formulas": whenever it contains the indexing formulas of the
     quotient, the inequality is forced, because a meet over more terms
-    can only be smaller.
+    can only be smaller. A violation names the first corpus formula, in
+    printed order, whose sandwich sets the meet, or None if the meet is
+    top.
     """
     evaluator = _model_evaluator(model, result)
     top = model.context.top
-    corpus_list = _sorted_gamma(corpus)
-    prog = Atomic(program_name)
+    class_of = result.class_of
     qrel = result.quotient.atomics[program_name]
-    report = Lemma4Report(program=program_name, points_checked=0)
+    bodies = _sorted_gamma(corpus)
+    terms = _terms(evaluator, program_name, bodies, model.space.states())
+    qmasks = [0]  # per target mask, the mask of the targets' classes
+    for t in model.space.states():
+        qmasks += [qmask | 1 << class_of[t] for qmask in qmasks]
+    names = model.state_names
+    report = Lemma4Report(program_name, points_checked=model.space.size * len(qmasks))
     for s in model.space.states():
-        for mask in model.space.subset_masks():
-            targets = mask_states(mask)
-            unrestricted = top
-            floor_formula: Optional[Formula] = None
-            for body in corpus_list:
-                term = _sandwich(evaluator, prog, body, s, targets, top)
-                if term < unrestricted:
-                    unrestricted = term
-                    floor_formula = body
-            qmask = 0
-            for t in targets:
-                qmask |= 1 << result.class_of[t]
-            restricted = qrel.num(result.class_of[s], qmask)
-            report.points_checked += 1
+        for mask, qmask in enumerate(qmasks):
+            unrestricted, floor = _sandwich(terms, s, mask, top)
+            restricted = qrel.num(class_of[s], qmask)
             if unrestricted > restricted:
+                targets = mask_states(mask)
                 report.violations.append(
                     {
-                        "state": model.state_names[s],
-                        "targets": [model.state_names[t] for t in targets],
+                        "state": names[s],
+                        "targets": [names[t] for t in targets],
                         "unrestricted": str(ChainValue(unrestricted, model.context)),
                         "restricted": str(ChainValue(restricted, model.context)),
-                        "formula": format_formula(floor_formula) if floor_formula else None,
+                        "formula": None if floor is None else format_formula(bodies[floor]),
                     }
                 )
     return report
@@ -281,9 +250,9 @@ def check_preservation(model: Model, result: FiltrationResult) -> PreservationRe
     for f in _sorted_gamma(result.gamma):
         agreements = 0
         mismatches = []
-        for s in model.space.states():
-            original = evaluator.value_num(f, s)
-            quotiented = q_evaluator.value_num(f, result.class_of[s])
+        in_quotient = q_evaluator.vector(f)
+        for s, original in enumerate(evaluator.vector(f)):
+            quotiented = in_quotient[result.class_of[s]]
             if original == quotiented:
                 agreements += 1
             else:

@@ -73,9 +73,9 @@ class ReachRelation:
 
     The constructor checks its entries, so input from outside goes
     through it. Relations the library computes from checked operands
-    (``iota``, ``union``, ``compose``, ``parallel``, ``star``, tests and
-    sampled atomics) hold these invariants by construction and are
-    wrapped by ``_unchecked`` instead.
+    (``iota``, ``union``, ``compose``, ``parallel``, ``star``, tests,
+    sampled atomics and filtration quotients) hold these invariants by
+    construction and are wrapped by ``_unchecked`` instead.
     """
 
     __slots__ = ("space", "context", "entries")

@@ -201,7 +201,7 @@ class Evaluator:
         elif isinstance(program, Star):
             rel = star(self.relation(program.body))
         elif isinstance(program, Test):
-            vector = self._vector(program.condition)
+            vector = self.vector(program.condition)
             entries = {(s, 1 << s): num for s, num in enumerate(vector) if num > 0}
             rel = ReachRelation._unchecked(model.space, model.context, entries)
         else:
@@ -210,7 +210,7 @@ class Evaluator:
         return rel
 
     def value_num(self, formula: Formula, s: int) -> int:
-        return self._vector(formula)[s]
+        return self.vector(formula)[s]
 
     def _rows_by_source(self, program: Program) -> list[list[tuple[int, tuple[int, ...]]]]:
         """Per source state, its (value, target members) rows."""
@@ -225,7 +225,8 @@ class Evaluator:
             self._rows[program] = rows
         return rows
 
-    def _vector(self, formula: Formula) -> tuple[int, ...]:
+    def vector(self, formula: Formula) -> tuple[int, ...]:
+        """The formula's numerator at every state, in state order."""
         cached = self._vectors.get(formula)
         if cached is not None:
             return cached
@@ -242,17 +243,17 @@ class Evaluator:
                 )
             vector = (formula.value.numerator,) * model.space.size
         elif isinstance(formula, And):
-            vector = tuple(map(min, self._vector(formula.left), self._vector(formula.right)))
+            vector = tuple(map(min, self.vector(formula.left), self.vector(formula.right)))
         elif isinstance(formula, Or):
-            vector = tuple(map(max, self._vector(formula.left), self._vector(formula.right)))
+            vector = tuple(map(max, self.vector(formula.left), self.vector(formula.right)))
         elif isinstance(formula, Implies):
             vector = tuple(
                 min(top, top - a + b)
-                for a, b in zip(self._vector(formula.left), self._vector(formula.right))
+                for a, b in zip(self.vector(formula.left), self.vector(formula.right))
             )
         elif isinstance(formula, Box):
             rows = self._rows_by_source(formula.program)
-            body = self._vector(formula.body)
+            body = self.vector(formula.body)
             out = []
             for state_rows in rows:
                 num = top
@@ -273,7 +274,7 @@ class Evaluator:
             vector = tuple(out)
         elif isinstance(formula, Diamond):
             rows = self._rows_by_source(formula.program)
-            body = self._vector(formula.body)
+            body = self.vector(formula.body)
             out = []
             for state_rows in rows:
                 num = 0

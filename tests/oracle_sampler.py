@@ -7,9 +7,9 @@ integers through ``getrandbits`` itself: every draw goes through
 validating ``ReachRelation`` and ``Model`` constructors.
 
 ``reference_sample_bindings`` is ``audit.sample_bindings`` before the
-config kept its names and adversarial pools and each schema its table of
-metavariables: it walks the template and builds both pools on every
-call, and its formula and program generators branch once per node kind.
+adversarial pools and each schema's table of metavariables were built
+once: it walks the template and builds both pools on every call, and its
+formula and program generators branch once per node kind.
 
 The differential tests assert that each pair gives equal results and
 leaves the rng in the same state.
@@ -45,8 +45,8 @@ def reference_sample_model(cfg, rng=None, prop_names=None, prog_names=None):
     ctx = cfg.context
     size = rng.randint(1, cfg.max_states)
     space = StateSpace(size)
-    props = list(prop_names or PROP_NAMES[: cfg.num_propvars])
-    progs = list(prog_names or PROGRAM_NAMES[: cfg.num_programs])
+    props = list(prop_names or PROP_NAMES)
+    progs = list(prog_names or PROGRAM_NAMES)
     atomics = {}
     for name in progs:
         entries = {}
@@ -152,8 +152,8 @@ def _adversarial_programs(props, progs):
 
 def reference_sample_bindings(schema, rng, cfg):
     ctx = cfg.context
-    props = list(PROP_NAMES[: cfg.num_propvars])
-    progs = list(PROGRAM_NAMES[: cfg.num_programs])
+    props = list(PROP_NAMES)
+    progs = list(PROGRAM_NAMES)
     formula_pool = _adversarial_formulas(ctx, props)
     program_pool = _adversarial_programs(props, progs)
     mid = ctx.top // 2

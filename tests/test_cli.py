@@ -194,6 +194,26 @@ def test_filtrate(tmp_path, capsys):
     assert main(["eval", str(qpath), "#1"]) == 0
 
 
+def test_filtrate_dot_labels_use_state_names(tmp_path, capsys):
+    # state names are arbitrary JSON strings; the DOT labels escape them
+    model = {
+        "n": 3,
+        "states": ["home", 'w"rk', "g\\m"],
+        "valuation": {"p": {"home": "1", 'w"rk': "1"}},
+        "programs": {},
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(dumps(model))
+    dot_path = tmp_path / "classes.dot"
+    assert main(["filtrate", str(mpath), "p", "--dot", str(dot_path)]) == 0
+    out = capsys.readouterr().out
+    assert '  c0: home, w"rk\n  c1: g\\m\n' in out
+    assert dot_path.read_text().splitlines()[1:3] == [
+        '  c0 [label="c0: {home,w\\"rk}"];',
+        '  c1 [label="c1: {g\\\\m}"];',
+    ]
+
+
 def test_equiv_finds_difference(tmp_path, capsys):
     out_path = tmp_path / "equiv.json"
     code = main(
@@ -256,10 +276,9 @@ def test_parser_schema_tables_and_pools_built_once(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
+    # the program pool names no config setting and is built at import
     monkeypatch.setattr(audit, "_adversarial_formulas",
                         counted("pools", audit._adversarial_formulas))
-    monkeypatch.setattr(audit, "_adversarial_programs",
-                        counted("pools", audit._adversarial_programs))
     table = functools.cached_property(counted("tables", AxiomSchema.metas.func))
     table.__set_name__(AxiomSchema, "metas")
     monkeypatch.setattr(AxiomSchema, "metas", table)
@@ -267,7 +286,7 @@ def test_parser_schema_tables_and_pools_built_once(monkeypatch, capsys):
         vars(schema).pop("metas", None)
     cli.build_parser.cache_clear()
     assert main(["audit", "--samples", "50"]) == 1
-    assert counts == {"pools": 2, "tables": len(all_schemata("DL"))}
+    assert counts == {"pools": 1, "tables": len(all_schemata("DL"))}
     assert main(["closure", "p"]) == 0
     assert cli.build_parser.cache_info().misses == 1
     capsys.readouterr()

