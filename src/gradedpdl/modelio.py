@@ -94,7 +94,7 @@ def model_from_dict(data: dict[str, Any]) -> Model:
         return parse_value(text, ctx).numerator
 
     def section(key: str) -> dict[str, Any]:
-        part = data.get(key) or {}
+        part = data.get(key, {})
         if not isinstance(part, dict):
             raise ModelFormatError(f"{key!r} must be an object")
         return part

@@ -123,20 +123,21 @@ def check_derivation(
         if isinstance(step, AxiomStep):
             if any_schema:
                 candidates = all_schemata(system)
+                cited = f"any schema of system {system}"
             else:
+                label = step.schema_id if step.variant is None else f"{step.schema_id}/{step.variant}"
                 candidates = schemata_named(step.schema_id, step.variant)
                 candidates = [s for s in candidates if system in s.systems]
                 if not candidates:
-                    label = step.schema_id if step.variant is None else f"{step.schema_id}/{step.variant}"
                     return _reject(
                         k, "unknown-schema",
                         f"step {k}: no schema named {label!r} in system {system}",
                     )
+                cited = f"schema {label}"
             if not any(match_axiom_instance(s, step.formula, ctx)[0] for s in candidates):
                 return _reject(
                     k, "axiom-mismatch",
-                    f"step {k}: {_shown(step.formula)} is not an instance "
-                    f"of schema {step.schema_id}",
+                    f"step {k}: {_shown(step.formula)} is not an instance of {cited}",
                 )
         elif isinstance(step, PremiseStep):
             if step.formula not in derivation.premises:

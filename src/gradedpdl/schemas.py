@@ -1,17 +1,26 @@
 """Axiom schemata: templates, instantiation, and instance matching.
 
-Templates are ordinary formula trees extended with metavariable leaves:
-formula metas (phi, psi, chi), program metas (pi, pi0, pi1), constant
-metas (c, d), chain-dependent bound constants, and a computed-constant
-node for the arithmetic axiom, whose value must equal the chain
-operation applied to the two constant metas.
+Each template is written as text in the formula language and parsed at
+the chain in use, so ``#0``, ``#1`` and ``~`` are that chain's bottom, top
+and negation. Its names are the metavariables:
 
-The propositional system consists of A1-A4 plus the arithmetic schema A5
-(one entry per connective). The dynamic system adds D1-D17. The
-intersection box schema D7 ships in two variants: ``printed``, whose
-second conjunct repeats the pi1 box, and ``corrected``, whose second
-conjunct boxes pi0 instead; the repetition is a suspected typo and the
-auditor discriminates between the two empirically.
+- the propositions ``phi``, ``psi`` and ``chi`` stand for formulas;
+- the propositions ``c`` and ``d`` stand for chain constants, and ``e``
+  for the constant the arithmetic schema A5 computes from them with the
+  chain operation its variant names (``and`` meet, ``or`` join, ``imp``
+  implication);
+- the atomic programs ``pi``, ``pi0`` and ``pi1`` stand for programs.
+
+A template is thus an ordinary formula. It is also the schema's generic
+instance: every formula metavariable a fresh proposition and every
+program metavariable a fresh atomic program, ``schema.template(ctx)``.
+
+The propositional system consists of A1-A4 plus A5 (one entry per
+connective). The dynamic system adds D1-D17. The intersection box schema
+D7 ships in two variants: ``printed``, whose second conjunct repeats the
+pi1 box, and ``corrected``, whose second conjunct boxes pi0 instead; the
+repetition is a suspected typo and the auditor discriminates between the
+two empirically.
 """
 
 from __future__ import annotations
@@ -22,21 +31,14 @@ from typing import Mapping, Optional, Union as _U
 
 from .chain import ChainContext, ChainValue
 from .syntax import (
-    And,
-    Box,
+    Atomic,
     Constant,
-    Diamond,
     Formula,
-    Implies,
-    Inter,
-    Or,
     Program,
-    Seq,
-    Star,
-    Test,
-    Union as PUnion,
-    biconditional,
+    PropVar,
     children,
+    collect_names,
+    parse_formula,
 )
 
 
@@ -44,286 +46,84 @@ class MissingBinding(KeyError):
     """A metavariable was left unbound during instantiation."""
 
 
-@dataclass(frozen=True)
-class FormulaMeta:
-    name: str
-
-
-@dataclass(frozen=True)
-class ProgramMeta:
-    name: str
-
-
-@dataclass(frozen=True)
-class ConstMeta:
-    """Stands for a chain constant; usable in formula position."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class BoundConst:
-    """The chain-dependent bottom or top constant."""
-
-    which: str  # "zero" | "one"
-
-
-@dataclass(frozen=True)
-class ConstOp:
-    """A constant computed from two constant metas by a chain operation."""
-
-    op: str  # "and" | "or" | "imp"
-    left: ConstMeta
-    right: ConstMeta
-
-
-Template = _U[Formula, FormulaMeta, ConstMeta, BoundConst, ConstOp]
-
 Binding = _U[Formula, Program, ChainValue]
 
+# Proposition names that stand for chain constants rather than formulas.
+_CONSTANTS = frozenset("cde")
 
-def _apply_const_op(op: str, a: ChainValue, b: ChainValue) -> ChainValue:
-    if op == "and":
-        return a.meet(b)
-    if op == "or":
-        return a.join(b)
-    if op == "imp":
-        return a.implies(b)
-    raise ValueError(f"unknown constant operation {op!r}")
+# A5's computed constant e, by variant: the chain operation on c and d.
+_A5_OPS = {"and": ChainValue.meet, "or": ChainValue.join, "imp": ChainValue.implies}
 
-
-_FORMULA_OPS = {"and": And, "or": Or, "imp": Implies}
+# Template text and chain -> the parsed template, kept for every chain read.
+_parse_template = functools.lru_cache(maxsize=None)(parse_formula)
 
 
 @dataclass(frozen=True)
 class AxiomSchema:
     id: str
     variant: Optional[str]
-    template: Template
+    text: str  # the template in the formula language
     systems: tuple[str, ...]  # subset of ("PL", "DL")
 
     @property
     def label(self) -> str:
         return self.id if self.variant is None else f"{self.id}/{self.variant}"
 
+    def template(self, ctx: ChainContext) -> Formula:
+        """The template read at ``ctx``; parsed once per chain."""
+        return _parse_template(self.text, ctx)
+
     @functools.cached_property
     def metas(self) -> tuple[tuple[str, str], ...]:
-        """(name, kind) per metavariable, sorted by name; kind is
-        'formula', 'program' or 'const'. Built on first use, then kept."""
-        kinds: dict[str, str] = {}
-        stack: list[object] = [self.template]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, FormulaMeta):
-                kinds[node.name] = "formula"
-            elif isinstance(node, ProgramMeta):
-                kinds[node.name] = "program"
-            elif isinstance(node, ConstMeta):
-                kinds[node.name] = "const"
-            elif isinstance(node, ConstOp):
-                stack += [node.left, node.right]
-            else:
-                stack.extend(children(node))
+        """(name, kind) per bound metavariable, sorted by name; kind is
+        'formula', 'program' or 'const'. The computed ``e`` is not
+        listed. Built on first use, then kept."""
+        props, progs = collect_names(self.template(ChainContext(2)))
+        kinds = {name: "const" if name in _CONSTANTS else "formula" for name in props - {"e"}}
+        kinds.update(dict.fromkeys(progs, "program"))
         return tuple(sorted(kinds.items()))
 
 
 # -- catalog -------------------------------------------------------------------
 
-_PHI = FormulaMeta("phi")
-_PSI = FormulaMeta("psi")
-_CHI = FormulaMeta("chi")
-_PI = ProgramMeta("pi")
-_PI0 = ProgramMeta("pi0")
-_PI1 = ProgramMeta("pi1")
-_C = ConstMeta("c")
-_D = ConstMeta("d")
-_ZERO = BoundConst("zero")
-_ONE = BoundConst("one")
+_PL_TEXTS = {
+    "A1": "phi -> (psi -> phi)",
+    "A2": "(phi -> psi) -> ((psi -> chi) -> (phi -> chi))",
+    "A3": "((phi -> psi) -> psi) -> ((psi -> phi) -> phi)",
+    "A4": "(~psi -> ~phi) -> (phi -> psi)",
+    "A5/and": "e <-> c & d",
+    "A5/or": "e <-> c | d",
+    "A5/imp": "e <-> (c -> d)",
+}
+
+_DL_TEXTS = {
+    "D1": "[pi]#1",
+    "D2": "[pi]phi & [pi]psi -> [pi](phi & psi)",
+    "D3": "[pi](c -> phi) <-> (c -> [pi]phi)",
+    "D4": "[pi](phi -> c) <-> (<pi>phi -> c)",
+    "D5": "[pi0 ; pi1]phi <-> [pi0][pi1]phi",
+    "D6": "[pi0 + pi1]phi <-> [pi0]phi & [pi1]phi",
+    "D7/printed": "[pi0 ^ pi1]phi <-> (<pi0>#1 -> [pi1]phi) & (<pi1>#1 -> [pi1]phi)",
+    "D7/corrected": "[pi0 ^ pi1]phi <-> (<pi0>#1 -> [pi1]phi) & (<pi1>#1 -> [pi0]phi)",
+    "D8": "[pi*]phi -> phi & [pi][pi*]phi",
+    "D9": "[pi*](phi -> [pi]phi) -> (phi -> [pi*]phi)",
+    "D10": "[?(phi)]psi <-> (phi -> psi)",
+    "D11": "<pi0 ; pi1>phi <-> <pi0><pi1>phi",
+    "D12": "<pi0 + pi1>phi <-> <pi0>phi | <pi1>phi",
+    "D13": "<pi0 ^ pi1>phi <-> <pi0>phi & <pi1>phi",
+    "D14": "phi | <pi><pi*>phi -> <pi*>phi",
+    "D15": "[pi*](<pi>phi -> phi) -> (<pi*>phi -> phi)",
+    "D16": "<?(phi)>psi <-> phi & psi",
+    "D17": "[pi]#0 | <pi>#1",
+}
 
 
-def _neg(t: Template) -> Template:
-    return Implies(t, _ZERO)
-
-
-def _catalog() -> list[AxiomSchema]:
-    pl = ("PL", "DL")
-    dl = ("DL",)
-    out = [
-        AxiomSchema("A1", None, Implies(_PHI, Implies(_PSI, _PHI)), pl),
-        AxiomSchema(
-            "A2",
-            None,
-            Implies(
-                Implies(_PHI, _PSI),
-                Implies(Implies(_PSI, _CHI), Implies(_PHI, _CHI)),
-            ),
-            pl,
-        ),
-        AxiomSchema(
-            "A3",
-            None,
-            Implies(
-                Implies(Implies(_PHI, _PSI), _PSI),
-                Implies(Implies(_PSI, _PHI), _PHI),
-            ),
-            pl,
-        ),
-        AxiomSchema(
-            "A4",
-            None,
-            Implies(Implies(_neg(_PSI), _neg(_PHI)), Implies(_PHI, _PSI)),
-            pl,
-        ),
-    ]
-    for op, node in _FORMULA_OPS.items():
-        out.append(
-            AxiomSchema(
-                "A5", op, biconditional(ConstOp(op, _C, _D), node(_C, _D)), pl
-            )
-        )
-    out += [
-        AxiomSchema("D1", None, Box(_PI, _ONE), dl),
-        AxiomSchema(
-            "D2",
-            None,
-            Implies(And(Box(_PI, _PHI), Box(_PI, _PSI)), Box(_PI, And(_PHI, _PSI))),
-            dl,
-        ),
-        AxiomSchema(
-            "D3",
-            None,
-            biconditional(Box(_PI, Implies(_C, _PHI)), Implies(_C, Box(_PI, _PHI))),
-            dl,
-        ),
-        AxiomSchema(
-            "D4",
-            None,
-            biconditional(Box(_PI, Implies(_PHI, _C)), Implies(Diamond(_PI, _PHI), _C)),
-            dl,
-        ),
-        AxiomSchema(
-            "D5",
-            None,
-            biconditional(Box(Seq(_PI0, _PI1), _PHI), Box(_PI0, Box(_PI1, _PHI))),
-            dl,
-        ),
-        AxiomSchema(
-            "D6",
-            None,
-            biconditional(
-                Box(PUnion(_PI0, _PI1), _PHI), And(Box(_PI0, _PHI), Box(_PI1, _PHI))
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D7",
-            "printed",
-            biconditional(
-                Box(Inter(_PI0, _PI1), _PHI),
-                And(
-                    Implies(Diamond(_PI0, _ONE), Box(_PI1, _PHI)),
-                    Implies(Diamond(_PI1, _ONE), Box(_PI1, _PHI)),
-                ),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D7",
-            "corrected",
-            biconditional(
-                Box(Inter(_PI0, _PI1), _PHI),
-                And(
-                    Implies(Diamond(_PI0, _ONE), Box(_PI1, _PHI)),
-                    Implies(Diamond(_PI1, _ONE), Box(_PI0, _PHI)),
-                ),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D8",
-            None,
-            Implies(
-                Box(Star(_PI), _PHI),
-                And(_PHI, Box(_PI, Box(Star(_PI), _PHI))),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D9",
-            None,
-            Implies(
-                Box(Star(_PI), Implies(_PHI, Box(_PI, _PHI))),
-                Implies(_PHI, Box(Star(_PI), _PHI)),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D10",
-            None,
-            biconditional(Box(Test(_PHI), _PSI), Implies(_PHI, _PSI)),
-            dl,
-        ),
-        AxiomSchema(
-            "D11",
-            None,
-            biconditional(
-                Diamond(Seq(_PI0, _PI1), _PHI), Diamond(_PI0, Diamond(_PI1, _PHI))
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D12",
-            None,
-            biconditional(
-                Diamond(PUnion(_PI0, _PI1), _PHI),
-                Or(Diamond(_PI0, _PHI), Diamond(_PI1, _PHI)),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D13",
-            None,
-            biconditional(
-                Diamond(Inter(_PI0, _PI1), _PHI),
-                And(Diamond(_PI0, _PHI), Diamond(_PI1, _PHI)),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D14",
-            None,
-            Implies(
-                Or(_PHI, Diamond(_PI, Diamond(Star(_PI), _PHI))),
-                Diamond(Star(_PI), _PHI),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D15",
-            None,
-            Implies(
-                Box(Star(_PI), Implies(Diamond(_PI, _PHI), _PHI)),
-                Implies(Diamond(Star(_PI), _PHI), _PHI),
-            ),
-            dl,
-        ),
-        AxiomSchema(
-            "D16",
-            None,
-            biconditional(Diamond(Test(_PHI), _PSI), And(_PHI, _PSI)),
-            dl,
-        ),
-        AxiomSchema(
-            "D17",
-            None,
-            Or(Box(_PI, _ZERO), Diamond(_PI, _ONE)),
-            dl,
-        ),
-    ]
-    return out
-
-
-_CATALOG = _catalog()
+_CATALOG = [
+    AxiomSchema(schema_id, variant or None, text, systems)
+    for texts, systems in ((_PL_TEXTS, ("PL", "DL")), (_DL_TEXTS, ("DL",)))
+    for label, text in texts.items()
+    for schema_id, _, variant in [label.partition("/")]
+]
 _BY_LABEL = {s.label: s for s in _CATALOG}
 
 
@@ -355,27 +155,24 @@ def instantiate_schema(
                 f"schema {schema.label} needs a binding for {name!r}"
             ) from None
 
-    def build(node):
-        if isinstance(node, FormulaMeta):
-            return need(node.name)
-        if isinstance(node, ProgramMeta):
-            return need(node.name)
-        if isinstance(node, ConstMeta):
-            value = need(node.name)
-            if not isinstance(value, ChainValue):
-                raise TypeError(f"binding for {node.name!r} must be a chain value")
-            return Constant(value)
-        if isinstance(node, BoundConst):
-            return Constant(ctx.one if node.which == "one" else ctx.zero)
-        if isinstance(node, ConstOp):
-            a, b = need(node.left.name), need(node.right.name)
-            return Constant(_apply_const_op(node.op, a, b))
-        parts = children(node)
-        if not parts:
-            return node  # PropVar, Constant, Atomic
-        return type(node)(*map(build, parts))
+    def constant(name: str) -> ChainValue:
+        if name == "e":
+            return _A5_OPS[schema.variant](constant("c"), constant("d"))
+        value = need(name)
+        if not isinstance(value, ChainValue):
+            raise TypeError(f"binding for {name!r} must be a chain value")
+        return value
 
-    return build(schema.template)
+    def build(node):
+        kind = type(node)
+        if kind is PropVar and node.name in _CONSTANTS:
+            return Constant(constant(node.name))
+        if kind is PropVar or kind is Atomic:
+            return need(node.name)
+        parts = children(node)
+        return kind(*map(build, parts)) if parts else node
+
+    return build(schema.template(ctx))
 
 
 # -- matching ----------------------------------------------------------------------
@@ -386,52 +183,34 @@ def match_axiom_instance(
 ) -> tuple[bool, Optional[dict[str, Binding]]]:
     """Syntactic unification of the template against a concrete formula.
 
-    Metavariables bind whole subtrees; a repeated metavariable must match
-    equal subtrees. Computed constants are checked by chain arithmetic
-    once both operands are bound.
+    Metavariables bind whole subtrees, and a constant metavariable binds
+    only a constant's value; a repeated metavariable must match equal
+    subtrees. A5's ``e`` must equal the chain operation on ``c`` and
+    ``d``, and is left out of the returned bindings.
     """
     bindings: dict[str, Binding] = {}
-    deferred: list[tuple[ConstOp, ChainValue]] = []
+
+    def bind(name: str, value: Binding) -> bool:
+        seen = bindings.setdefault(name, value)
+        return seen is value or seen == value
 
     def walk(t, node) -> bool:
-        if isinstance(t, FormulaMeta) or isinstance(t, ProgramMeta):
-            seen = bindings.get(t.name)
-            if seen is None:
-                bindings[t.name] = node
-                return True
-            return seen == node
-        if isinstance(t, ConstMeta):
-            if not isinstance(node, Constant):
-                return False
-            seen = bindings.get(t.name)
-            if seen is None:
-                bindings[t.name] = node.value
-                return True
-            return seen == node.value
-        if isinstance(t, BoundConst):
-            if not isinstance(node, Constant):
-                return False
-            want = ctx.top if t.which == "one" else 0
-            return node.value.context == ctx and node.value.numerator == want
-        if isinstance(t, ConstOp):
-            if not isinstance(node, Constant):
-                return False
-            deferred.append((t, node.value))
-            return True
-        if type(t) is not type(node):
+        kind = type(t)
+        if kind is PropVar and t.name in _CONSTANTS:
+            return type(node) is Constant and bind(t.name, node.value)
+        if kind is PropVar or kind is Atomic:
+            return bind(t.name, node)
+        if kind is not type(node):
             return False
         parts = children(t)
         if not parts:
-            return t == node  # PropVar, Constant, Atomic
+            return t == node  # Constant
         return all(map(walk, parts, children(node)))
 
-    if not walk(schema.template, formula):
+    if not walk(schema.template(ctx), formula):
         return False, None
-    for const_op, claimed in deferred:
-        a = bindings.get(const_op.left.name)
-        b = bindings.get(const_op.right.name)
-        if not isinstance(a, ChainValue) or not isinstance(b, ChainValue):
-            return False, None
-        if _apply_const_op(const_op.op, a, b) != claimed:
+    if "e" in bindings:
+        e = bindings.pop("e")
+        if e != _A5_OPS[schema.variant](bindings["c"], bindings["d"]):
             return False, None
     return True, bindings

@@ -8,8 +8,9 @@ validating ``ReachRelation`` and ``Model`` constructors.
 
 ``reference_sample_bindings`` is ``audit.sample_bindings`` before the
 adversarial pools and each schema's table of metavariables were built
-once: it walks the template and builds both pools on every call, and its
-formula and program generators branch once per node kind.
+once: it walks the template of the reference catalog in
+``oracle_schemas`` and builds both pools on every call, and its formula
+and program generators branch once per node kind.
 
 The differential tests assert that each pair gives equal results and
 leaves the rng in the same state.
@@ -20,7 +21,6 @@ import random
 from gradedpdl.audit import PROGRAM_NAMES, PROP_NAMES
 from gradedpdl.chain import ChainValue
 from gradedpdl.relations import ReachRelation, StateSpace
-from gradedpdl.schemas import ConstMeta, ConstOp, FormulaMeta, ProgramMeta
 from gradedpdl.semantics import Model
 from gradedpdl.syntax import (
     And,
@@ -38,6 +38,7 @@ from gradedpdl.syntax import (
     Union,
     children,
 )
+from oracle_schemas import ConstMeta, ConstOp, FormulaMeta, ProgramMeta, schemata_named
 
 
 def reference_sample_model(cfg, rng=None, prop_names=None, prog_names=None):
@@ -62,8 +63,9 @@ def reference_sample_model(cfg, rng=None, prop_names=None, prog_names=None):
 
 
 def _meta_names(schema):
+    (reference,) = schemata_named(schema.id, schema.variant)
     kinds = {}
-    stack = [schema.template]
+    stack = [reference.template]
     while stack:
         node = stack.pop()
         if isinstance(node, FormulaMeta):

@@ -81,6 +81,11 @@ def test_errors():
     for malformed in MALFORMED:
         with pytest.raises(ModelFormatError):
             model_from_dict(malformed)
+    # only a missing section means empty; a present one must be an object
+    for key in ("valuation", "programs"):
+        for part in ([], False, 0, None):
+            with pytest.raises(ModelFormatError, match=f"'{key}' must be an object"):
+                model_from_dict({"n": 3, "states": ["s0"], key: part})
 
 
 def test_file_round_trip(tmp_path):

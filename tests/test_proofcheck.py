@@ -139,6 +139,26 @@ def test_any_schema_mode_searches_the_catalog():
     assert check_derivation(parse_derivation(text), any_schema=True).accepted
 
 
+def test_mismatch_message_names_the_cited_label():
+    # a D7/printed instance cited as D7/corrected
+    text = "n: 3\n1 axiom D7/corrected [a^b]p <-> (<a>#1 -> [b]p) & (<b>#1 -> [b]p)\n"
+    verdict = check_derivation(parse_derivation(text))
+    assert verdict.reason == "axiom-mismatch"
+    assert verdict.message.endswith(" is not an instance of schema D7/corrected")
+
+
+def test_any_schema_mismatch_message_names_the_system():
+    # under --any-schema the cited name is not looked up, so not shown
+    for system in ("PL", "DL"):
+        verdict = check_derivation(
+            parse_derivation("n: 3\n1 axiom ZZ p -> p\n"), system=system, any_schema=True
+        )
+        assert verdict.reason == "axiom-mismatch"
+        assert verdict.message == (
+            f"step 1: 'p -> p' is not an instance of any schema of system {system}"
+        )
+
+
 def test_any_schema_mode_matches_each_schema_once(monkeypatch):
     calls = Counter()
     real = proofcheck.match_axiom_instance
