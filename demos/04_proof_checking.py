@@ -9,6 +9,8 @@ accepted premise-free derivation is confirmed to be a tautology by
 enumerating all valuations.
 """
 
+from pathlib import Path
+
 from gradedpdl.audit import check_consequence_prop
 from gradedpdl.proofcheck import check_derivation, parse_derivation
 from gradedpdl.syntax import format_formula
@@ -33,7 +35,8 @@ verdict = check_derivation(parse_derivation(BROKEN))
 print(f"swapped detachment: rejected at step {verdict.failed_step}")
 print(f"  reason: {verdict.message}")
 
-IDENTITY = open("tests/fixtures/identity.proof").read()
+FIXTURE = Path(__file__).resolve().parent.parent / "tests/fixtures/identity.proof"
+IDENTITY = FIXTURE.read_text(encoding="utf-8")
 derivation = parse_derivation(IDENTITY)
 verdict = check_derivation(derivation, system="PL")
 print(f"\np -> p from the first three schemata: accepted = {verdict.accepted}")

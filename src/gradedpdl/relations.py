@@ -4,6 +4,15 @@ A relation assigns a chain value to every pair (state, set of states);
 pairs that are not stored sit at bottom. State sets are bitmasks over
 0..size-1, so unions of target sets are bitwise ors and composition can
 index its tables of partial unions by intermediate-set masks.
+
+One kernel, ``_product_table``, builds those tables for both
+``compose`` and ``star``. ``star`` is a semi-naive fixpoint: its first
+step is unit join r, since r o unit = r exactly, and each later round
+recombines only the entries r(s, U) whose intermediate set U meets the
+sources whose row grew in the round before. An entry with U disjoint
+from them would contribute what it already did, so the result is the
+least fixpoint of p = unit join (r o p) without a confirming round of
+full compositions.
 """
 
 from __future__ import annotations
@@ -196,6 +205,39 @@ def union(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     return ReachRelation._unchecked(r.space, r.context, table)
 
 
+def _product_table(
+    best: dict[int, dict[int, int]],
+    rows: Mapping[int, list[tuple[int, int]]],
+    top: int,
+    umask: int,
+) -> dict[int, int]:
+    """best[umask]: every union T of one nonzero row per member of umask,
+    mapped to the largest product of such rows with union T.
+
+    ``rows`` maps a member's bit to its (target mask, value) rows, and
+    ``best`` memoizes the tables built so far; it must hold
+    best[0] = {0: top}. best[U] extends best[U minus its lowest member]
+    by that member's rows, so a table reads only the rows of members of
+    U. Products that hit bottom are dropped.
+    """
+    found = best.get(umask)
+    if found is not None:
+        return found
+    low = umask & -umask
+    ext: dict[int, int] = {}
+    member_rows = rows.get(low)
+    if member_rows:
+        for pmask, pval in _product_table(best, rows, top, umask ^ low).items():
+            for tmask, qval in member_rows:
+                val = pval + qval - top
+                if val > 0:
+                    key = pmask | tmask
+                    if val > ext.get(key, 0):
+                        ext[key] = val
+    best[umask] = ext
+    return ext
+
+
 def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     """Concurrent composition.
 
@@ -206,11 +248,11 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
 
     Families are not enumerated one by one. For each intermediate set U
     in the support of ``r``, a table best[U] maps every reachable union
-    T to the largest product of one nonzero row q(u, T_u) per member u;
-    best[U] extends best[U minus its lowest member] by that member's
-    rows, and best[empty] = {empty: top}. Each r(s, U) is then combined
-    with best[U] once. This gives the same join because (*) is
-    associative and monotone: a family's product is its partial
+    T to the largest product of one nonzero row q(u, T_u) per member u
+    (``_product_table``); best[U] extends best[U minus its lowest member]
+    by that member's rows, and best[empty] = {empty: top}. Each r(s, U)
+    is then combined with best[U] once. This gives the same join because
+    (*) is associative and monotone: a family's product is its partial
     product (*) the rest, so of all partial families with the same
     partial union only the largest partial product can reach the
     maximum. Products that hit bottom stay at bottom and are dropped.
@@ -222,30 +264,11 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     rows: dict[int, list[tuple[int, int]]] = {}
     for (u, mask), val in q.entries.items():
         rows.setdefault(1 << u, []).append((mask, val))
-
     best: dict[int, dict[int, int]] = {0: {0: top}}
-
-    def table(umask: int) -> dict[int, int]:
-        found = best.get(umask)
-        if found is not None:
-            return found
-        low = umask & -umask
-        ext: dict[int, int] = {}
-        member_rows = rows.get(low)
-        if member_rows:
-            for pmask, pval in table(umask ^ low).items():
-                for tmask, qval in member_rows:
-                    val = pval + qval - top
-                    if val > 0:
-                        key = pmask | tmask
-                        if val > ext.get(key, 0):
-                            ext[key] = val
-        best[umask] = ext
-        return ext
 
     out: dict[tuple[int, int], int] = {}
     for (s, umask), rval in r.entries.items():
-        for tmask, bval in table(umask).items():
+        for tmask, bval in _product_table(best, rows, top, umask).items():
             val = rval + bval - top
             if val > 0:
                 key = (s, tmask)
@@ -285,16 +308,45 @@ def leq(r: ReachRelation, q: ReachRelation) -> bool:
 
 
 def star(r: ReachRelation) -> ReachRelation:
-    """Reflexive-transitive closure: the limit of p(0) = unit,
-    p(i+1) = unit join (r o p(i)).
+    """Reflexive-transitive closure: the least p with p = unit join (r o p),
+    the limit of p(0) = unit, p(i+1) = unit join (r o p(i)).
 
-    The iterates grow monotonically in a finite lattice, so the loop is
-    guaranteed to reach a fixpoint.
+    Evaluated semi-naively. The first step needs no composition:
+    best[U] over the unit's rows is {U: top}, so r o unit = r and
+    p(1) = unit join r. The sources whose row grew from the unit, those
+    of r's entries with a target other than {s}, form the changed set C.
+    A round then combines only the entries r(s, U) whose U meets C, each
+    with best[U] over the rows p had when the round began, and takes
+    every product into p; the sources whose row grew form the next C,
+    and the loop stops when no row grew. This is exact: composition is a
+    join over r's entries, and for U disjoint from C, best[U] reads only
+    rows that did not change, so r(s, U) contributes what it did in an
+    earlier round, which p already holds. The iterates grow monotonically
+    in a finite lattice, so the loop ends, at p = unit join (r o p).
+    p is its own running table of r o p: the two differ only at
+    (s, {s}), where p holds top and no product can exceed it.
     """
-    unit = iota(r.space, r.context)
-    current = unit
-    while True:
-        nxt = union(unit, compose(r, current))
-        if nxt == current:
-            return current
-        current = nxt
+    top = r.context.top
+    p_rows: list[dict[int, int]] = [{1 << s: top} for s in r.space.states()]
+    changed = 0
+    for (s, mask), val in r.entries.items():
+        if mask != 1 << s:
+            p_rows[s][mask] = val
+            changed |= 1 << s
+    rows = {1 << u: [(1 << u, top)] for u in r.space.states()}
+    while changed:
+        for u in mask_states(changed):
+            rows[1 << u] = list(p_rows[u].items())
+        best: dict[int, dict[int, int]] = {0: {0: top}}
+        grown = 0
+        for (s, umask), rval in r.entries.items():
+            if umask & changed:
+                row = p_rows[s]
+                for tmask, bval in _product_table(best, rows, top, umask).items():
+                    val = rval + bval - top
+                    if val > row.get(tmask, 0):
+                        row[tmask] = val
+                        grown |= 1 << s
+        changed = grown
+    entries = {(s, tmask): val for s, row in enumerate(p_rows) for tmask, val in row.items()}
+    return ReachRelation._unchecked(r.space, r.context, entries)

@@ -318,11 +318,11 @@ class Refutation:
 
 
 def valid_in_model(model: Model, formula: Formula) -> tuple[bool, Optional[Refutation]]:
-    """True iff the formula takes the top value at every state."""
-    ev = Evaluator(model)
-    for s in model.space.states():
-        num = ev.value_num(formula, s)
-        if num < model.context.top:
+    """True iff the formula takes the top value at every state; otherwise
+    the first state below top refutes it."""
+    top = model.context.top
+    for s, num in enumerate(Evaluator(model).vector(formula)):
+        if num < top:
             value = ChainValue(num, model.context)
             return False, Refutation(s, model.state_names[s], value)
     return True, None

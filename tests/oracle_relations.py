@@ -4,9 +4,11 @@ Everything here recomputes the defining equations word for word with
 Fraction arithmetic and full enumeration over all subsets and all
 families, sharing no code with the package implementation.
 
-``enum_compose`` is the exception: the integer family enumeration that
-``relations.compose`` used before its subset-table form, kept as the
-differential reference for sizes the Fraction oracle is too slow for.
+``enum_compose`` and ``naive_star`` are the exceptions, kept as
+differential references for sizes the Fraction oracle is too slow for:
+the integer family enumeration that ``relations.compose`` used before its
+subset-table form, and the naive fixpoint loop that ``relations.star``
+used before its semi-naive form.
 """
 
 from fractions import Fraction
@@ -158,3 +160,24 @@ def enum_compose(r, q):
 
         descend(0, 0, rval)
     return out
+
+
+def naive_star(r):
+    """Star by naive iteration, the loop ``relations.star`` ran before it
+    went semi-naive. Test-only reference.
+
+    Takes a package ReachRelation and iterates p(i+1) = unit join (r o p(i))
+    from the unit with the package's ``compose`` and ``union``, each round
+    in full, until a round returns what it was given.
+    """
+    # imported here: the benchmark's oracle loads this module and must
+    # not import the package with it
+    from gradedpdl.relations import compose, iota, union
+
+    unit = iota(r.space, r.context)
+    current = unit
+    while True:
+        nxt = union(unit, compose(r, current))
+        if nxt == current:
+            return current
+        current = nxt

@@ -110,6 +110,10 @@ def test_star_examples():
     assert star(iota(S2, C3)) == iota(S2, C3)
     r = ReachRelation.of(S2, C3, [(0, [1], "1/2"), (1, [1], "1")])
     assert star(r).value(0, [1]) == C3.value(1)
+    # 2 -> 0 -> 1 -> halt: row 2 gains the empty target one round after
+    # row 0 gained it
+    r = ReachRelation.of(StateSpace(3), C3, [(2, [0], "1"), (0, [1], "1"), (1, [], "1")])
+    assert star(r).value(2, []).is_top
 
 
 def test_parallel_examples():
@@ -203,6 +207,47 @@ def test_star_matches_oracle(n, size):
         r = random_relation(rng, space, ctx, density=0.35)
         rt, _ = oracle.from_reach(r)
         assert_matches_oracle(star(r), oracle.oracle_star(rt, size))
+
+
+def _star_cases(rng):
+    """Seeded operands for the differential star test: random relations
+    over the grid, plus the edge shapes named below."""
+    for n in (2, 3, 5):
+        ctx = ChainContext(n)
+        for size in (1, 2, 3, 4):
+            space = StateSpace(size)
+            for density in (0.05, 0.15, 0.35, 0.6):
+                for _ in range(4):
+                    yield random_relation(rng, space, ctx, density)
+            yield zero_relation(space, ctx)
+            # only (s, {s}) entries: the unit's support, below top too
+            yield ReachRelation(
+                space, ctx, {(s, 1 << s): rng.randint(1, ctx.top) for s in space.states()}
+            )
+            # a chain 0 -> 1 -> ... that halts (empty target) at its end,
+            # so rows grow at the empty target over several rounds
+            chain = {(s, 1 << (s + 1)): rng.randint(1, ctx.top) for s in range(size - 1)}
+            chain[(size - 1, 0)] = rng.randint(1, ctx.top)
+            yield ReachRelation(space, ctx, chain)
+            # empty-target entries (s, {}) beside random ones
+            rel = random_relation(rng, space, ctx, 0.15)
+            entries = dict(rel.entries)
+            for s in space.states():
+                if rng.random() < 0.6:
+                    entries[(s, 0)] = rng.randint(1, ctx.top)
+            yield ReachRelation(space, ctx, entries)
+
+
+def test_star_matches_naive_iteration():
+    # The naive loop reaches 4 states where the Fraction oracle stops at 3.
+    cases = 0
+    for r in _star_cases(random.Random(11)):
+        before = dict(r.entries)
+        got = star(r)
+        assert got.entries == oracle.naive_star(r).entries, r
+        assert r.entries == before
+        cases += 1
+    assert cases == 3 * 4 * (4 * 4 + 4)
 
 
 def test_iota_matches_oracle():

@@ -312,6 +312,17 @@ def test_vectors_match_pointwise_evaluator():
                         for s in model.space.states():
                             want = pointwise.value_num(node, s)
                             assert vectors.value_num(node, s) == want, (model, node, s)
+                    # valid_in_model refutes at the first state below top
+                    below = [
+                        s for s in model.space.states()
+                        if pointwise.value_num(formula, s) < ctx.top
+                    ]
+                    ok, refutation = valid_in_model(model, formula)
+                    if below:
+                        want = ChainValue(pointwise.value_num(formula, below[0]), ctx)
+                        assert not ok and (refutation.state, refutation.value) == (below[0], want)
+                    else:
+                        assert ok and refutation is None
 
 
 def test_library_relations_pass_the_validating_constructor():
