@@ -5,14 +5,14 @@ pairs that are not stored sit at bottom. State sets are bitmasks over
 0..size-1, so unions of target sets are bitwise ors and composition can
 index its tables of partial unions by intermediate-set masks.
 
-One kernel, ``_product_table``, builds those tables for both
-``compose`` and ``star``. ``star`` is a semi-naive fixpoint: its first
-step is unit join r, since r o unit = r exactly, and each later round
-recombines only the entries r(s, U) whose intermediate set U meets the
-sources whose row grew in the round before. An entry with U disjoint
-from them would contribute what it already did, so the result is the
-least fixpoint of p = unit join (r o p) without a confirming round of
-full compositions.
+One kernel, ``_product_table``, builds those tables; ``compose`` calls
+it, and ``star`` runs each of its rounds through ``compose``. ``star``
+is a semi-naive fixpoint: its first step is unit join r, since
+r o unit = r exactly, and each later round composes only the entries
+r(s, U) whose intermediate set U meets the sources whose row grew in
+the round before. An entry with U disjoint from them would contribute
+what it already did, so the result is the least fixpoint of
+p = unit join (r o p) without a confirming round of full compositions.
 """
 
 from __future__ import annotations
@@ -315,38 +315,34 @@ def star(r: ReachRelation) -> ReachRelation:
     best[U] over the unit's rows is {U: top}, so r o unit = r and
     p(1) = unit join r. The sources whose row grew from the unit, those
     of r's entries with a target other than {s}, form the changed set C.
-    A round then combines only the entries r(s, U) whose U meets C, each
-    with best[U] over the rows p had when the round began, and takes
-    every product into p; the sources whose row grew form the next C,
-    and the loop stops when no row grew. This is exact: composition is a
-    join over r's entries, and for U disjoint from C, best[U] reads only
-    rows that did not change, so r(s, U) contributes what it did in an
-    earlier round, which p already holds. The iterates grow monotonically
-    in a finite lattice, so the loop ends, at p = unit join (r o p).
+    A round composes only the entries r(s, U) whose U meets C with p as
+    it was when the round began, and takes every product into p; the
+    sources whose row grew form the next C, and the loop stops when no
+    row grew. This is exact: composition is a join over r's entries,
+    and for U disjoint from C, best[U] reads only rows that did not
+    change, so r(s, U) contributes what it did in an earlier round,
+    which p already holds. The iterates grow monotonically in a finite
+    lattice, so the loop ends, at p = unit join (r o p).
     p is its own running table of r o p: the two differ only at
     (s, {s}), where p holds top and no product can exceed it.
     """
-    top = r.context.top
-    p_rows: list[dict[int, int]] = [{1 << s: top} for s in r.space.states()]
+    space, ctx, top = r.space, r.context, r.context.top
+    p = {(s, 1 << s): top for s in space.states()}
     changed = 0
     for (s, mask), val in r.entries.items():
         if mask != 1 << s:
-            p_rows[s][mask] = val
+            p[(s, mask)] = val
             changed |= 1 << s
-    rows = {1 << u: [(1 << u, top)] for u in r.space.states()}
     while changed:
-        for u in mask_states(changed):
-            rows[1 << u] = list(p_rows[u].items())
-        best: dict[int, dict[int, int]] = {0: {0: top}}
-        grown = 0
-        for (s, umask), rval in r.entries.items():
-            if umask & changed:
-                row = p_rows[s]
-                for tmask, bval in _product_table(best, rows, top, umask).items():
-                    val = rval + bval - top
-                    if val > row.get(tmask, 0):
-                        row[tmask] = val
-                        grown |= 1 << s
-        changed = grown
-    entries = {(s, tmask): val for s, row in enumerate(p_rows) for tmask, val in row.items()}
-    return ReachRelation._unchecked(r.space, r.context, entries)
+        delta = {key: val for key, val in r.entries.items() if key[1] & changed}
+        # compose reads p only while it runs, so p can be lent to it.
+        step = compose(
+            ReachRelation._unchecked(space, ctx, delta),
+            ReachRelation._unchecked(space, ctx, p),
+        )
+        changed = 0
+        for key, val in step.entries.items():
+            if val > p.get(key, 0):
+                p[key] = val
+                changed |= 1 << key[0]
+    return ReachRelation._unchecked(space, ctx, p)
