@@ -57,6 +57,20 @@ def _sampler_config(args) -> SamplerConfig:
     )
 
 
+def _check_output_paths(args) -> None:
+    """Refuse an --out or --dot that cannot be written, before any work
+    starts, so that a long search does not end in a failed write."""
+    for option in ("out", "dot"):
+        path = getattr(args, option, None)
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise CliError(f"--{option} {path} is a directory")
+        if not target.parent.is_dir():
+            raise CliError(f"--{option} {path}: no directory {target.parent}")
+
+
 def _write_out(args, document) -> None:
     if args.out:
         Path(args.out).write_text(dumps(document) + "\n", encoding="utf-8")
@@ -322,6 +336,7 @@ def main(argv=None) -> int:
     # replaced cmd_* function is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_output_paths(args)
         return command(args)
     except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

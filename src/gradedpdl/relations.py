@@ -5,8 +5,14 @@ pairs that are not stored sit at bottom. State sets are bitmasks over
 0..size-1, so unions of target sets are bitwise ors and composition can
 index its tables of partial unions by intermediate-set masks.
 
-One kernel, ``_product_table``, builds those tables; ``compose`` calls
-it, and ``star`` runs each of its rounds through ``compose``. ``star``
+One kernel, ``_product_table``, builds those tables. They depend on the
+right operand alone, so they live on it: ``compose`` fills them in the
+right operand's ``_tables`` slot on first use, and every later
+composition with that operand, whatever its left operand, reads them
+there. This is exact because relations are immutable values. The slot
+is a cache, so it takes no part in equality, printing, pickles or copies.
+
+``star`` runs each of its rounds through ``compose``. ``star``
 is a semi-naive fixpoint: its first step is unit join r, since
 r o unit = r exactly, and each later round composes only the entries
 r(s, U) whose intermediate set U meets the sources whose row grew in
@@ -85,9 +91,13 @@ class ReachRelation:
     (``iota``, ``union``, ``compose``, ``parallel``, ``star``, tests,
     sampled atomics and filtration quotients) hold these invariants by
     construction and are wrapped by ``_unchecked`` instead.
+
+    ``_tables`` is None until the relation is the right operand of a
+    ``compose``, which then keeps its subset tables there (see
+    ``compose``).
     """
 
-    __slots__ = ("space", "context", "entries")
+    __slots__ = ("space", "context", "entries", "_tables")
 
     def __init__(
         self,
@@ -110,6 +120,7 @@ class ReachRelation:
             if num > 0:
                 table[(s, mask)] = num
         self.entries = table
+        self._tables = None
 
     @classmethod
     def _unchecked(
@@ -121,6 +132,7 @@ class ReachRelation:
         rel.space = space
         rel.context = context
         rel.entries = entries
+        rel._tables = None
         return rel
 
     @classmethod
@@ -165,6 +177,11 @@ class ReachRelation:
 
     def __hash__(self):  # pragma: no cover - relations are not dict keys
         raise TypeError("ReachRelation is not hashable")
+
+    def __reduce__(self):
+        # pickles and copies rebuild through the constructor and so come
+        # back without ``_tables``
+        return ReachRelation, (self.space, self.context, self.entries)
 
     def __repr__(self) -> str:
         cells = ", ".join(
@@ -258,17 +275,34 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     maximum. Products that hit bottom stay at bottom and are dropped.
     A step costs at most (unions so far) x (rows of the member), while
     listing every family costs the product of the members' row counts.
+
+    q's rows and best[U] are functions of q and U alone, and q is an
+    immutable value, so they are kept on q (``q._tables``) and serve
+    every later composition with q on the right. Tables are built on
+    demand, for the intermediate sets that some left operand asks for.
+
+    Composition is not associative: ((a o b) o c) and (a o (b o c)) can
+    differ, so chains of ``;`` must not be regrouped. In a o (b o c), a
+    state reached from two members of a's intermediate set picks and
+    (*)-combines a row of c once for each of them; in (a o b) o c it
+    does so once, and (*) is not idempotent.
     """
     _check_same(r, q)
     top = r.context.top
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (u, mask), val in q.entries.items():
-        rows.setdefault(1 << u, []).append((mask, val))
-    best: dict[int, dict[int, int]] = {0: {0: top}}
+    tables = q._tables
+    if tables is None:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (u, mask), val in q.entries.items():
+            rows.setdefault(1 << u, []).append((mask, val))
+        tables = q._tables = (rows, {0: {0: top}})
+    rows, best = tables
 
     out: dict[tuple[int, int], int] = {}
     for (s, umask), rval in r.entries.items():
-        for tmask, bval in _product_table(best, rows, top, umask).items():
+        table = best.get(umask)
+        if table is None:
+            table = _product_table(best, rows, top, umask)
+        for tmask, bval in table.items():
             val = rval + bval - top
             if val > 0:
                 key = (s, tmask)
@@ -325,6 +359,11 @@ def star(r: ReachRelation) -> ReachRelation:
     lattice, so the loop ends, at p = unit join (r o p).
     p is its own running table of r o p: the two differ only at
     (s, {s}), where p holds top and no product can exceed it.
+
+    Each round lends p to ``compose`` in a fresh wrapper. ``compose``
+    keeps its subset tables on its right operand, and p grows after
+    the round, so a wrapper reused across rounds would hand the next
+    round tables built from rows that have since changed.
     """
     space, ctx, top = r.space, r.context, r.context.top
     p = {(s, 1 << s): top for s in space.states()}
@@ -335,7 +374,8 @@ def star(r: ReachRelation) -> ReachRelation:
             changed |= 1 << s
     while changed:
         delta = {key: val for key, val in r.entries.items() if key[1] & changed}
-        # compose reads p only while it runs, so p can be lent to it.
+        # compose reads p only while it runs, so p can be lent to it; the
+        # wrapper is fresh, so no tables built from an older p are read.
         step = compose(
             ReachRelation._unchecked(space, ctx, delta),
             ReachRelation._unchecked(space, ctx, p),

@@ -392,11 +392,23 @@ def test_bad_input_files_are_usage_errors(command, content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+def test_unreadable_paths_are_usage_errors(tmp_path, model_path, capsys):
     assert main(["eval", str(tmp_path), "p"]) == 2
-    assert main(["audit", "--samples", "1", "--no-rules", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("error:") for line in err)
+    # An --out or --dot that is a directory, or whose directory is
+    # missing, is refused before any work: no finding is printed and no
+    # file is written, not even an --out beside an unwritable --dot.
+    missing = tmp_path / "missing" / "x.json"
+    out = tmp_path / "out.json"
+    for bad in (tmp_path, missing):
+        assert main(["audit", "--samples", "1", "--no-rules", "--out", str(bad)]) == 2
+        assert main(["equiv", "p", "p", "--samples", "1", "--out", str(bad)]) == 2
+        assert main(["filtrate", model_path, "p", "--out", str(bad)]) == 2
+        assert main(["filtrate", model_path, "p", "--out", str(out), "--dot", str(bad)]) == 2
+    assert not out.exists() and not missing.parent.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 9 and all(line.startswith("error:") for line in err)
 
 
 def test_unexpected_value_error_exits_3(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -253,6 +255,83 @@ def test_star_matches_naive_iteration():
 def test_iota_matches_oracle():
     got = iota(StateSpace(3), C3)
     assert_matches_oracle(got, oracle.oracle_iota(3))
+
+
+# -- subset tables kept on the right operand -------------------------------------
+
+
+def _right_operands(rng):
+    """Seeded right operands over the grid: random relations, star
+    results and test relations (entries only at (s, {s})), and at five
+    states sparse random ones."""
+    for n in (2, 3, 5):
+        ctx = ChainContext(n)
+        for size in (1, 2, 3, 4):
+            space = StateSpace(size)
+            for density in (0.05, 0.3, 0.7):
+                yield random_relation(rng, space, ctx, density)
+            yield star(random_relation(rng, space, ctx, 0.2))
+            yield ReachRelation(
+                space, ctx,
+                {(s, 1 << s): rng.randint(1, ctx.top) for s in space.states() if rng.random() < 0.7},
+            )
+        space = StateSpace(5)
+        for density in (0.05, 0.1):
+            yield random_relation(rng, space, ctx, density)
+
+
+def test_compose_with_warmed_right_operand_matches_enumeration():
+    # One right operand serves many left operands of varied support, in
+    # shuffled order, so that later calls read tables built by earlier
+    # ones; every result equals the enumeration and the composition
+    # with a cold copy of the operand.
+    rng = random.Random(17)
+    operands = 0
+    for q in _right_operands(rng):
+        space, ctx = q.space, q.context
+        big = space.size == 5
+        lefts = [random_relation(rng, space, ctx, d) for d in (0, 0.05, 0.15, 0.4)]
+        if not big:
+            lefts += [random_relation(rng, space, ctx, d) for d in (0.8, 1)]
+            lefts += [q, star(random_relation(rng, space, ctx, 0.3))]
+        lefts += [iota(space, ctx), zero_relation(space, ctx)]
+        rng.shuffle(lefts)
+        tables = None
+        for r in lefts:
+            got = compose(r, q)
+            assert got.entries == oracle.enum_compose(r, q)
+            assert got == compose(r, ReachRelation(space, ctx, q.entries))
+            if tables is None:
+                tables = q._tables
+            assert tables is not None and q._tables is tables
+        operands += 1
+    assert operands == 3 * (4 * 5 + 2)
+
+
+def test_warmed_tables_stay_out_of_equality_pickles_and_copies():
+    rng = random.Random(19)
+    q = random_relation(rng, StateSpace(3), C3)
+    cold = ReachRelation(q.space, q.context, q.entries)
+    compose(random_relation(rng, q.space, C3), q)
+    assert q._tables is not None and cold._tables is None
+    assert q == cold and repr(q) == repr(cold)
+    assert pickle.dumps(q) == pickle.dumps(cold)
+    copies = [copy.copy(q), copy.deepcopy(q)]
+    copies += [pickle.loads(pickle.dumps(q, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies:
+        assert back == cold and back._tables is None
+        assert back.entries is not q.entries
+
+
+def test_compose_is_not_associative():
+    # b takes both members of a's {0, 1} to state 0. In a o (b o c), c's
+    # row at 0 is then picked once per member and strong-conjoined twice,
+    # and 1/2 (*) 1/2 is bottom; in (a o b) o c it is picked once.
+    a = ReachRelation.of(S2, C3, [(0, [0], "1/2"), (0, [0, 1], "1"), (1, [0], "1")])
+    b = ReachRelation.of(S2, C3, [(0, [0], "1"), (1, [0], "1")])
+    c = ReachRelation.of(S2, C3, [(0, [], "1/2")])
+    assert compose(compose(a, b), c).value(0, []) == C3.value(1)
+    assert compose(a, compose(b, c)).value(0, []).is_bottom
 
 
 # -- algebraic laws ----------------------------------------------------------------
