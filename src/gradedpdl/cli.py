@@ -215,7 +215,7 @@ def _class_graph_dot(result, state_names) -> str:
                 if key in seen:
                     continue
                 seen.add(key)
-                lines.append(f'  {qnames[c]} -> {qnames[d]} [label="{prog}"];')
+                lines.append(f'  {qnames[c]} -> {qnames[d]} [label="{_dot_escape(prog)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

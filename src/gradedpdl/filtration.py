@@ -22,7 +22,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .chain import ChainValue
 from .relations import ReachRelation, StateSpace, mask_states
-from .semantics import Evaluator, Model
+from .semantics import Evaluator, Model, subset_meets
 from .syntax import (
     Atomic,
     Box,
@@ -75,21 +75,19 @@ def _terms(
     evaluator: Evaluator, name: str, bodies: Sequence[Formula], points: Sequence[int]
 ) -> list[Term]:
     """Per body: the vectors of its box and its diamond under the named
-    program, and its meet over each subset of ``points``, indexed by the
-    bit mask of positions in ``points`` (the empty meet is top)."""
+    program, and its ``subset_meets`` table over ``points``, the table
+    that box and diamond themselves read, here indexed by the bit mask of
+    positions in ``points``."""
     prog = Atomic(name)
     top = evaluator.model.context.top
-    terms = []
-    for body in bodies:
-        vector = evaluator.vector(body)
-        meets = [top]
-        for point in points:
-            value = vector[point]
-            meets += [min(meet, value) for meet in meets]
-        terms.append(
-            (evaluator.vector(Box(prog, body)), evaluator.vector(Diamond(prog, body)), meets)
+    return [
+        (
+            evaluator.vector(Box(prog, body)),
+            evaluator.vector(Diamond(prog, body)),
+            subset_meets(evaluator.vector(body), points, top),
         )
-    return terms
+        for body in bodies
+    ]
 
 
 def _sandwich(

@@ -12,9 +12,9 @@ with the empty meet at top, so a relation's mass on the empty set is
 vacuous for box and counts as success for diamond.
 
 ``Evaluator`` computes a formula at all states of the model at once and
-memoizes the vector of numerators. For box and diamond it groups the
-relation's rows by source state once per program, so each state meets
-the body's vector only over its own target sets.
+memoizes the vector of numerators. Box and diamond read the meets of
+the body from one table, ``subset_meets``, indexed by target mask, so
+each relation entry costs one lookup; filtration reads the same table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .chain import ChainContext, ChainMismatchError, ChainValue
 from .relations import (
@@ -30,7 +30,6 @@ from .relations import (
     StateSpace,
     StateSetLike,
     compose,
-    mask_states,
     parallel,
     star,
     union,
@@ -63,9 +62,14 @@ def _default_state_names(size: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(size))
 
 
-# Member states of each target mask seen so far, shared by all
-# evaluators: a mask's members never change.
-_MEMBERS: dict[int, tuple[int, ...]] = {}
+def subset_meets(vector: Sequence[int], points: Sequence[int], top: int) -> list[int]:
+    """The meet of ``vector`` over each subset of ``points``, indexed by
+    the bit mask of positions in ``points``; the empty meet is top."""
+    meets = [top]
+    for point in points:
+        value = vector[point]
+        meets += [meet if meet < value else value for meet in meets]
+    return meets
 
 
 class Model:
@@ -166,17 +170,15 @@ class Evaluator:
     every formula, one vector of numerators over all states: the formula
     is evaluated at every state at once, the first time any state asks.
     Propositional clauses combine the operands' vectors element-wise.
-    Box and diamond group their program's rows by source state once, each
-    target set already listed as its member states, so a state combines
-    only its own rows with the body's vector. A cache belongs to a single
-    evaluation session; build a fresh one to re-derive values from
-    scratch.
+    Box and diamond take the body's meet over every target set from
+    ``subset_meets`` and fold each relation entry into its source state's
+    value. A cache belongs to a single evaluation session; build a fresh
+    one to re-derive values from scratch.
     """
 
     def __init__(self, model: Model):
         self.model = model
         self._relations: dict[Program, ReachRelation] = {}
-        self._rows: dict[Program, list[list[tuple[int, tuple[int, ...]]]]] = {}
         self._vectors: dict[Formula, tuple[int, ...]] = {}
 
     def relation(self, program: Program) -> ReachRelation:
@@ -212,19 +214,6 @@ class Evaluator:
     def value_num(self, formula: Formula, s: int) -> int:
         return self.vector(formula)[s]
 
-    def _rows_by_source(self, program: Program) -> list[list[tuple[int, tuple[int, ...]]]]:
-        """Per source state, its (value, target members) rows."""
-        rows = self._rows.get(program)
-        if rows is None:
-            rows = [[] for _ in self.model.space.states()]
-            for (src, mask), rval in self.relation(program).entries.items():
-                members = _MEMBERS.get(mask)
-                if members is None:
-                    members = _MEMBERS[mask] = tuple(mask_states(mask))
-                rows[src].append((rval, members))
-            self._rows[program] = rows
-        return rows
-
     def vector(self, formula: Formula) -> tuple[int, ...]:
         """The formula's numerator at every state, in state order."""
         cached = self._vectors.get(formula)
@@ -252,45 +241,23 @@ class Evaluator:
                 for a, b in zip(self.vector(formula.left), self.vector(formula.right))
             )
         elif isinstance(formula, Box):
-            rows = self._rows_by_source(formula.program)
-            body = self.vector(formula.body)
-            out = []
-            for state_rows in rows:
-                num = top
-                for rval, targets in state_rows:
-                    meet = top
-                    for t in targets:
-                        if body[t] < meet:
-                            meet = body[t]
-                            if meet == 0:
-                                break
-                    # num starts at top, which caps the implication
-                    val = top - rval + meet
-                    if val < num:
-                        num = val
-                        if num == 0:
-                            break
-                out.append(num)
+            entries = self.relation(formula.program).entries
+            meets = subset_meets(self.vector(formula.body), model.space.states(), top)
+            # out starts at top, which caps the implication
+            out = [top] * model.space.size
+            for (src, mask), rval in entries.items():
+                val = top - rval + meets[mask]
+                if val < out[src]:
+                    out[src] = val
             vector = tuple(out)
         elif isinstance(formula, Diamond):
-            rows = self._rows_by_source(formula.program)
-            body = self.vector(formula.body)
-            out = []
-            for state_rows in rows:
-                num = 0
-                for rval, targets in state_rows:
-                    meet = top
-                    for t in targets:
-                        if body[t] < meet:
-                            meet = body[t]
-                            if meet == 0:
-                                break
-                    val = rval + meet - top
-                    if val > num:
-                        num = val
-                        if num == top:
-                            break
-                out.append(num)
+            entries = self.relation(formula.program).entries
+            meets = subset_meets(self.vector(formula.body), model.space.states(), top)
+            out = [0] * model.space.size
+            for (src, mask), rval in entries.items():
+                val = rval + meets[mask] - top
+                if val > out[src]:
+                    out[src] = val
             vector = tuple(out)
         else:
             raise TypeError(f"not a formula: {formula!r}")

@@ -195,12 +195,13 @@ def test_filtrate(tmp_path, capsys):
 
 
 def test_filtrate_dot_labels_use_state_names(tmp_path, capsys):
-    # state names are arbitrary JSON strings; the DOT labels escape them
+    # state and program names are arbitrary JSON strings; the DOT labels
+    # escape them, so a name cannot close its label and add attributes
     model = {
         "n": 3,
         "states": ["home", 'w"rk', "g\\m"],
         "valuation": {"p": {"home": "1", 'w"rk': "1"}},
-        "programs": {},
+        "programs": {'a"] x [y="': [], "b\\c": []},
     }
     mpath = tmp_path / "m.json"
     mpath.write_text(dumps(model))
@@ -208,9 +209,13 @@ def test_filtrate_dot_labels_use_state_names(tmp_path, capsys):
     assert main(["filtrate", str(mpath), "p", "--dot", str(dot_path)]) == 0
     out = capsys.readouterr().out
     assert '  c0: home, w"rk\n  c1: g\\m\n' in out
-    assert dot_path.read_text().splitlines()[1:3] == [
+    # no box/diamond pair constrains the programs, so every class pair is joined
+    pairs = ("c0 -> c0", "c0 -> c1", "c1 -> c0", "c1 -> c1")
+    assert dot_path.read_text().splitlines()[1:-1] == [
         '  c0 [label="c0: {home,w\\"rk}"];',
         '  c1 [label="c1: {g\\\\m}"];',
+        *(f'  {pair} [label="a\\"] x [y=\\""];' for pair in pairs),
+        *(f'  {pair} [label="b\\\\c"];' for pair in pairs),
     ]
 
 

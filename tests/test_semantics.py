@@ -105,6 +105,15 @@ def test_unknown_atomic_program_warns_and_is_empty(caplog):
     assert any("zz" in record.message for record in caplog.records)
 
 
+def test_box_reads_its_program_before_its_body(caplog):
+    # the outer program's relation comes first, so its warning does too
+    model = single_state_model()
+    with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
+        eval_formula(model, parse_formula("[z][y]p", C3), 0)
+    unknown = [record.args for record in caplog.records if "unknown atomic" in record.msg]
+    assert unknown == [("z",), ("y",)]
+
+
 def test_wrong_chain_constant_rejected():
     model = single_state_model(n=3)
     alien = Constant(ChainContext(4).value(1))
@@ -290,14 +299,20 @@ def _nodes(node):
         yield from _nodes(child)
 
 
+# Every model size the CLI accepts; the larger ones only sparse, as a
+# dense 6-state relation has hundreds of entries.
+SIZES_AND_DENSITIES = [(size, (0, 0.1, 0.4, 1)) for size in (1, 2, 3, 4)]
+SIZES_AND_DENSITIES += [(size, (0, 0.05, 0.2)) for size in (5, 6)]
+
+
 def test_vectors_match_pointwise_evaluator():
     # "z" names no program of the models, and at density 0 every relation
     # is empty; each model's two evaluators are shared by all its formulas.
     fixed = ["[z]p", "<z>p", "[a](p -> q)", "<a ^ b>p", "<?(p) ; a*>q", "[(a + ?(q))* ; b]#0"]
     for n in (2, 3, 5):
         ctx = ChainContext(n)
-        for size in (1, 2, 3, 4):
-            for density in (0, 0.1, 0.4, 1):
+        for size, densities in SIZES_AND_DENSITIES:
+            for density in densities:
                 rng = random.Random(f"{n}:{size}:{density}")
                 model = _random_model(rng, ctx, size, density)
                 formulas = [parse_formula(text, ctx) for text in fixed]
