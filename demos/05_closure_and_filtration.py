@@ -54,10 +54,10 @@ for (c, mask), num in sorted(qrel.entries.items()):
     value = result.quotient.context.value(num)
     print(f"  c{c} -> {{{members}}} at {value}")
 
-lemma = check_lemma4(model, result, "a", list(gamma))
+lemma = check_lemma4(result, "a", list(gamma))
 print(f"\ndomination check: {lemma.points_checked} points, violations: {len(lemma.violations)}")
 
-report = check_preservation(model, result)
+report = check_preservation(result)
 print("value preservation per formula (model vs quotient):")
 for row in report.rows:
     print(f"  {row['formula']:20s} {row['agreements']}/{row['states']} states agree")

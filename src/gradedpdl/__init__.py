@@ -18,6 +18,7 @@ from .chain import (
     ChainContext,
     ChainMismatchError,
     ChainValue,
+    InputError,
     NotAChainElement,
     format_value,
     from_rational,

@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .chain import ChainContext, ChainValue
+from .chain import ChainContext, ChainValue, InputError
 from .modelio import model_to_dict
 from .relations import ReachRelation, StateSpace
 from .schemas import (
@@ -74,7 +74,7 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would exceed its configured limit."""
 
 
-class SamplerConfigError(ValueError):
+class SamplerConfigError(InputError):
     """A sampler setting, or the state count of a model, is out of range."""
 
 
@@ -150,9 +150,9 @@ def _below(getrandbits, width: int) -> int:
 
 def sample_model(
     cfg: SamplerConfig,
-    rng: Optional[random.Random] = None,
-    prop_names: Optional[Sequence[str]] = None,
-    prog_names: Optional[Sequence[str]] = None,
+    rng: random.Random,
+    props: Sequence[str] = PROP_NAMES,
+    progs: Sequence[str] = PROGRAM_NAMES,
 ) -> Model:
     """One pseudorandom model, reproducible from the rng state.
 
@@ -164,7 +164,6 @@ def sample_model(
     draws it, so the stream, and every model, is the same with fewer
     calls per draw. ``rng`` must be a ``random.Random``.
     """
-    rng = rng or random.Random(cfg.seed)
     draw, getrandbits = rng.random, rng.getrandbits
     ctx = cfg.context
     top = ctx.top
@@ -177,8 +176,6 @@ def sample_model(
         shape = _SHAPES[size] = (StateSpace(size), keys)
     space, keys = shape
 
-    props = prop_names or PROP_NAMES
-    progs = prog_names or PROGRAM_NAMES
     bits = top.bit_length()
     atomics = {}
     for name in progs:
@@ -337,8 +334,7 @@ class SchemaAudit:
     schema_id: str
     variant: Optional[str]
     n: int
-    models_tested: int
-    instantiations_tested: int
+    models_tested: int  # one instantiation per model
     verdict: str  # "no-counterexample-found" | "counterexample"
     seed: int
     witness: Optional[Witness] = None
@@ -353,7 +349,7 @@ class SchemaAudit:
             "variant": self.variant,
             "n": self.n,
             "models_tested": self.models_tested,
-            "instantiations_tested": self.instantiations_tested,
+            "instantiations_tested": self.models_tested,
             "verdict": self.verdict,
             "seed": self.seed,
         }
@@ -397,14 +393,8 @@ class AuditReport:
     rules: list[RuleAudit] = field(default_factory=list)
 
     @property
-    def counterexamples(self) -> list[SchemaAudit]:
-        return [e for e in self.schemas if e.verdict == "counterexample"]
-
-    @property
     def has_counterexample(self) -> bool:
-        return bool(self.counterexamples) or any(
-            r.verdict == "counterexample" for r in self.rules
-        )
+        return any(e.verdict == "counterexample" for e in [*self.schemas, *self.rules])
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -419,16 +409,18 @@ class AuditReport:
 # -- the searches --------------------------------------------------------------------
 
 
-def _trials(cfg: SamplerConfig, seed: int, names=(None, None)):
+def _trials(cfg: SamplerConfig, seed: int, *formulas: Formula):
     """The sampled-search loop: yields (trial, rng, model) up to the
-    sample budget. Each trial draws its model first; the search's own
-    draws follow from the same stream."""
+    sample budget. Each trial draws its model first, over the names that
+    ``_sample_names`` gives for the formulas; the search's own draws
+    follow from the same stream."""
     rng = random.Random(seed)
+    names = _sample_names(*formulas)
     for trial in range(1, cfg.samples + 1):
         yield trial, rng, sample_model(cfg, rng, *names)
 
 
-def _sample_names(cfg: SamplerConfig, *formulas: Formula) -> tuple[list[str], list[str]]:
+def _sample_names(*formulas: Formula) -> tuple[list[str], list[str]]:
     """Proposition and program names of the sampled models: the
     configured ones plus every name the formulas mention."""
     props = set(PROP_NAMES)
@@ -450,12 +442,10 @@ def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
         if not ok:
             witness = Witness(model, bindings, instance, refutation.state, refutation.value)
             return SchemaAudit(
-                schema.id, schema.variant, cfg.n, trial, trial,
-                "counterexample", seed, witness,
+                schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
             )
     return SchemaAudit(
-        schema.id, schema.variant, cfg.n, cfg.samples, cfg.samples,
-        "no-counterexample-found", seed,
+        schema.id, schema.variant, cfg.n, cfg.samples, "no-counterexample-found", seed
     )
 
 
@@ -501,7 +491,7 @@ def valid_check(
     are None when the budget runs out first.
     """
     seed = derive_seed(cfg.seed, "valid", format_formula(formula), cfg.n)
-    for trial, _rng, model in _trials(cfg, seed, _sample_names(cfg, formula)):
+    for trial, _rng, model in _trials(cfg, seed, formula):
         ok, refutation = valid_in_model(model, formula)
         if not ok:
             return trial, model, refutation
@@ -633,7 +623,7 @@ class EquivReport:
 def equiv_check(left: Formula, right: Formula, cfg: SamplerConfig) -> EquivReport:
     """Search sampled models for a state where the two formulas differ."""
     seed = derive_seed(cfg.seed, "equiv", format_formula(left), format_formula(right), cfg.n)
-    for trial, _rng, model in _trials(cfg, seed, _sample_names(cfg, left, right)):
+    for trial, _rng, model in _trials(cfg, seed, left, right):
         evaluator = Evaluator(model)
         for s in model.space.states():
             lv = evaluator.value_num(left, s)

@@ -12,11 +12,16 @@ import math
 from dataclasses import dataclass, field
 
 
-class NotAChainElement(ValueError):
+class InputError(ValueError):
+    """Input that cannot be used: the base of every error that the
+    command line reports with ``error:`` and exit 2."""
+
+
+class NotAChainElement(InputError):
     """A rational that does not lie on the chain."""
 
 
-class ChainMismatchError(ValueError):
+class ChainMismatchError(InputError):
     """Values or structures from different chains were combined."""
 
 

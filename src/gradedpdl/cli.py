@@ -2,14 +2,16 @@
 
 Exit codes follow one convention across all subcommands: 0 when the
 checked property holds, 1 when a counterexample or rejection is the
-result, 2 on usage, parse, or validation errors, and 3 when the program
-itself fails, so that a crash is never read as a counterexample.
+result, 2 on bad input: argparse's usage errors, an ``InputError`` from
+any module, or an ``OSError`` from a file; and 3 when the program itself
+fails, so that a crash is never read as a counterexample.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -17,24 +19,23 @@ from .audit import (
     STATE_CAP,
     STATE_CAP_FORCED,
     SamplerConfig,
-    SamplerConfigError,
     all_schemata,
     audit_all,
     check_state_count,
     equiv_check,
     valid_check,
 )
-from .chain import ChainContext, ChainMismatchError, ChainValue, NotAChainElement
-from .filtration import NotClosedError, check_preservation, quotient
-from .modelio import ModelFormatError, dumps, load_model, model_to_dict
-from .proofcheck import DerivationFormatError, check_derivation, load_derivation
+from .chain import ChainContext, ChainValue, InputError
+from .filtration import check_preservation, quotient
+from .modelio import dumps, load_model, model_to_dict
+from .proofcheck import check_derivation, load_derivation
 from .relations import mask_states
 from .semantics import Evaluator, Model
-from .syntax import ClosureBudgetExceeded, ParseError, fl_closure, format_formula, parse_formula
+from .syntax import fl_closure, format_formula, parse_formula
 
 
-class CliError(Exception):
-    """Usage-level failure; prints to stderr, exits 2."""
+class CliError(InputError):
+    """An option value that the command cannot use."""
 
 
 def _check_model_size(model: Model, force: bool) -> None:
@@ -58,17 +59,26 @@ def _sampler_config(args) -> SamplerConfig:
 
 
 def _check_output_paths(args) -> None:
-    """Refuse an --out or --dot that cannot be written, before any work
-    starts, so that a long search does not end in a failed write."""
+    """Refuse an --out or --dot that cannot be written, or whose output
+    would be lost, before any work starts, so that a long search does not
+    end in a failed or lost write."""
+    written = set()
     for option in ("out", "dot"):
         path = getattr(args, option, None)
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise CliError(f"--{option} is an empty path")
         target = Path(path)
         if target.is_dir():
             raise CliError(f"--{option} {path} is a directory")
         if not target.parent.is_dir():
             raise CliError(f"--{option} {path}: no directory {target.parent}")
+        real = os.path.realpath(target)
+        # the second write to a file replaces the first; a device keeps both
+        if real in written and (target.is_file() or not target.exists()):
+            raise CliError(f"--{option} {path} is also the --out file")
+        written.add(real)
 
 
 def _write_out(args, document) -> None:
@@ -176,7 +186,7 @@ def cmd_filtrate(args) -> int:
     names = model.state_names
     for c, members in enumerate(result.classes):
         print(f"  c{c}: {', '.join(names[m] for m in members)}")
-    preservation = check_preservation(model, result)
+    preservation = check_preservation(result)
     agree = sum(row["agreements"] for row in preservation.rows)
     total = sum(row["states"] for row in preservation.rows)
     print(f"value preservation: {agree}/{total} (formula, state) pairs agree")
@@ -312,20 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPECTED_ERRORS = (
-    CliError,
-    SamplerConfigError,
-    ParseError,
-    NotAChainElement,
-    ChainMismatchError,
-    ModelFormatError,
-    NotClosedError,
-    DerivationFormatError,
-    ClosureBudgetExceeded,
-    OSError,
-)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -338,7 +334,7 @@ def main(argv=None) -> int:
     try:
         _check_output_paths(args)
         return command(args)
-    except _EXPECTED_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # last resort: a crash must not exit 1, "counterexample"

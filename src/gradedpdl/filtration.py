@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from .chain import ChainValue
+from .chain import ChainValue, InputError
 from .relations import ReachRelation, StateSpace, mask_states
 from .semantics import Evaluator, Model, subset_meets
 from .syntax import (
@@ -34,7 +34,7 @@ from .syntax import (
 )
 
 
-class NotClosedError(ValueError):
+class NotClosedError(InputError):
     """The formula set is not closed."""
 
 
@@ -48,15 +48,9 @@ class FiltrationResult:
     class_of: tuple[int, ...]  # state -> class index
     classes: tuple[tuple[int, ...], ...]  # class index -> member states, least first
     gamma: frozenset[Formula]
-    # The input model's evaluator; it already holds every closed-set value
-    # at every state, which the checks below reuse.
+    # The input model's evaluator: the checks below read the model from it,
+    # and reuse the closed-set values that it already holds at every state.
     evaluator: Evaluator = field(compare=False, repr=False)
-
-
-def _model_evaluator(model: Model, result: FiltrationResult) -> Evaluator:
-    if result.evaluator.model != model:
-        raise ValueError("the filtration result was computed from a different model")
-    return result.evaluator
 
 
 def _box_diamond_pairs(gamma: Iterable[Formula], name: str) -> list[Formula]:
@@ -172,24 +166,22 @@ class Lemma4Report:
 
 
 def check_lemma4(
-    model: Model,
-    result: FiltrationResult,
-    program_name: str,
-    corpus: Iterable[Formula],
+    result: FiltrationResult, program_name: str, corpus: Iterable[Formula]
 ) -> Lemma4Report:
     """Check that the quotient relation dominates the corpus meet.
 
-    ``result`` is the quotient of ``model``. For every state s and every
-    target set T, the meet over the whole corpus of the box/diamond
-    sandwich at (s, T) must be at most the quotient relation value at the
-    corresponding class pair. The corpus plays the role of "all
-    formulas": whenever it contains the indexing formulas of the
-    quotient, the inequality is forced, because a meet over more terms
-    can only be smaller. A violation names the first corpus formula, in
-    printed order, whose sandwich sets the meet, or None if the meet is
-    top.
+    The model is the one ``result`` quotients, read from its evaluator.
+    For every state s and every target set T, the meet over the whole
+    corpus of the box/diamond sandwich at (s, T) must be at most the
+    quotient relation value at the corresponding class pair. The corpus
+    plays the role of "all formulas": whenever it contains the indexing
+    formulas of the quotient, the inequality is forced, because a meet
+    over more terms can only be smaller. A violation names the first
+    corpus formula, in printed order, whose sandwich sets the meet, or
+    None if the meet is top.
     """
-    evaluator = _model_evaluator(model, result)
+    evaluator = result.evaluator
+    model = evaluator.model
     top = model.context.top
     class_of = result.class_of
     qrel = result.quotient.atomics[program_name]
@@ -233,16 +225,17 @@ class PreservationReport:
         return {"rows": self.rows}
 
 
-def check_preservation(model: Model, result: FiltrationResult) -> PreservationReport:
-    """Compare each closed-set formula in the model and in its quotient
-    ``result``.
+def check_preservation(result: FiltrationResult) -> PreservationReport:
+    """Compare each closed-set formula in the model that ``result``
+    quotients, read from its evaluator, and in the quotient.
 
     This emits an agreement table rather than asserting equality: the
     preservation theorem is proved for the canonical construction, and
     its behaviour on arbitrary explicit models is exactly what this
     report surfaces.
     """
-    evaluator = _model_evaluator(model, result)
+    evaluator = result.evaluator
+    model = evaluator.model
     q_evaluator = Evaluator(result.quotient)
     report = PreservationReport()
     for f in _sorted_gamma(result.gamma):

@@ -20,12 +20,12 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .chain import ChainContext, ChainValue, format_value, parse_value
+from .chain import ChainContext, ChainValue, InputError, format_value, parse_value
 from .relations import ReachRelation, StateSpace, mask_states
 from .semantics import Model
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """The document does not describe a model."""
 
 
@@ -136,7 +136,8 @@ def load_model(path: str | Path) -> Model:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: not JSON, not UTF-8, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
     return model_from_dict(data)
 

@@ -27,12 +27,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union as _U
 
-from .chain import ChainContext
+from .chain import ChainContext, InputError
 from .schemas import match_axiom_instance, schemata_named, all_schemata
 from .syntax import Box, Diamond, Formula, Implies, format_formula, parse_formula
 
 
-class DerivationFormatError(ValueError):
+class DerivationFormatError(InputError):
     """The derivation text does not follow the step format."""
 
 
@@ -217,6 +217,13 @@ def _number(digits: str, lineno: int) -> int:
         raise DerivationFormatError(f"line {lineno}: number {digits[:20]}... is too long") from None
 
 
+def _formula(text: str, ctx: ChainContext, lineno: int) -> Formula:
+    try:
+        return parse_formula(text, ctx)
+    except InputError as exc:
+        raise DerivationFormatError(f"line {lineno}: {exc}") from exc
+
+
 def parse_derivation(text: str) -> Derivation:
     ctx: Optional[ChainContext] = None
     premises: list[Formula] = []
@@ -242,7 +249,7 @@ def parse_derivation(text: str) -> Derivation:
                 raise DerivationFormatError(
                     f"line {lineno}: premises must precede the numbered steps"
                 )
-            premises.append(parse_formula(line[len("premise:"):], ctx))
+            premises.append(_formula(line[len("premise:"):], ctx, lineno))
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -263,11 +270,11 @@ def parse_derivation(text: str) -> Derivation:
                 AxiomStep(
                     head.group("id"),
                     head.group("variant"),
-                    parse_formula(head.group("formula"), ctx),
+                    _formula(head.group("formula"), ctx, lineno),
                 )
             )
         elif kind == "premise":
-            steps.append(PremiseStep(parse_formula(rest, ctx)))
+            steps.append(PremiseStep(_formula(rest, ctx, lineno)))
         elif kind == "mp":
             head = _MP_HEAD_RE.match(rest)
             if not head:
@@ -278,7 +285,7 @@ def parse_derivation(text: str) -> Derivation:
                 MPStep(
                     _number(head.group("i"), lineno),
                     _number(head.group("j"), lineno),
-                    parse_formula(head.group("formula"), ctx),
+                    _formula(head.group("formula"), ctx, lineno),
                 )
             )
         else:
@@ -288,7 +295,9 @@ def parse_derivation(text: str) -> Derivation:
                     f"line {lineno}: monotonicity steps read '<k> mon <i> <formula>'"
                 )
             steps.append(
-                MonStep(_number(head.group("i"), lineno), parse_formula(head.group("formula"), ctx))
+                MonStep(
+                    _number(head.group("i"), lineno), _formula(head.group("formula"), ctx, lineno)
+                )
             )
     if ctx is None:
         raise DerivationFormatError("empty derivation: missing the 'n: <int>' header")

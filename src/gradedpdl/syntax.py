@@ -24,7 +24,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Union as _U
 
-from .chain import ChainContext, ChainValue, NotAChainElement, format_value, from_rational
+from .chain import (
+    ChainContext, ChainValue, InputError, NotAChainElement, format_value, from_rational,
+)
 
 
 # Deepest nesting the parser accepts, and the most levels a parsed tree may
@@ -43,7 +45,7 @@ MAX_DEPTH = 64
 MAX_NODES = 1 << 18
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Input text does not conform to the grammar."""
 
     def __init__(self, message: str, position: int):
@@ -51,7 +53,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class ClosureBudgetExceeded(RuntimeError):
+class ClosureBudgetExceeded(InputError, RuntimeError):
     """The closure worklist grew past its safety cap."""
 
 

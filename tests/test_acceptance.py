@@ -461,9 +461,9 @@ def test_criterion_10_filtration_random_pairs():
                 assert same == (result.class_of[s] == result.class_of[t])
         prog = rng.choice(sorted(model.atomics))
         corpus = list(gamma) + [random_formula(rng, ctx, 2)]
-        lemma = check_lemma4(model, result, prog, corpus)
+        lemma = check_lemma4(result, prog, corpus)
         assert lemma.ok, lemma.to_json()
-        preservation = check_preservation(model, result)
+        preservation = check_preservation(result)
         for row in preservation.rows:
             agreements += row["agreements"]
             total += row["states"]

@@ -42,10 +42,10 @@ def schema(label):
 
 def test_sampler_determinism():
     cfg = SamplerConfig(n=3, max_states=3, seed=5)
-    assert sample_model(cfg) == sample_model(cfg)
-    a = sample_model(cfg, random.Random(9))
-    b = sample_model(cfg, random.Random(9))
-    assert a == b and a.atomics == b.atomics and a.valuation == b.valuation
+    for seed in (cfg.seed, 9):
+        a = sample_model(cfg, random.Random(seed))
+        b = sample_model(cfg, random.Random(seed))
+        assert a == b and a.atomics == b.atomics and a.valuation == b.valuation
 
 
 def _same_model(got, want):
@@ -58,7 +58,7 @@ def _same_model(got, want):
 
 
 def test_sampler_matches_reference_stream():
-    names = (None, None), (["p", "r", "z"], ["a", "x"])
+    names = ("pq", "ab"), (["p", "r", "z"], ["a", "x"])
     for n in range(2, 9):
         for max_states in range(1, 7):
             for density in (0, 0.1, 0.4, 1):
@@ -73,17 +73,17 @@ def test_sampler_matches_reference_stream():
                         want = reference_sample_model(cfg, ref_rng, props, progs)
                         _same_model(got, want)
                         assert rng.getstate() == ref_rng.getstate(), (n, max_states, density)
-    # without an rng both start from the configured seed
+    # the reference without an rng starts from the configured seed
     cfg = SamplerConfig(n=4, max_states=3, seed=12)
-    _same_model(sample_model(cfg), reference_sample_model(cfg))
+    _same_model(sample_model(cfg, random.Random(cfg.seed)), reference_sample_model(cfg))
 
 
 def test_sampler_density_extremes():
     cfg0 = SamplerConfig(n=3, max_states=2, density=0.0, seed=1)
-    model = sample_model(cfg0)
+    model = sample_model(cfg0, random.Random(cfg0.seed))
     assert all(not rel.entries for rel in model.atomics.values())
     cfg1 = SamplerConfig(n=4, max_states=1, density=1.0, seed=1)
-    model = sample_model(cfg1)
+    model = sample_model(cfg1, random.Random(cfg1.seed))
     for rel in model.atomics.values():
         assert set(rel.entries) == {(0, 0), (0, 1)}  # both subsets of a singleton
 

@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import importlib
 import io
 import itertools
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -164,6 +166,23 @@ def test_check_proof_format_error(tmp_path):
     path = tmp_path / "bad.proof"
     path.write_text("not a proof\n")
     assert main(["check-proof", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("n: 3\n\n1 premise p\n2 axiom A1 (p -> q))\n",
+         "error: line 4: unexpected trailing input ')' (at position 8)"),
+        ("n: 3\npremise: p & \n1 premise p\n",
+         "error: line 2: expected a formula, found 'end of input' (at position 4)"),
+    ],
+    ids=["step", "premise"],
+)
+def test_check_proof_formula_error_names_its_line(text, line, tmp_path, capsys):
+    path = tmp_path / "bad.proof"
+    path.write_text(text)
+    assert main(["check-proof", str(path)]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_filtrate(tmp_path, capsys):
@@ -378,12 +397,14 @@ def test_closure_cap_below_one_names_the_option(capsys):
         ("eval", dumps(dict(ONE_STATE_HALF_P, n=True, valuation={}))),
         ("eval", b'{"n": 3, "states": ["s\xff"]}'),
         ("eval", "[" * 100_000 + "]" * 100_000),
+        ("eval", '{"n": 1' + "0" * 5000 + ', "states": ["s0"]}'),
         ("check-proof", "n: 1\n1 premise p\n"),
         ("check-proof", "n: 3\n" + "1" * 5000 + " axiom A1 p -> (q -> p)\n"),
         ("check-proof", "n: 3\npremise: p\n1 premise p\n2 mp 1 " + "9" * 5000 + " q\n"),
         ("check-proof", b"n: 3\n1 premise \xff\n"),
     ],
-    ids=["model-n-1", "model-n-true", "model-not-utf8", "model-deep-json", "proof-n-1",
+    ids=["model-n-1", "model-n-true", "model-not-utf8", "model-deep-json", "model-long-int",
+         "proof-n-1",
          "proof-long-step-number", "proof-long-reference", "proof-not-utf8"],
 )
 def test_bad_input_files_are_usage_errors(command, content, tmp_path, capsys):
@@ -399,21 +420,26 @@ def test_bad_input_files_are_usage_errors(command, content, tmp_path, capsys):
 
 def test_unreadable_paths_are_usage_errors(tmp_path, model_path, capsys):
     assert main(["eval", str(tmp_path), "p"]) == 2
-    # An --out or --dot that is a directory, or whose directory is
-    # missing, is refused before any work: no finding is printed and no
-    # file is written, not even an --out beside an unwritable --dot.
+    # An --out or --dot that is a directory, whose directory is missing,
+    # or that is empty, is refused before any work: no finding is printed
+    # and no file is written, not even an --out beside an unwritable --dot.
     missing = tmp_path / "missing" / "x.json"
     out = tmp_path / "out.json"
-    for bad in (tmp_path, missing):
+    for bad in (tmp_path, missing, ""):
         assert main(["audit", "--samples", "1", "--no-rules", "--out", str(bad)]) == 2
         assert main(["equiv", "p", "p", "--samples", "1", "--out", str(bad)]) == 2
         assert main(["filtrate", model_path, "p", "--out", str(bad)]) == 2
         assert main(["filtrate", model_path, "p", "--out", str(out), "--dot", str(bad)]) == 2
+    # one file for both outputs would keep only the graph
+    same = [str(out), os.path.join(str(tmp_path), ".", "out.json")]
+    assert main(["filtrate", model_path, "[a]p & <a>p", "--out", same[0], "--dot", same[1]]) == 2
     assert not out.exists() and not missing.parent.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 9 and all(line.startswith("error:") for line in err)
+    assert len(err) == 14 and all(line.startswith("error:") for line in err)
+    # a device such as the null device keeps both writes
+    assert main(["filtrate", model_path, "p", "--out", os.devnull, "--dot", os.devnull]) == 0
 
 
 def test_unexpected_value_error_exits_3(monkeypatch, capsys):
@@ -423,6 +449,30 @@ def test_unexpected_value_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_closure", broken)
     assert main(["closure", "p"]) == 3
     assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_exit_2_classes_are_exactly_the_input_errors():
+    # Every exception class that the package defines. One exits 2 only
+    # if it derives from InputError, so a new one must opt in on purpose.
+    defined = {
+        value
+        for info in pkgutil.iter_modules(gradedpdl.__path__)
+        for value in vars(importlib.import_module(f"gradedpdl.{info.name}")).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__.startswith("gradedpdl.")
+        and value is not gradedpdl.InputError
+    }
+    inputs = {cls.__name__ for cls in defined if issubclass(cls, gradedpdl.InputError)}
+    assert inputs == {
+        "CliError", "SamplerConfigError", "ParseError", "NotAChainElement",
+        "ChainMismatchError", "ModelFormatError", "NotClosedError",
+        "DerivationFormatError", "ClosureBudgetExceeded",
+    }
+    # no command line input reaches these, so reaching one is a fault
+    assert {cls.__name__ for cls in defined} - inputs == {
+        "SpaceMismatchError", "BudgetExceeded", "ModalFormulaRejected", "MissingBinding",
+    }
 
 
 def test_check_proof_rejection_line_is_bounded(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_lemma4_identical_index_sets_coincide():
         gamma = fl_closure(parse_formula("[a]p & <a>p", C3), C3)
         corpus = [PropVar("p")]
         result = quotient(model, gamma)
-        report = check_lemma4(model, result, "a", corpus)
+        report = check_lemma4(result, "a", corpus)
         assert report.ok
         # equality, not just domination
         ev = Evaluator(model)
@@ -171,7 +171,7 @@ def test_lemma4_smaller_set_dominates():
     ]
     for _ in range(30):
         model = sample_model(cfg, rng)
-        report = check_lemma4(model, quotient(model, {PropVar("p")}), "a", corpus)
+        report = check_lemma4(quotient(model, {PropVar("p")}), "a", corpus)
         assert report.ok
         assert report.points_checked == model.space.size * (2**model.space.size)
 
@@ -184,7 +184,7 @@ def test_lemma4_random_trials():
         prog = rng.choice(sorted(model.atomics))
         extra = [random_formula(rng, ChainContext(n), 2) for _ in range(2)]
         corpus = list(gamma) + extra
-        report = check_lemma4(model, quotient(model, gamma), prog, corpus)
+        report = check_lemma4(quotient(model, gamma), prog, corpus)
         assert report.ok, report.to_json()
 
 
@@ -230,7 +230,7 @@ def test_filtration_matches_reference():
                     assert result.quotient == ref.quotient
                     assert result.gamma == ref.gamma
                     assert (
-                        check_preservation(model, result).to_json()
+                        check_preservation(result).to_json()
                         == reference_check_preservation(model, ref).to_json()
                     )
                 extra = [random_formula(rng, ctx, 2) for _ in range(2)]
@@ -244,7 +244,7 @@ def test_filtration_matches_reference():
                     + [Or(f, mid) for f in indexing],
                 )
                 for corpus in corpora:
-                    got = check_lemma4(model, result, prog, corpus).to_json()
+                    got = check_lemma4(result, prog, corpus).to_json()
                     assert got == reference_check_lemma4(model, ref, prog, corpus).to_json()
                     assert got["points_checked"] == size * 2**size
                     for violation in got["violations"]:
@@ -252,7 +252,7 @@ def test_filtration_matches_reference():
                             "state", "targets", "unrestricted", "restricted", "formula",
                         }
                         floors["none" if violation["formula"] is None else "named"] += 1
-                assert check_lemma4(model, result, prog, corpora[0]).ok
+                assert check_lemma4(result, prog, corpora[0]).ok
     # both kinds of violation report actually occur
     assert floors["none"] > 0 and floors["named"] > 0, floors
 
@@ -260,7 +260,7 @@ def test_filtration_matches_reference():
 def test_preservation_propvar_only():
     space = StateSpace(3)
     model = Model(C3, space, {}, {"p": {0: 2, 1: 1}})
-    report = check_preservation(model, quotient(model, {PropVar("p")}))
+    report = check_preservation(quotient(model, {PropVar("p")}))
     assert report.all_agree
 
 
@@ -274,7 +274,7 @@ def test_preservation_on_separated_model():
     )
     result = quotient(model, gamma)
     assert len(result.classes) == 2
-    report = check_preservation(model, result)
+    report = check_preservation(result)
     assert report.all_agree
 
 
@@ -284,7 +284,7 @@ def test_preservation_report_structure():
     for _ in range(30):
         n = rng.choice((2, 3))
         model, gamma = _random_pair(rng, n)
-        report = check_preservation(model, quotient(model, gamma))
+        report = check_preservation(quotient(model, gamma))
         assert len(report.rows) == len(gamma)
         for row in report.rows:
             assert set(row) == {"formula", "states", "agreements", "mismatches"}
@@ -335,14 +335,3 @@ def test_filtrate_builds_one_evaluator_per_model(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(built) == 2
     assert built[0].space.size == 5 and built[1] is not built[0]
-
-
-def test_checks_refuse_a_result_from_another_model():
-    space = StateSpace(2)
-    model = Model(C3, space, {}, {"p": {0: 2, 1: 1}})
-    other = Model(C3, space, {}, {"p": {0: 1}})
-    result = quotient(model, {PropVar("p")})
-    with pytest.raises(ValueError):
-        check_preservation(other, result)
-    with pytest.raises(ValueError):
-        check_lemma4(other, result, "a", [PropVar("p")])
