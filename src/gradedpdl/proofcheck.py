@@ -18,7 +18,8 @@ Text format, one step per line::
 
 Blank lines and whole-line ``#`` comments are ignored (inline comments
 would collide with constant literals). Step numbers must run 1, 2,
-3, ... in order.
+3, ... in order. A line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere
+else: a form feed or U+2028 is whitespace inside a line.
 """
 
 from __future__ import annotations
@@ -208,6 +209,9 @@ _STEP_RE = re.compile(
 _AXIOM_HEAD_RE = re.compile(r"^(?P<id>[A-Za-z]\w*)(?:/(?P<variant>[\w-]+))?\s+(?P<formula>.*)$")
 _MP_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<j>\d+)\s+(?P<formula>.*)$")
 _MON_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<formula>.*)$")
+# Only these end a line. ``str.splitlines`` also splits at form feeds,
+# U+2028 and other characters that a formula may hold as whitespace.
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 
 
 def _number(digits: str, lineno: int) -> int:
@@ -228,7 +232,7 @@ def parse_derivation(text: str) -> Derivation:
     ctx: Optional[ChainContext] = None
     premises: list[Formula] = []
     steps: list[Step] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
         line = raw.strip()
         # whole-line comments only: constants also use '#'
         if not line or line.startswith("#"):
@@ -305,7 +309,8 @@ def parse_derivation(text: str) -> Derivation:
 
 
 def load_derivation(path) -> Derivation:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark some editors put first
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -12,6 +12,13 @@ Concrete syntax (whitespace-insensitive)::
 How tightly each binary operator binds and which way it groups is written
 once, in ``_INFIX``, which the parser and the printer both read.
 
+A token is an identifier, a constant or an operator, written once in
+``_TOKEN``; any whitespace ``str.split`` splits at may stand between
+tokens. One ``findall`` gives the token texts, and the parser keeps only
+token indices: an error's character position is worked out from the same
+pattern when the error is raised, so input that parses pays for no
+positions.
+
 ``~f`` is notation for ``f -> #0`` and ``f <-> g`` for the conjunction of
 the two implications; the parser removes both, so the ASTs below have no
 negation or biconditional nodes.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Union as _U
 
@@ -32,8 +40,8 @@ from .chain import (
 # Deepest nesting the parser accepts, and the most levels a parsed tree may
 # have. The parser recurses up to five frames per nesting level (a bracket
 # that opens an operand shares the operand's level): 64 nested parentheses
-# parse under a recursion limit of 330, measured in a fresh interpreter on
-# Python 3.10-3.13. Hashing, comparing, evaluating and printing a tree
+# parse under a recursion limit of 329, measured in a fresh interpreter on
+# Python 3.11.7. Hashing, comparing, evaluating and printing a tree
 # take up to three frames per level, so at this depth each stays far under
 # Python's default recursion limit of 1000.
 MAX_DEPTH = 64
@@ -205,30 +213,53 @@ _PROGRAM_OPS = _operators(Union, Inter, Seq)
 
 # -- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<const>\#\d+(?:/\d+)?)"
-    r"|(?P<op><->|->|[~&|()\[\]<>+^;*?])"
-)
+# One token: an identifier, a constant or an operator. No token holds
+# whitespace or starts with it, and every other character that starts no
+# token is an error. The pattern has no group, so that ``findall`` returns
+# the token texts themselves.
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\#\d+(?:/\d+)?|<->|->|[~&|()\[\]<>+^;*?]"
+_TOKEN_RE = re.compile(_TOKEN)
+# The same tokens, then any other character but whitespace as group 1: the
+# scan that names a bad character, run only on text that has one.
+_SCAN_RE = re.compile(rf"{_TOKEN}|(\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, then ``""`` to mark its end.
+
+    ``findall`` skips every character at which no token starts, which is
+    whitespace or an error. No token holds whitespace, so the tokens
+    cover every other character exactly when their lengths add up to the
+    length of the text without its whitespace. Only when they do not is
+    the text scanned again, to name the first bad character.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        for m in _SCAN_RE.finditer(text):
+            if m.lastindex:
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+    tokens.append("")
     return tokens
 
 
+def _position(text: str, i: int) -> int:
+    """The character position of token ``i`` of ``text``, which tokenizes;
+    the end marker's is the length of the text."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _shown(token: str) -> str:
+    return repr(token or "end of input")
+
+
 class _Parser:
+    """Recursive descent over the token texts. The parser keeps token
+    indices only; an error maps its token's index to a character position
+    when it is raised."""
+
     def __init__(self, text: str, ctx: ChainContext):
+        self.text = text
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.i = 0
@@ -242,33 +273,31 @@ class _Parser:
         # Whether a "<->" put one subtree into the tree twice.
         self.shared = False
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        """The error to raise at token ``i``."""
+        return ParseError(message, _position(self.text, i))
 
     def expect(self, text: str) -> None:
-        kind, got, pos = self.tokens[self.i]
-        if got != text or kind == "eof":
-            shown = got if kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", pos)
+        got = self.tokens[self.i]
+        if got != text:
+            raise self.error(f"expected {text!r}, found {_shown(got)}", self.i)
         self.i += 1
 
     def done(self) -> None:
-        kind, got, pos = self.tokens[self.i]
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {got!r}", pos)
+        got = self.tokens[self.i]
+        if got:
+            raise self.error(f"unexpected trailing input {got!r}", self.i)
 
-    def nested(self, pos: int, rule, *args, bracket: bool = False):
-        """Parse ``rule(*args)`` one nesting level down. A bracket that
-        opens an operand, as in [a](p & q) or ~(p | q), stays on the
-        operand's level, so that every printed tree of at most MAX_DEPTH
-        levels parses."""
+    def nested(self, i: int, rule, *args, bracket: bool = False):
+        """Parse ``rule(*args)`` one nesting level down, for the operator at
+        token ``i``. A bracket that opens an operand, as in [a](p & q) or
+        ~(p | q), stays on the operand's level, so that every printed tree
+        of at most MAX_DEPTH levels parses."""
         if bracket and self.i - 1 == self.level_start:
             return rule(*args)
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", i)
         self.level_start = -1 if bracket else self.i
         node = rule(*args)
         self.depth -= 1
@@ -280,14 +309,15 @@ class _Parser:
         right-associative operator is one nesting level down."""
         node = operand()
         while True:
-            op = ops.get(self.tokens[self.i][1])
+            i = self.i
+            op = ops.get(self.tokens[i])
             if op is None or op[1] < floor:
                 return node
             build, power, right = op
-            _, _, pos = self.take()
+            self.i = i + 1
             height = self.height
             if right:
-                node = build(node, self.nested(pos, self.infix, ops, operand, power))
+                node = build(node, self.nested(i, self.infix, ops, operand, power))
             else:
                 node = build(node, self.infix(ops, operand, power + 1))
             if build is biconditional:
@@ -302,28 +332,34 @@ class _Parser:
         return self.infix(_FORMULA_OPS, self.unary)
 
     def unary(self) -> Formula:
-        kind, text, pos = self.tokens[self.i]
+        i = self.i
+        text = self.tokens[i]
+        if text.isidentifier():  # names are the only tokens that are identifiers
+            self.i = i + 1
+            self.height = 1
+            return PropVar(text)
         if text == "~":
-            self.take()
-            node = negation(self.nested(pos, self.unary), self.ctx)
+            self.i = i + 1
+            node = negation(self.nested(i, self.unary), self.ctx)
             self.height += 1
             return node
         if text == "[" or text == "<":
-            self.take()
-            prog = self.nested(pos, self.program)
+            self.i = i + 1
+            prog = self.nested(i, self.program)
             height = self.height
             self.expect("]" if text == "[" else ">")
-            body = self.nested(pos, self.unary)
+            body = self.nested(i, self.unary)
             self.height = max(height, self.height) + 1
             return Box(prog, body) if text == "[" else Diamond(prog, body)
         return self.atom()
 
     def atom(self) -> Formula:
-        kind, text, pos = self.take()
+        """A constant or a bracketed formula; unary() reads propositions."""
+        i = self.i
+        text = self.tokens[i]
+        self.i = i + 1
         self.height = 1
-        if kind == "ident":
-            return PropVar(text)
-        if kind == "const":
+        if text[:1] == "#":
             body = text[1:]
             try:
                 if "/" in body:
@@ -332,17 +368,17 @@ class _Parser:
                 else:
                     p, q = int(body), 1
             except ValueError:  # more digits than int() converts
-                raise ParseError(f"constant {text[:20]!r}... is too long", pos) from None
+                raise self.error(f"constant {text[:20]!r}... is too long", i) from None
             try:
                 return Constant(from_rational(p, q, self.ctx))
             except NotAChainElement as exc:
-                raise NotAChainElement(f"{exc} (at position {pos})") from None
+                position = _position(self.text, i)
+                raise NotAChainElement(f"{exc} (at position {position})") from None
         if text == "(":
-            node = self.nested(pos, self.formula, bracket=True)
+            node = self.nested(i, self.formula, bracket=True)
             self.expect(")")
             return node
-        shown = text if kind != "eof" else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", pos)
+        raise self.error(f"expected a formula, found {_shown(text)}", i)
 
     # programs
 
@@ -351,29 +387,30 @@ class _Parser:
 
     def post(self) -> Program:
         node = self.prim()
-        while self.tokens[self.i][1] == "*":
-            self.take()
+        while self.tokens[self.i] == "*":
+            self.i += 1
             node = Star(node)
             self.height += 1
         return node
 
     def prim(self) -> Program:
-        kind, text, pos = self.take()
-        if kind == "ident":
+        i = self.i
+        text = self.tokens[i]
+        self.i = i + 1
+        if text.isidentifier():
             self.height = 1
             return Atomic(text)
         if text == "?":
             self.expect("(")
-            cond = self.nested(pos, self.formula)
+            cond = self.nested(i, self.formula)
             self.expect(")")
             self.height += 1
             return Test(cond)
         if text == "(":
-            node = self.nested(pos, self.program, bracket=True)
+            node = self.nested(i, self.program, bracket=True)
             self.expect(")")
             return node
-        shown = text if kind != "eof" else "end of input"
-        raise ParseError(f"expected a program, found {shown!r}", pos)
+        raise self.error(f"expected a program, found {_shown(text)}", i)
 
 
 def _parse(text: str, ctx: ChainContext, rule):

@@ -162,6 +162,14 @@ def test_check_proof_rejects_mutation(tmp_path, capsys):
     assert "rejected at step 11" in capsys.readouterr().out
 
 
+def test_check_proof_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # as some editors save UTF-8, with Windows line ends
+    path = tmp_path / "bom.proof"
+    path.write_bytes(b"\xef\xbb\xbfn: 3\r\n1 axiom A1 p -> (q -> p)\r\n")
+    assert main(["check-proof", str(path)]) == 0
+    assert "accepted" in capsys.readouterr().out
+
+
 def test_check_proof_format_error(tmp_path):
     path = tmp_path / "bad.proof"
     path.write_text("not a proof\n")

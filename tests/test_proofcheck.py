@@ -244,6 +244,30 @@ def test_format_errors():
         parse_derivation("n: 3\n1 premise p\npremise: p\n")  # premise after steps
 
 
+# Characters that str.splitlines() breaks a line at, all of them whitespace
+# to the formula tokenizer; only "\r\n", "\r" and "\n" end a step.
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_lines_break_only_at_line_breaks(ch):
+    assert ch.isspace() and len(f"a{ch}b".splitlines()) == 2
+    # inside a comment
+    derivation = parse_derivation(f"n: 3\n# note{ch}more\n1 axiom A1 p -> (q -> p)\n")
+    assert len(derivation.steps) == 1
+    # inside a formula, where it separates two tokens
+    derivation = parse_derivation(f"n: 3\n1 axiom A1 p -> (q{ch}-> p)\n")
+    assert derivation.steps[0].formula == parse_formula("p -> (q -> p)", C3)
+    assert check_derivation(derivation).accepted
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_line_numbers_count_each_line_break_once(newline):
+    text = newline.join(["n: 3", "", "1 premise p", "2 conjure p", ""])
+    with pytest.raises(DerivationFormatError, match="^line 4: unrecognized step"):
+        parse_derivation(text)
+
+
 def test_rejections_always_carry_step_and_reason():
     texts = [
         "n: 3\n1 axiom ZZ p\n",

@@ -193,15 +193,17 @@ def test_depth_limit_is_exact():
 
 # The deepest accepted input of each shape, as (text of k levels, k), and
 # the least recursion limit under which it parses in a fresh interpreter,
-# measured on Python 3.11.7 (3.10.13, 3.12.1 and 3.13.0 need the same or
-# up to two less). The parser this one replaced needed 460, 138, 138, 353,
-# 384 and 401.
+# measured on Python 3.11.7. Before names were read in the parser's
+# ``unary`` rule, which saves a frame under the deepest name, the limits
+# were one higher, except for program parentheses, and 3.10.13, 3.12.1
+# and 3.13.0 needed the same or up to two less. The parser before the one
+# operator table needed 460, 138, 138, 353, 384 and 401.
 DEEPEST_SHAPES = {
-    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH, 330),
-    "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1, 136),
-    "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1, 136),
-    "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2, 289),
-    "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2, 289),
+    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH, 329),
+    "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1, 135),
+    "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1, 135),
+    "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2, 288),
+    "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2, 288),
     "program-parentheses": (lambda k: "[" + "(" * k + "a" + ")" * k + "]p", MAX_DEPTH, 334),
 }
 # Room above each measured limit for the interpreter's own frames, which
@@ -248,6 +250,11 @@ _WRAPPERS = [("(", ")"), ("~", ""), ("p -> ", ""), ("p & ", ""), ("p & (", ")"),
              ("[?(", ")]p"), ("<(", ")>p"), ("a ; ", ""), ("(a ^ ", ")"), ("?([a]", ")")]
 
 
+# Text put between the soup's tokens: besides nothing and one space, tabs,
+# runs of spaces, form feeds and Unicode spaces, which the tokenizer skips
+# like one space, so that a token's index and its position differ widely.
+_JOINERS = ["", " ", "\t", "  ", "\x0c", "\u00a0", "\u2028"]
+
 # One sort's infix operators, and fragments that each parse as an operand.
 _CHAINS = [
     (["<->", "->", "|", "&"], ["", "", "~", "[a]", "<b*>"],
@@ -260,15 +267,16 @@ _CHAINS = [
 def _token_soup(draw):
     """Tokens at random, or operands joined by one sort's infix operators,
     which parse far more often."""
+    joiner = draw(st.sampled_from(_JOINERS))
     if draw(st.booleans()):
         tokens = draw(st.lists(st.sampled_from(_SOUP), max_size=40))
-        return draw(st.sampled_from(["", " "])).join(tokens)
+        return joiner.join(tokens)
     ops, prefixes, operands, suffixes = draw(st.sampled_from(_CHAINS))
     parts = []
     for _ in range(draw(st.integers(1, 8))):
         parts += [draw(st.sampled_from(prefixes)) + draw(st.sampled_from(operands))
                   + draw(st.sampled_from(suffixes)), draw(st.sampled_from(ops))]
-    return " ".join(parts[:-1])
+    return (joiner or " ").join(parts[:-1])
 
 
 def _outcome(parse, text):
@@ -294,6 +302,40 @@ def test_parsers_match_the_oracle_on_token_soup(wrapper, repeats, soup):
         assert got == _outcome(reference, text)
         if not isinstance(got, tuple):
             assert show(got) == reference_show(got)
+
+
+# Every error that carries a position, with tabs, runs of spaces and form
+# feeds between the tokens, so that no token's index is its position.
+_GAP = " \t\x0c  "
+POSITIONED_ERRORS = {
+    "bad character": (parse_formula, f"p{_GAP}&{_GAP}${_GAP}q"),
+    "trailing input": (parse_formula, f"p{_GAP}&{_GAP}q{_GAP}q"),
+    "expected )": (parse_formula, f"({_GAP}p{_GAP}&{_GAP}q{_GAP}q{_GAP})"),
+    "expected ]": (parse_formula, f"[{_GAP}a{_GAP}b{_GAP}]p"),
+    "expected >": (parse_formula, f"<{_GAP}a{_GAP}+{_GAP}b{_GAP}q{_GAP}>p"),
+    "expected ) after a test": (parse_program, f"?{_GAP}({_GAP}p{_GAP}q{_GAP})"),
+    "expected ( after ?": (parse_program, f"a{_GAP};{_GAP}?{_GAP}p"),
+    "expected a formula": (parse_formula, f"p{_GAP}->{_GAP}){_GAP}q"),
+    "expected a formula at the end": (parse_formula, f"p{_GAP}&{_GAP}"),
+    "expected a program": (parse_program, f"a{_GAP}+{_GAP}]"),
+    "constant too long": (parse_formula, f"p{_GAP}&{_GAP}#{'9' * 5000}"),
+    "#5 at n=3": (parse_formula, f"p{_GAP}&{_GAP}#5"),
+    "#1/0 at n=3": (parse_formula, f"[{_GAP}?({_GAP}#1/0{_GAP})]{_GAP}p"),
+    "nesting under ~": (parse_formula, f"~{_GAP}" * (MAX_DEPTH + 1) + "p"),
+    "nesting under (": (parse_formula, f"({_GAP}" * (MAX_DEPTH + 1) + "p" + f"{_GAP})" * (MAX_DEPTH + 1)),
+    "nesting under ->": (parse_formula, f"p{_GAP}->{_GAP}" * (MAX_DEPTH + 1) + "p"),
+    "nesting under [": (parse_formula, f"[{_GAP}a{_GAP}]{_GAP}" * (MAX_DEPTH + 1) + "p"),
+    "nesting in programs": (parse_program, f"({_GAP}" * (MAX_DEPTH + 1) + "a" + f"{_GAP})" * (MAX_DEPTH + 1)),
+    "tree too deep": (parse_formula, f"p{_GAP}&{_GAP}" * (MAX_DEPTH + 1) + "p"),
+}
+
+
+@pytest.mark.parametrize("parse,text", POSITIONED_ERRORS.values(), ids=POSITIONED_ERRORS)
+def test_error_positions_match_the_oracle(parse, text):
+    reference = getattr(oracle_syntax, parse.__name__)
+    got = _outcome(parse, text)
+    assert isinstance(got, tuple) and "(at position " in got[1]
+    assert got == _outcome(reference, text)
 
 
 @settings(max_examples=400, deadline=None)
