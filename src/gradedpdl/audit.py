@@ -1,8 +1,10 @@
-"""Empirical soundness audit: schema instantiation over sampled models.
+"""Empirical soundness audit: axiom schemata over sampled models.
 
-The auditor instantiates each axiom schema with random metavariable
-bindings, evaluates the instance at every state of freshly sampled
-models, and records the first state whose value falls short of top.
+The auditor draws random metavariable bindings for each axiom schema
+and evaluates the schema's template at every state of a freshly sampled
+model extended by those bindings, which by compositionality gives the
+instance's values; it records the first state whose value falls short
+of top, and builds the instance itself only for that witness.
 Everything is driven by one seed: per-schema streams are derived from it
 with a stable hash, so a batch run can be split or reordered and still
 produce the identical report.
@@ -29,6 +31,7 @@ from .chain import ChainContext, ChainValue, InputError
 from .modelio import model_to_dict
 from .relations import ReachRelation, StateSpace
 from .schemas import (
+    _A5_OPS,
     AxiomSchema,
     Binding,
     all_schemata,
@@ -432,18 +435,61 @@ def _sample_names(*formulas: Formula) -> tuple[list[str], list[str]]:
     return sorted(props), sorted(progs)
 
 
+def _bound_evaluator(
+    schema: AxiomSchema, bindings: Mapping[str, Binding], model: Model
+) -> Evaluator:
+    """An evaluator of ``model`` extended by ``bindings``, in which the
+    schema's template takes the instance's value at every state: each
+    formula metavariable is the proposition whose row is its binding's
+    vector, each constant (A5's ``e`` among them) a constant row, and
+    each program metavariable the atomic program of its binding's
+    relation. The bindings are read in the model's own names before any
+    metavariable is added; a metavariable that the model already names
+    raises ValueError rather than shadow that name."""
+    states = model.space.states()
+    atomics, valuation = dict(model.atomics), dict(model.valuation)
+    evaluator = Evaluator(Model._unchecked(model.context, model.space, atomics, valuation))
+    values = dict(bindings)
+    if schema.variant in _A5_OPS:
+        values["e"] = _A5_OPS[schema.variant](values["c"], values["d"])
+    entries = []
+    for name, value in values.items():
+        if isinstance(value, Program):
+            entries.append((atomics, name, evaluator.relation(value)))
+            continue
+        if isinstance(value, ChainValue):
+            vector = [value.numerator] * len(states)
+        else:
+            vector = evaluator.vector(value)
+        entries.append((valuation, name, {s: num for s, num in zip(states, vector) if num}))
+    for table, name, entry in entries:
+        if name in table:
+            raise ValueError(f"the sampled model already names the metavariable {name!r}")
+        table[name] = entry
+    return evaluator
+
+
 def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
-    """Random (model, instantiation) trials until a state falls below top."""
+    """Random (model, bindings) trials until a state falls below top.
+
+    A trial reads the schema's template, parsed once per chain, in the
+    sampled model extended by the bindings (``_bound_evaluator``); the
+    semantics is compositional, so that is the instance's value. The
+    instance itself is built only for a witness.
+    """
+    ctx = cfg.context
+    template = schema.template(ctx)
     seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
     for trial, rng, model in _trials(cfg, seed):
         bindings = sample_bindings(schema, rng, cfg)
-        instance = instantiate_schema(schema, bindings, cfg.context)
-        ok, refutation = valid_in_model(model, instance)
-        if not ok:
-            witness = Witness(model, bindings, instance, refutation.state, refutation.value)
-            return SchemaAudit(
-                schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
-            )
+        vector = _bound_evaluator(schema, bindings, model).vector(template)
+        for state, num in enumerate(vector):
+            if num < ctx.top:
+                instance = instantiate_schema(schema, bindings, ctx)
+                witness = Witness(model, bindings, instance, state, ChainValue(num, ctx))
+                return SchemaAudit(
+                    schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
+                )
     return SchemaAudit(
         schema.id, schema.variant, cfg.n, cfg.samples, "no-counterexample-found", seed
     )

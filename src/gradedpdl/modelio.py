@@ -133,7 +133,8 @@ def model_from_dict(data: dict[str, Any]) -> Model:
 
 
 def load_model(path: str | Path) -> Model:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark some editors put first
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         # ValueError: not JSON, not UTF-8, or an integer too long to convert

@@ -9,6 +9,7 @@ from gradedpdl.audit import (
     ModalFormulaRejected,
     SamplerConfig,
     SamplerConfigError,
+    _bound_evaluator,
     audit_all,
     audit_rule,
     check_consequence_prop,
@@ -20,13 +21,15 @@ from gradedpdl.audit import (
 )
 from gradedpdl.chain import ChainContext
 from gradedpdl.modelio import dumps
-from gradedpdl.schemas import all_schemata, schemata_named
-from gradedpdl.semantics import eval_formula, valid_in_model
+from gradedpdl.schemas import all_schemata, instantiate_schema, schemata_named
+from gradedpdl.semantics import Evaluator, eval_formula, valid_in_model
 from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
-from gradedpdl.syntax import collect_names, parse_formula
+from gradedpdl.syntax import collect_names, parse_formula, parse_program
 
+from oracle_audit import reference_find_counterexample
 from oracle_sampler import reference_sample_bindings, reference_sample_model
+from oracle_semantics import PointwiseEvaluator
 
 C3 = ChainContext(3)
 
@@ -230,6 +233,100 @@ def test_rule_audit_runs():
         entry = audit_rule(rule_id, cfg)
         assert entry.verdict in ("counterexample", "no-counterexample-found")
         assert entry.premises_valid >= 1
+
+
+# -- templates in the model extended by the bindings -------------------------------
+
+
+def test_template_in_extended_model_equals_instance():
+    # compositionality: at every state the template's value in the model
+    # extended by the bindings is the instance's value in the model, by
+    # the evaluator and by the pointwise reference
+    for n in (2, 3, 5):
+        cfg = SamplerConfig(n=n, max_states=3, seed=n)
+        ctx = cfg.context
+        for s in all_schemata("DL"):
+            rng = random.Random(f"{n}:{s.label}")
+            for _ in range(12):
+                model = sample_model(cfg, rng)
+                names = (set(model.valuation), set(model.atomics))
+                bindings = sample_bindings(s, rng, cfg)
+                got = _bound_evaluator(s, bindings, model).vector(s.template(ctx))
+                assert (set(model.valuation), set(model.atomics)) == names
+                instance = instantiate_schema(s, bindings, ctx)
+                assert got == Evaluator(model).vector(instance), (n, s.label)
+                pointwise = PointwiseEvaluator(model)
+                want = tuple(pointwise.value_num(instance, st) for st in model.space.states())
+                assert got == want, (n, s.label)
+
+
+def test_audit_matches_instantiating_reference():
+    # the parent loop built and evaluated every instance; the reports,
+    # witnesses included, are equal
+    witnesses = 0
+    for n in (2, 3):
+        for max_states in (1, 3, 4):
+            for seed in (0, 1):
+                cfg = SamplerConfig(n=n, max_states=max_states, seed=seed, samples=40)
+                for s in all_schemata("DL"):
+                    got = find_counterexample(s, cfg).to_json()
+                    assert got == reference_find_counterexample(s, cfg).to_json()
+                    witnesses += "witness" in got
+    assert witnesses >= 50
+
+
+def test_audit_instantiates_only_witnesses(monkeypatch):
+    from gradedpdl import audit, semantics
+
+    instantiated, built = [], []
+    real_instantiate = audit.instantiate_schema
+    real_init = semantics.Evaluator.__init__
+
+    def counting_instantiate(*args):
+        instantiated.append(args[0].label)
+        return real_instantiate(*args)
+
+    def counting_init(self, model):
+        built.append(model)
+        real_init(self, model)
+
+    monkeypatch.setattr(audit, "instantiate_schema", counting_instantiate)
+    monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
+    cfg = SamplerConfig(n=3, max_states=3, seed=4, samples=80)
+    refuted = []
+    for s in all_schemata("DL"):
+        del built[:]
+        entry = find_counterexample(s, cfg)
+        assert len(built) == entry.models_tested, s.label
+        if entry.witness is not None:
+            refuted.append(s.label)
+    assert refuted and instantiated == refuted
+
+
+def test_extension_refuses_a_model_that_names_a_metavariable(monkeypatch):
+    from gradedpdl import audit
+
+    cfg = SamplerConfig(n=3, max_states=2, seed=1, samples=5)
+    space = StateSpace(1)
+    named_phi = Model(C3, space, {}, {"phi": {0: 1}})
+    bindings = {"phi": parse_formula("p", C3), "psi": parse_formula("q", C3)}
+    with pytest.raises(ValueError, match="'phi'"):
+        _bound_evaluator(schema("A1"), bindings, named_phi)
+    empty = ReachRelation(space, C3, {})
+    named_pi = Model(C3, space, {"a": empty, "pi": empty}, {})
+    with pytest.raises(ValueError, match="'pi'"):
+        _bound_evaluator(schema("D1"), {"pi": parse_program("a", C3)}, named_pi)
+    # A5's computed e is a metavariable too
+    named_e = Model(C3, space, {}, {"e": {}})
+    with pytest.raises(ValueError, match="'e'"):
+        _bound_evaluator(schema("A5/and"), {"c": C3.value(1), "d": C3.one}, named_e)
+    # the two namespaces stay apart: a program named phi shadows nothing
+    program_phi = Model(C3, space, {"phi": empty}, {})
+    _bound_evaluator(schema("A1"), bindings, program_phi)
+    # through the search, when the sampled models' names include one
+    monkeypatch.setattr(audit, "_sample_names", lambda: (["p", "phi", "q"], ["a", "b"]))
+    with pytest.raises(ValueError, match="'phi'"):
+        find_counterexample(schema("A1"), cfg)
 
 
 # -- modality-free consequence -----------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from gradedpdl.chain import ChainContext, NotAChainElement
+from gradedpdl.cli import main
 from gradedpdl.modelio import (
     ModelFormatError,
     dumps,
@@ -95,6 +96,18 @@ def test_file_round_trip(tmp_path):
     assert load_model(path) == model
     # canonical emission is stable
     assert dumps(model_to_dict(model)) == dumps(model_to_dict(load_model(path)))
+
+
+def test_model_file_with_a_byte_order_mark(tmp_path, capsys):
+    # as some editors save UTF-8, with Windows line ends
+    path = tmp_path / "bom.json"
+    text = dumps(DOC).replace("\n", "\r\n")
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_model(path) == model_from_dict(DOC)
+    assert main(["eval", str(path), "p -> p"]) == 0
+    assert "s0: 1\ns1: 1" in capsys.readouterr().out
+    assert main(["filtrate", str(path), "p"]) == 0
+    assert "classes: 2" in capsys.readouterr().out
 
 
 def test_malformed_json_reported(tmp_path):
