@@ -32,6 +32,7 @@ from .modelio import model_to_dict
 from .relations import ReachRelation, StateSpace
 from .schemas import (
     _A5_OPS,
+    RULES,
     AxiomSchema,
     Binding,
     all_schemata,
@@ -74,7 +75,7 @@ class ModalFormulaRejected(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its configured limit."""
+    """An enumeration would exceed its limit."""
 
 
 class SamplerConfigError(InputError):
@@ -205,47 +206,32 @@ def sample_model(
 # -- random instantiation ----------------------------------------------------------
 
 
-def random_formula(
-    rng: random.Random,
-    ctx: ChainContext,
-    depth: int,
-    props: Sequence[str] = PROP_NAMES,
-    progs: Sequence[str] = PROGRAM_NAMES,
-) -> Formula:
+def random_formula(rng: random.Random, ctx: ChainContext, depth: int) -> Formula:
     if depth <= 0 or rng.random() < 0.35:
         if rng.random() < 0.6:
-            return PropVar(rng.choice(props))
+            return PropVar(rng.choice(PROP_NAMES))
         return Constant(ChainValue(rng.randint(0, ctx.top), ctx))
     kind = rng.randrange(5)
     if kind < 3:
         return (And, Or, Implies)[kind](
-            random_formula(rng, ctx, depth - 1, props, progs),
-            random_formula(rng, ctx, depth - 1, props, progs),
+            random_formula(rng, ctx, depth - 1), random_formula(rng, ctx, depth - 1)
         )
     return (Box, Diamond)[kind - 3](
-        random_program(rng, ctx, depth - 1, props, progs),
-        random_formula(rng, ctx, depth - 1, props, progs),
+        random_program(rng, ctx, depth - 1), random_formula(rng, ctx, depth - 1)
     )
 
 
-def random_program(
-    rng: random.Random,
-    ctx: ChainContext,
-    depth: int,
-    props: Sequence[str] = PROP_NAMES,
-    progs: Sequence[str] = PROGRAM_NAMES,
-) -> Program:
+def random_program(rng: random.Random, ctx: ChainContext, depth: int) -> Program:
     if depth <= 0 or rng.random() < 0.4:
-        return Atomic(rng.choice(progs))
+        return Atomic(rng.choice(PROGRAM_NAMES))
     kind = rng.randrange(5)
     if kind < 3:
         return (PUnion, Inter, Seq)[kind](
-            random_program(rng, ctx, depth - 1, props, progs),
-            random_program(rng, ctx, depth - 1, props, progs),
+            random_program(rng, ctx, depth - 1), random_program(rng, ctx, depth - 1)
         )
     if kind == 3:
-        return Star(random_program(rng, ctx, depth - 1, props, progs))
-    return Test(random_formula(rng, ctx, depth - 1, props, progs))
+        return Star(random_program(rng, ctx, depth - 1))
+    return Test(random_formula(rng, ctx, depth - 1))
 
 
 def _adversarial_formulas(ctx: ChainContext) -> tuple[Formula, ...]:
@@ -495,34 +481,35 @@ def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
     )
 
 
-_MON_RULES = ("Mon-box", "Mon-diamond")
-
-
 def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     """Search for a model where the premise of a monotonicity rule is
-    valid but the conclusion is not."""
-    if rule_id not in _MON_RULES:
+    valid but the conclusion is not. A trial reads both of the rule's
+    templates in the sampled model extended by the bindings, in one
+    evaluator; the conclusion instance is built only for a witness."""
+    if rule_id not in RULES:
         raise ValueError(f"unknown rule {rule_id!r}")
+    premise, conclusion = RULES[rule_id]
     seed = derive_seed(cfg.seed, "rule", rule_id, cfg.n)
     ctx = cfg.context
-    node = Box if rule_id == "Mon-box" else Diamond
+    premise_template, conclusion_template = premise.template(ctx), conclusion.template(ctx)
     premises_valid = 0
     for trial, rng, model in _trials(cfg, seed):
-        phi = random_formula(rng, ctx, 2)
-        psi = random_formula(rng, ctx, 2)
-        program = random_program(rng, ctx, 2)
-        ok, _ = valid_in_model(model, Implies(phi, psi))
-        if not ok:
+        bindings = {
+            "phi": random_formula(rng, ctx, 2),
+            "psi": random_formula(rng, ctx, 2),
+            "pi": random_program(rng, ctx, 2),
+        }
+        evaluator = _bound_evaluator(conclusion, bindings, model)
+        if min(evaluator.vector(premise_template)) < ctx.top:
             continue
         premises_valid += 1
-        conclusion = Implies(node(program, phi), node(program, psi))
-        ok, refutation = valid_in_model(model, conclusion)
-        if not ok:
-            bindings = {"phi": phi, "psi": psi, "pi": program}
-            witness = Witness(model, bindings, conclusion, refutation.state, refutation.value)
-            return RuleAudit(
-                rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
-            )
+        for state, num in enumerate(evaluator.vector(conclusion_template)):
+            if num < ctx.top:
+                instance = instantiate_schema(conclusion, bindings, ctx)
+                witness = Witness(model, bindings, instance, state, ChainValue(num, ctx))
+                return RuleAudit(
+                    rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
+                )
     return RuleAudit(
         rule_id, cfg.n, cfg.samples, premises_valid, "no-counterexample-found", seed
     )
@@ -570,7 +557,7 @@ def audit_all(
     for schema in selected:
         report.schemas.append(find_counterexample(schema, cfg))
     if include_rules:
-        for rule_id in _MON_RULES:
+        for rule_id in RULES:
             report.rules.append(audit_rule(rule_id, cfg))
     return report
 
@@ -595,12 +582,12 @@ def _require_modality_free(formula: Formula) -> None:
 # the limit is never held in one model.
 _VALUATION_BLOCK = 256
 
+# The most valuations check_consequence_prop enumerates.
+VALUATION_LIMIT = 10_000_000
+
 
 def check_consequence_prop(
-    theta: Iterable[Formula],
-    phi: Formula,
-    ctx: ChainContext,
-    limit: int = 10_000_000,
+    theta: Iterable[Formula], phi: Formula, ctx: ChainContext
 ) -> tuple[bool, Optional[dict[str, ChainValue]]]:
     """Decide modality-free consequence by enumerating all valuations.
 
@@ -617,9 +604,9 @@ def check_consequence_prop(
         names |= collect_names(f)[0]
     ordered = sorted(names)
     count = ctx.n ** len(ordered)
-    if count > limit:
+    if count > VALUATION_LIMIT:
         raise BudgetExceeded(
-            f"{count} valuations over {len(ordered)} variables exceed the limit {limit}"
+            f"{count} valuations over {len(ordered)} variables exceed the limit {VALUATION_LIMIT}"
         )
     top = ctx.top
     valuations = itertools.product(range(ctx.n), repeat=len(ordered))

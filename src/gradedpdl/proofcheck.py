@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional, Union as _U
 
 from .chain import ChainContext, InputError
-from .schemas import match_axiom_instance, schemata_named, all_schemata
-from .syntax import Box, Diamond, Formula, Implies, format_formula, parse_formula
+from .schemas import RULES, all_schemata, instantiate_schema, match_axiom_instance, schemata_named
+from .syntax import Formula, Implies, format_formula, parse_formula
 
 
 class DerivationFormatError(InputError):
@@ -173,7 +173,7 @@ def check_derivation(
                     k, "bad-reference",
                     f"step {k}: monotonicity references {i}; must be an earlier step",
                 )
-            if not _mon_lift_ok(derived[i - 1], step.formula):
+            if not _mon_lift_ok(derived[i - 1], step.formula, ctx):
                 return _reject(
                     k, "mon-mismatch",
                     f"step {k}: {_shown(step.formula)} does not lift "
@@ -185,19 +185,13 @@ def check_derivation(
     return Verdict(True)
 
 
-def _mon_lift_ok(source: Formula, claimed: Formula) -> bool:
-    """claimed == [pi]a -> [pi]b or <pi>a -> <pi>b for source == a -> b."""
-    if not isinstance(source, Implies) or not isinstance(claimed, Implies):
-        return False
-    lhs, rhs = claimed.left, claimed.right
-    for node in (Box, Diamond):
-        if isinstance(lhs, node) and isinstance(rhs, node):
-            if (
-                lhs.program == rhs.program
-                and lhs.body == source.left
-                and rhs.body == source.right
-            ):
-                return True
+def _mon_lift_ok(source: Formula, claimed: Formula, ctx: ChainContext) -> bool:
+    """``claimed`` is an instance of a monotonicity rule's conclusion
+    whose premise instance is ``source``."""
+    for premise, conclusion in RULES.values():
+        ok, bindings = match_axiom_instance(conclusion, claimed, ctx)
+        if ok and instantiate_schema(premise, bindings, ctx) == source:
+            return True
     return False
 
 

@@ -175,9 +175,6 @@ class ReachRelation:
             and self.entries == other.entries
         )
 
-    def __hash__(self):  # pragma: no cover - relations are not dict keys
-        raise TypeError("ReachRelation is not hashable")
-
     def __reduce__(self):
         # pickles and copies rebuild through the constructor and so come
         # back without ``_tables``

@@ -21,6 +21,9 @@ D7 ships in two variants: ``printed``, whose second conjunct repeats the
 pi1 box, and ``corrected``, whose second conjunct boxes pi0 instead; the
 repetition is a suspected typo and the auditor discriminates between the
 two empirically.
+
+The monotonicity rules ``Mon-box`` and ``Mon-diamond`` are written here
+too, as a premise and a conclusion template each, outside the catalog.
 """
 
 from __future__ import annotations
@@ -125,6 +128,14 @@ _CATALOG = [
     for schema_id, _, variant in [label.partition("/")]
 ]
 _BY_LABEL = {s.label: s for s in _CATALOG}
+
+# The monotonicity rules, each as (premise, conclusion): from a valid
+# premise infer the conclusion. They stay out of the catalog, so no axiom
+# step may cite them.
+RULES = {
+    rule_id: (AxiomSchema(rule_id, None, "phi -> psi", ()), AxiomSchema(rule_id, None, text, ()))
+    for rule_id, text in (("Mon-box", "[pi]phi -> [pi]psi"), ("Mon-diamond", "<pi>phi -> <pi>psi"))
+}
 
 
 def all_schemata(system: str = "DL") -> list[AxiomSchema]:

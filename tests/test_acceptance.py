@@ -47,6 +47,7 @@ from gradedpdl.syntax import (
     parse_formula,
 )
 
+from oracle_sampler import _random_formula
 from test_proofcheck import _MUTATIONS, fixture_text
 
 
@@ -415,7 +416,7 @@ def test_criterion_09_closure_on_random_formulas():
 
     sizes = []
     while len(sizes) < 100:
-        formula = random_formula(rng, ctx, 5, "pqr", "abc")
+        formula = _random_formula(rng, ctx, 5, "pqr", "abc")
         if ast_size(formula) > 25:
             continue
         closure = fl_closure(formula, ctx)

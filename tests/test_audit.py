@@ -9,6 +9,7 @@ from gradedpdl.audit import (
     ModalFormulaRejected,
     SamplerConfig,
     SamplerConfigError,
+    VALUATION_LIMIT,
     _bound_evaluator,
     audit_all,
     audit_rule,
@@ -21,14 +22,14 @@ from gradedpdl.audit import (
 )
 from gradedpdl.chain import ChainContext
 from gradedpdl.modelio import dumps
-from gradedpdl.schemas import all_schemata, instantiate_schema, schemata_named
+from gradedpdl.schemas import RULES, AxiomSchema, all_schemata, instantiate_schema, schemata_named
 from gradedpdl.semantics import Evaluator, eval_formula, valid_in_model
 from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
-from gradedpdl.syntax import collect_names, parse_formula, parse_program
+from gradedpdl.syntax import Box, Diamond, Implies, collect_names, parse_formula, parse_program
 
-from oracle_audit import reference_find_counterexample
-from oracle_sampler import reference_sample_bindings, reference_sample_model
+from oracle_audit import reference_audit_rule, reference_find_counterexample
+from oracle_sampler import _random_formula, reference_sample_bindings, reference_sample_model
 from oracle_semantics import PointwiseEvaluator
 
 C3 = ChainContext(3)
@@ -303,6 +304,57 @@ def test_audit_instantiates_only_witnesses(monkeypatch):
     assert refuted and instantiated == refuted
 
 
+def test_rule_audit_matches_two_evaluator_reference():
+    # the reference builds premise and conclusion in Python and checks
+    # each in an evaluator of its own; the reports are equal
+    premises_valid = 0
+    for n in (2, 3, 4):
+        for max_states in (1, 2, 3):
+            for seed in range(10):
+                cfg = SamplerConfig(n=n, max_states=max_states, seed=seed, samples=20)
+                for rule_id in RULES:
+                    got = audit_rule(rule_id, cfg).to_json()
+                    assert got == reference_audit_rule(rule_id, cfg).to_json(), (cfg, rule_id)
+                    premises_valid += got["premises_valid"]
+    assert premises_valid >= 500
+
+
+def test_unsound_rule_witness_is_the_instance(monkeypatch):
+    # Mon is sound, so only an unsound rule reaches the witness path
+    premise, _ = RULES["Mon-box"]
+    mixed = AxiomSchema("Mon-mixed", None, "[pi]phi -> <pi>psi", ())
+    monkeypatch.setitem(RULES, "Mon-mixed", (premise, mixed))
+    for seed in range(5):
+        entry = audit_rule("Mon-mixed", SamplerConfig(n=3, max_states=2, seed=seed, samples=200))
+        assert entry.verdict == "counterexample"
+        witness = entry.witness
+        phi, psi, pi = (witness.bindings[name] for name in ("phi", "psi", "pi"))
+        assert witness.formula == instantiate_schema(mixed, witness.bindings, C3)
+        assert witness.formula == Implies(Box(pi, phi), Diamond(pi, psi))
+        assert valid_in_model(witness.model, Implies(phi, psi))[0]
+        ok, refutation = valid_in_model(witness.model, witness.formula)
+        assert not ok and (refutation.state, refutation.value) == (witness.state, witness.value)
+        assert witness.reevaluate() == witness.value
+
+
+def test_rule_audit_builds_one_evaluator_per_trial(monkeypatch):
+    from gradedpdl import semantics
+
+    built = []
+    real_init = semantics.Evaluator.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        real_init(self, model)
+
+    monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
+    for rule_id in RULES:
+        del built[:]
+        entry = audit_rule(rule_id, SamplerConfig(n=3, max_states=3, seed=2, samples=60))
+        assert entry.premises_valid > 0
+        assert len(built) == entry.models_tested == 60, rule_id
+
+
 def test_extension_refuses_a_model_that_names_a_metavariable(monkeypatch):
     from gradedpdl import audit
 
@@ -364,9 +416,12 @@ def test_modal_formulas_rejected():
 
 
 def test_valuation_budget():
-    phi = parse_formula("p1 | p2 | p3 | p4", C3)
+    # 3**15 valuations are over the limit; the check refuses before
+    # building any valuation
+    phi = parse_formula(" | ".join(f"p{i}" for i in range(15)), C3)
+    assert C3.n ** 15 > VALUATION_LIMIT
     with pytest.raises(BudgetExceeded):
-        check_consequence_prop([], phi, C3, limit=80)
+        check_consequence_prop([], phi, C3)
 
 
 def test_consequence_with_premises():
@@ -405,12 +460,10 @@ def test_consequence_witness_is_first_falsifying_valuation():
 
 def test_consequence_agrees_with_one_state_models():
     rng = random.Random(31)
-    from gradedpdl.audit import random_formula
-
     for n in (2, 3):
         ctx = ChainContext(n)
         for _ in range(40):
-            f = random_formula(rng, ctx, 3, props="pq", progs="a")
+            f = _random_formula(rng, ctx, 3, "pq", "a")
             # keep only modality-free draws
             try:
                 expected, _ = check_consequence_prop([], f, ctx)

@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gradedpdl.audit import check_consequence_prop
+from gradedpdl.audit import check_consequence_prop, random_formula, random_program
 from gradedpdl.chain import ChainContext
 from gradedpdl import proofcheck
 from gradedpdl.proofcheck import (
@@ -18,7 +19,7 @@ from gradedpdl.proofcheck import (
     parse_derivation,
 )
 from gradedpdl.schemas import all_schemata
-from gradedpdl.syntax import PropVar, format_formula, parse_formula
+from gradedpdl.syntax import And, Box, Diamond, Implies, PropVar, format_formula, parse_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C3 = ChainContext(3)
@@ -214,6 +215,54 @@ def test_mon_rule_gated_by_flag():
         "n: 3\npremise: p -> q\n1 premise p -> q\n2 mon 1 <a>p -> <a>q\n"
     )
     assert check_derivation(dia, allow_mon=True).accepted
+
+
+def _shape_lift_ok(source, claimed):
+    """The hand-written check that ``proofcheck._mon_lift_ok`` replaced:
+    claimed == [pi]a -> [pi]b or <pi>a -> <pi>b for source == a -> b."""
+    if not isinstance(source, Implies) or not isinstance(claimed, Implies):
+        return False
+    lhs, rhs = claimed.left, claimed.right
+    for node in (Box, Diamond):
+        if isinstance(lhs, node) and isinstance(rhs, node):
+            if (
+                lhs.program == rhs.program
+                and lhs.body == source.left
+                and rhs.body == source.right
+            ):
+                return True
+    return False
+
+
+def test_mon_lift_matches_the_shape_check():
+    # true lifts and near misses: another program, swapped bodies, box
+    # and diamond mixed, a source that is not an implication, and
+    # unrelated random formulas
+    rng = random.Random(16)
+    lifts = 0
+    for n in (2, 3):
+        ctx = ChainContext(n)
+        for _ in range(150):
+            a, b = random_formula(rng, ctx, 2), random_formula(rng, ctx, 2)
+            pi, other = random_program(rng, ctx, 2), random_program(rng, ctx, 2)
+            source = Implies(a, b)
+            cases = [(source, random_formula(rng, ctx, 3)), (a, b)]
+            for node, mixed in ((Box, Diamond), (Diamond, Box)):
+                cases += [
+                    (source, Implies(node(pi, a), node(pi, b))),
+                    (source, Implies(node(pi, a), node(other, b))),
+                    (source, Implies(node(other, a), node(pi, b))),
+                    (source, Implies(node(pi, b), node(pi, a))),
+                    (source, Implies(node(pi, a), mixed(pi, b))),
+                    (And(a, b), Implies(node(pi, a), node(pi, b))),
+                    (a, Implies(node(pi, a), node(pi, b))),
+                    (source, And(node(pi, a), node(pi, b))),
+                ]
+            for src, claimed in cases:
+                want = _shape_lift_ok(src, claimed)
+                assert proofcheck._mon_lift_ok(src, claimed, ctx) == want, (src, claimed)
+                lifts += want
+    assert lifts >= 2 * 2 * 150
 
 
 def test_acceptance_insensitive_to_reserialization():

@@ -323,6 +323,16 @@ def test_warmed_tables_stay_out_of_equality_pickles_and_copies():
         assert back.entries is not q.entries
 
 
+def test_relations_are_not_hashable():
+    # equality compares the mutable-looking entries, so a relation is no
+    # dict key or set member
+    rel = ReachRelation(S2, C3, {(0, 1): 1})
+    with pytest.raises(TypeError):
+        hash(rel)
+    with pytest.raises(TypeError):
+        {rel}
+
+
 def test_compose_is_not_associative():
     # b takes both members of a's {0, 1} to state 0. In a o (b o c), c's
     # row at 0 is then picked once per member and strong-conjoined twice,

@@ -34,6 +34,7 @@ from gradedpdl.syntax import (
 from gradedpdl.audit import SamplerConfig, random_formula, random_program, sample_model
 
 import oracle_classical as classical
+from oracle_sampler import _random_formula
 from oracle_semantics import PointwiseEvaluator
 
 C3 = ChainContext(3)
@@ -316,7 +317,7 @@ def test_vectors_match_pointwise_evaluator():
                 rng = random.Random(f"{n}:{size}:{density}")
                 model = _random_model(rng, ctx, size, density)
                 formulas = [parse_formula(text, ctx) for text in fixed]
-                formulas += [random_formula(rng, ctx, 3, "pq", "abz") for _ in range(6)]
+                formulas += [_random_formula(rng, ctx, 3, "pq", "abz") for _ in range(6)]
                 vectors, pointwise = Evaluator(model), PointwiseEvaluator(model)
                 for formula in formulas:
                     for node in _nodes(formula):
@@ -359,7 +360,7 @@ def test_library_relations_pass_the_validating_constructor():
                     compose(a, b), union(a, b), parallel(a, b), star(a),
                 ]
                 evaluator = Evaluator(model)
-                for program in programs + [random_program(rng, ctx, 3, "pq", "ab") for _ in range(4)]:
+                for program in programs + [random_program(rng, ctx, 3) for _ in range(4)]:
                     built += [
                         evaluator.relation(node) for node in _nodes(program)
                         if isinstance(node, PROGRAMS)

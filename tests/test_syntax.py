@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import gradedpdl
 import oracle_syntax
-from gradedpdl.audit import random_formula, random_program
 from gradedpdl.chain import ChainContext, ChainValue, NotAChainElement
 from gradedpdl.syntax import (
     MAX_DEPTH,
@@ -45,6 +44,8 @@ from gradedpdl.syntax import (
     parse_program,
     _tokenize,
 )
+
+from oracle_sampler import _random_formula, _random_program
 
 C3 = ChainContext(3)
 
@@ -111,14 +112,14 @@ def test_constants_parse_and_print():
 def test_round_trip_random_formulas():
     rng = random.Random(12)
     for _ in range(300):
-        f = random_formula(rng, C3, 4, "pqr", "abc")
+        f = _random_formula(rng, C3, 4, "pqr", "abc")
         assert parse_formula(format_formula(f), C3) == f
 
 
 def test_round_trip_random_programs():
     rng = random.Random(13)
     for _ in range(300):
-        p = random_program(rng, C3, 4, "pqr", "abc")
+        p = _random_program(rng, C3, 4, "pqr", "abc")
         assert parse_program(format_program(p), C3) == p
 
 
@@ -159,8 +160,8 @@ def test_depth_limit_is_exact():
     # under-counts the height of what it built.
     rng = random.Random(14)
     for _ in range(150):
-        f = random_formula(rng, C3, 6, "pqr", "abc")
-        prog = random_program(rng, C3, 5, "pqr", "abc")
+        f = _random_formula(rng, C3, 6, "pqr", "abc")
+        prog = _random_program(rng, C3, 5, "pqr", "abc")
         for text, node in ((format_formula(f), f), (f"[{format_program(prog)}]p", Box(prog, PropVar("p")))):
             room = MAX_DEPTH - _height(node)
             assert parse_formula("p -> " * room + text, C3) is not None
@@ -341,8 +342,8 @@ def test_error_positions_match_the_oracle(parse, text):
 @settings(max_examples=400, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 8))
 def test_printers_match_the_oracle(rng, depth):
-    f = random_formula(rng, C3, depth, "pqr", "abc")
-    p = random_program(rng, C3, depth, "pqr", "abc")
+    f = _random_formula(rng, C3, depth, "pqr", "abc")
+    p = _random_program(rng, C3, depth, "pqr", "abc")
     assert format_formula(f) == oracle_syntax.format_formula(f)
     assert format_program(p) == oracle_syntax.format_program(p)
 
@@ -381,7 +382,7 @@ def test_node_cap_counts_the_expanded_tree():
     # which lets the parser skip the count on short input.
     rng = random.Random(15)
     for _ in range(100):
-        text = format_formula(random_formula(rng, C3, 5, "pqr", "abc"))
+        text = format_formula(_random_formula(rng, C3, 5, "pqr", "abc"))
         for t in (text, "~" * 20 + f"({text})"):
             assert ast_size(parse_formula(t, C3)) <= 2 * len(_tokenize(t))
 
@@ -433,7 +434,7 @@ def test_closure_cap():
 def test_closure_properties_random():
     rng = random.Random(99)
     for _ in range(100):
-        f = random_formula(rng, C3, 4, "pqr", "abc")
+        f = _random_formula(rng, C3, 4, "pqr", "abc")
         closure = fl_closure(f, C3)
         assert f in closure
         # subformula-closed
