@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import total_ordering
 
 
 class InputError(ValueError):
@@ -55,6 +56,7 @@ class ChainContext:
         return [ChainValue(k, self) for k in range(self.n)]
 
 
+@total_ordering
 @dataclass(frozen=True)
 class ChainValue:
     """One element k/(n-1) of a chain, held as the exact numerator k."""
@@ -107,21 +109,9 @@ class ChainValue:
 
     # -- order ------------------------------------------------------------
 
-    def __le__(self, other: ChainValue) -> bool:
-        self._same(other)
-        return self.numerator <= other.numerator
-
     def __lt__(self, other: ChainValue) -> bool:
         self._same(other)
         return self.numerator < other.numerator
-
-    def __ge__(self, other: ChainValue) -> bool:
-        self._same(other)
-        return self.numerator >= other.numerator
-
-    def __gt__(self, other: ChainValue) -> bool:
-        self._same(other)
-        return self.numerator > other.numerator
 
     @property
     def is_top(self) -> bool:

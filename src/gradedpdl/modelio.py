@@ -109,7 +109,7 @@ def model_from_dict(data: dict[str, Any]) -> Model:
     for prog, rows in section("programs").items():
         if not isinstance(rows, list):
             raise ModelFormatError(f"program {prog!r} must map to a list of entries")
-        entries: dict[tuple[int, int], int] = {}
+        triples = []
         for row in rows:
             try:
                 src = state(row["from"])
@@ -121,13 +121,8 @@ def model_from_dict(data: dict[str, Any]) -> Model:
                 ) from None
             if not isinstance(targets, list):
                 raise ModelFormatError(f"'to' of program {prog!r} must be a list")
-            mask = 0
-            for t in targets:
-                mask |= 1 << state(t)
-            num = value(text)
-            key = (src, mask)
-            entries[key] = max(entries.get(key, 0), num)
-        atomics[prog] = ReachRelation(space, ctx, entries)
+            triples.append((src, [state(t) for t in targets], value(text)))
+        atomics[prog] = ReachRelation.of(space, ctx, triples)
 
     return Model(ctx, space, atomics, valuation, tuple(state_list))
 

@@ -16,9 +16,10 @@ Text format, one step per line::
     4 mp 1 2 <formula>
     5 mon 4 <formula>        # only with the monotonicity rule enabled
 
-Blank lines and whole-line ``#`` comments are ignored (inline comments
-would collide with constant literals). Step numbers must run 1, 2,
-3, ... in order. A line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere
+``_STEP_FORMS`` is the one statement of each step kind's form. Blank
+lines and whole-line ``#`` comments are ignored (inline comments would
+collide with constant literals). Step numbers must run 1, 2, 3, ... in
+order. A line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere
 else: a form feed or U+2028 is whitespace inside a line.
 """
 
@@ -197,12 +198,23 @@ def _mon_lift_ok(source: Formula, claimed: Formula, ctx: ChainContext) -> bool:
 
 # -- text format -----------------------------------------------------------------
 
-_STEP_RE = re.compile(
-    r"^(?P<num>\d+)\s+(?P<kind>axiom|premise|mp|mon)\s+(?P<rest>.*)$"
-)
-_AXIOM_HEAD_RE = re.compile(r"^(?P<id>[A-Za-z]\w*)(?:/(?P<variant>[\w-]+))?\s+(?P<formula>.*)$")
-_MP_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<j>\d+)\s+(?P<formula>.*)$")
-_MON_HEAD_RE = re.compile(r"^(?P<i>\d+)\s+(?P<formula>.*)$")
+# The one statement of each step kind's form: the step it builds, the
+# pattern of what follows '<k> <kind> ', and the form a line that does
+# not match is told to follow. The step's fields come in the order of
+# its class, the formula last; the fields named ``i`` and ``j`` are step
+# numbers.
+_STEP_FORMS = {
+    kind: (step, re.compile(head + r"(?P<formula>.*)"), usage)
+    for kind, step, head, usage in [
+        ("axiom", AxiomStep, r"(?P<id>[A-Za-z][\w-]*)(?:/(?P<variant>[\w-]+))?\s+",
+         "axiom steps read '<k> axiom <id>[/<variant>] <formula>'"),
+        ("premise", PremiseStep, r"", "premise steps read '<k> premise <formula>'"),
+        ("mp", MPStep, r"(?P<i>\d+)\s+(?P<j>\d+)\s+",
+         "detachment steps read '<k> mp <i> <j> <formula>'"),
+        ("mon", MonStep, r"(?P<i>\d+)\s+", "monotonicity steps read '<k> mon <i> <formula>'"),
+    ]
+}
+_STEP_RE = re.compile(rf"^(?P<num>\d+)\s+(?P<kind>{'|'.join(_STEP_FORMS)})\s+(?P<rest>.*)$")
 # Only these end a line. ``str.splitlines`` also splits at form feeds,
 # U+2028 and other characters that a formula may hold as whitespace.
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")
@@ -257,46 +269,15 @@ def parse_derivation(text: str) -> Derivation:
             raise DerivationFormatError(
                 f"line {lineno}: step numbered {num}, expected {len(steps) + 1}"
             )
-        kind, rest = m.group("kind"), m.group("rest").strip()
-        if kind == "axiom":
-            head = _AXIOM_HEAD_RE.match(rest)
-            if not head:
-                raise DerivationFormatError(
-                    f"line {lineno}: axiom steps read '<k> axiom <id>[/<variant>] <formula>'"
-                )
-            steps.append(
-                AxiomStep(
-                    head.group("id"),
-                    head.group("variant"),
-                    _formula(head.group("formula"), ctx, lineno),
-                )
-            )
-        elif kind == "premise":
-            steps.append(PremiseStep(_formula(rest, ctx, lineno)))
-        elif kind == "mp":
-            head = _MP_HEAD_RE.match(rest)
-            if not head:
-                raise DerivationFormatError(
-                    f"line {lineno}: detachment steps read '<k> mp <i> <j> <formula>'"
-                )
-            steps.append(
-                MPStep(
-                    _number(head.group("i"), lineno),
-                    _number(head.group("j"), lineno),
-                    _formula(head.group("formula"), ctx, lineno),
-                )
-            )
-        else:
-            head = _MON_HEAD_RE.match(rest)
-            if not head:
-                raise DerivationFormatError(
-                    f"line {lineno}: monotonicity steps read '<k> mon <i> <formula>'"
-                )
-            steps.append(
-                MonStep(
-                    _number(head.group("i"), lineno), _formula(head.group("formula"), ctx, lineno)
-                )
-            )
+        step, pattern, usage = _STEP_FORMS[m.group("kind")]
+        head = pattern.fullmatch(m.group("rest"))
+        if not head:
+            raise DerivationFormatError(f"line {lineno}: {usage}")
+        *fields, formula = (
+            _number(value, lineno) if name in ("i", "j") else value
+            for name, value in head.groupdict().items()
+        )
+        steps.append(step(*fields, _formula(formula, ctx, lineno)))
     if ctx is None:
         raise DerivationFormatError("empty derivation: missing the 'n: <int>' header")
     return Derivation(ctx, premises, steps)

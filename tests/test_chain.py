@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from gradedpdl.chain import (
@@ -74,8 +76,14 @@ def test_context_mismatch_rejected():
     for op in (a.conj, a.implies, a.join, a.meet):
         with pytest.raises(ChainMismatchError):
             op(b)
-    with pytest.raises(ChainMismatchError):
-        a <= b  # noqa: B015
+    mismatch = "^cannot combine values from chains of order 3 and 4$"
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ChainMismatchError, match=mismatch):
+            compare(a, b)
+        # the other operand is no chain value, on either side
+        for left, right in ((a, 1), (1, a)):
+            with pytest.raises(TypeError, match="^expected a chain value, got 1$"):
+                compare(left, right)
 
 
 def test_serialization_round_trip():

@@ -176,6 +176,14 @@ def test_check_proof_format_error(tmp_path):
     assert main(["check-proof", str(path)]) == 2
 
 
+def test_check_proof_hyphenated_name_is_an_unknown_schema(tmp_path, capsys):
+    path = tmp_path / "hyphen.proof"
+    path.write_text("n: 3\n1 axiom Mon-box [a]p -> [a]q\n")
+    assert main(["check-proof", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "rejected at step 1: step 1: no schema named 'Mon-box' in system DL\n"
+
+
 @pytest.mark.parametrize(
     "text,line",
     [

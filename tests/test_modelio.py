@@ -49,15 +49,17 @@ def test_round_trip():
 
 
 def test_to_list_is_order_insensitive_and_deduplicated():
-    doc = dict(DOC)
-    doc["programs"] = {
-        "a": [
-            {"from": "s0", "to": ["s1", "s0", "s1"], "value": "1/2"},
-            {"from": "s0", "to": ["s0", "s1"], "value": "1"},
-        ]
-    }
-    model = model_from_dict(doc)
-    assert model.atomics["a"].entries == {(0, 0b11): 2}
+    rows = [
+        {"from": "s0", "to": ["s1", "s0", "s1"], "value": "1/2"},
+        {"from": "s0", "to": ["s0", "s1"], "value": "1"},
+    ]
+    # two rows for one (state, target set) keep the larger value, in
+    # either order
+    for ordered in (rows, rows[::-1]):
+        doc = dict(DOC)
+        doc["programs"] = {"a": ordered}
+        model = model_from_dict(doc)
+        assert model.atomics["a"].entries == {(0, 0b11): 2}
 
 
 def test_absent_entries_mean_bottom():

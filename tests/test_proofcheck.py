@@ -1,9 +1,11 @@
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import oracle_proofcheck
 from gradedpdl.audit import check_consequence_prop, random_formula, random_program
 from gradedpdl.chain import ChainContext
 from gradedpdl import proofcheck
@@ -120,9 +122,27 @@ def test_mutations_rejected_at_the_right_step(original, replacement, expected_st
 
 
 def test_axiom_must_name_known_schema():
-    text = "n: 3\n1 axiom ZZ p -> p\n"
-    verdict = check_derivation(parse_derivation(text))
-    assert verdict.failed_step == 1 and verdict.reason == "unknown-schema"
+    # a cited name may hold a hyphen, as the rule names do: the step is
+    # read, and then rejected as outside the catalog
+    for name in ("ZZ", "Mon-box"):
+        verdict = check_derivation(parse_derivation(f"n: 3\n1 axiom {name} [a]p -> [a]q\n"))
+        assert (verdict.failed_step, verdict.reason) == (1, "unknown-schema")
+        assert verdict.message == f"step 1: no schema named {name!r} in system DL"
+
+
+@pytest.mark.parametrize(
+    "step,usage",
+    [
+        ("1 axiom 7 p", "axiom steps read '<k> axiom <id>[/<variant>] <formula>'"),
+        ("1 axiom A1/ p", "axiom steps read '<k> axiom <id>[/<variant>] <formula>'"),
+        ("1 mp 1 p", "detachment steps read '<k> mp <i> <j> <formula>'"),
+        ("1 mon p", "monotonicity steps read '<k> mon <i> <formula>'"),
+    ],
+)
+def test_malformed_step_names_its_form(step, usage):
+    with pytest.raises(DerivationFormatError) as info:
+        parse_derivation(f"n: 3\n# a comment\n{step}\n")
+    assert str(info.value) == f"line 3: {usage}"
 
 
 def test_dl_schema_rejected_in_pl_mode():
@@ -353,3 +373,88 @@ def test_rejection_message_shows_formulas_up_to_the_cap_whole():
         assert verdict.reason == "not-a-premise"
         assert (repr(name) in verdict.message) is not cut
         assert ("[1 characters left out]" in verdict.message) is cut
+
+
+# -- differential: the reader against tests/oracle_proofcheck.py -------------
+
+_DIFFERENTIAL_SOURCES = [
+    fixture_text("identity.proof"),
+    fixture_text("mixed22.proof"),
+    "n: 3\npremise: p -> q\npremise: p\n1 premise p -> q\n2 mon 1 [a]p -> [a]q\n"
+    "3 premise p\n4 mp 3 1 q\n5 mon 1 <a>p -> <a>q\n",
+    "n: 4\n1 axiom D7/corrected [a^b]p <-> (<a>#1 -> [b]p) & (<b>#1 -> [a]p)\n"
+    "2 axiom D1 [a]#1\n3 axiom A1 #1/3 -> (q -> #1/3)\n",
+]
+# What the mutations insert: the format's own letters, digits and marks,
+# an Arabic-Indic digit, and whitespace that does and does not end a line.
+# No '-', which would reach cited names through the inserts alone.
+_INSERTS = list("0123456789 axiompremonAD/:#_<>[]()~&pq\t\x0c\u2028\r\n\u0663") + [
+    "axiom ", " mp ", " mon ", "premise:", "\n12 ",
+]
+# A cited name with a hyphen reads as an axiom step in the package and as
+# a malformed line in the reference: the one intended difference.
+_HYPHENATED_NAME = re.compile(r"axiom\s+[A-Za-z]\w*-")
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        action = rng.randrange(6)
+        if action < 3:
+            at = rng.randrange(len(text) + 1)
+            span = text[at : at + rng.randint(1, 4)]
+            edited = (rng.choice(_INSERTS) + span, "", span + span)[action]
+            text = text[:at] + edited + text[at + len(span) :]
+        else:
+            lines = text.split("\n")
+            k = rng.randrange(len(lines))
+            if action == 3:
+                del lines[k]
+            elif action == 4:
+                lines.insert(k, lines[k])
+            else:
+                lines.insert(k, rng.choice(rng.choice(_DIFFERENTIAL_SOURCES).split("\n")))
+            text = "\n".join(lines)
+    return text
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # both readers must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a step number too long for int() ahead of a malformed formula
+        "n: 3\npremise: p\n1 premise p\n2 mp 1 " + "9" * 5000 + " (p\n",
+        "n: 3\n1 mon " + "9" * 5000 + " (p\n",
+        # Arabic-Indic step numbers, and whitespace that is not a line end
+        "n: 3\npremise: p\n1 premise p\n2 mp \u0661 \u0661 p\n",
+        "n: 3\n1 axiom A1\u2028p -> (q -> p)\n2 mon\x0c1\t[a]p\n",
+        "n: 3\n1 axiom D7/x-y p\n2 axiom D7/ p\n",
+    ],
+    ids=["mp-long-number", "mon-long-number", "arabic-digits", "inner-whitespace", "variant"],
+)
+def test_reader_agrees_with_the_reference_at_the_edges(text):
+    got = _read(parse_derivation, text)
+    assert got == _read(oracle_proofcheck.reference_parse_derivation, text)
+
+
+def test_reader_agrees_with_the_reference():
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(3000):
+        text = _mutated(rng, rng.choice(_DIFFERENTIAL_SOURCES))
+        if _HYPHENATED_NAME.search(text):
+            outcomes["hyphen"] += 1
+            continue
+        got = _read(parse_derivation, text)
+        assert got == _read(oracle_proofcheck.reference_parse_derivation, text), text
+        outcomes["read" if isinstance(got, Derivation) else got[1].split(": ", 1)[-1]] += 1
+    # the mutations reach read derivations and every malformed head, and
+    # few texts are left out
+    heads = [usage for kind, (_, _, usage) in proofcheck._STEP_FORMS.items() if kind != "premise"]
+    assert outcomes["read"] >= 200 and all(outcomes[usage] >= 5 for usage in heads)
+    assert outcomes["hyphen"] <= 100
