@@ -5,7 +5,7 @@ The pieces, bottom up:
 * ``chain``      exact arithmetic in the finite chain of truth values
 * ``syntax``     formula/program ASTs, parser, printer, closure computation
 * ``relations``  graded reachability relations and their algebra
-* ``semantics``  models and the memoizing evaluator
+* ``semantics``  models, formula plans and their runner, the memoizing evaluator
 * ``schemas``    axiom-schema templates, instantiation, instance matching
 * ``audit``      counterexample search over sampled models
 * ``proofcheck`` Hilbert-style derivation verification
@@ -36,7 +36,16 @@ from .relations import (
     union,
     zero_relation,
 )
-from .semantics import Evaluator, Model, Refutation, eval_formula, eval_program, valid_in_model
+from .semantics import (
+    Evaluator,
+    Model,
+    Plan,
+    Refutation,
+    compile_plan,
+    eval_formula,
+    eval_program,
+    valid_in_model,
+)
 from .syntax import (
     And,
     Atomic,

@@ -38,7 +38,7 @@ from .schemas import (
     all_schemata,
     instantiate_schema,
 )
-from .semantics import Evaluator, Model, Refutation, eval_formula, valid_in_model
+from .semantics import Model, Refutation, compile_plan, eval_formula, valid_in_model
 from .syntax import (
     And,
     Atomic,
@@ -421,54 +421,52 @@ def _sample_names(*formulas: Formula) -> tuple[list[str], list[str]]:
     return sorted(props), sorted(progs)
 
 
-def _bound_evaluator(
+def _bound_model(
     schema: AxiomSchema, bindings: Mapping[str, Binding], model: Model
-) -> Evaluator:
-    """An evaluator of ``model`` extended by ``bindings``, in which the
-    schema's template takes the instance's value at every state: each
-    formula metavariable is the proposition whose row is its binding's
-    vector, each constant (A5's ``e`` among them) a constant row, and
-    each program metavariable the atomic program of its binding's
-    relation. The bindings are read in the model's own names before any
-    metavariable is added; a metavariable that the model already names
-    raises ValueError rather than shadow that name."""
+) -> Model:
+    """``model`` extended by ``bindings``, in which the schema's template
+    takes the instance's value at every state: each formula metavariable
+    is the proposition whose row is its binding's vector, each constant
+    (A5's ``e`` among them) a constant row, and each program metavariable
+    the atomic program of its binding's relation. The bindings are read
+    in the model's own names, as one plan run; a metavariable that the
+    model already names raises ValueError rather than shadow that name."""
     states = model.space.states()
-    atomics, valuation = dict(model.atomics), dict(model.valuation)
-    evaluator = Evaluator(Model._unchecked(model.context, model.space, atomics, valuation))
     values = dict(bindings)
     if schema.variant in _A5_OPS:
         values["e"] = _A5_OPS[schema.variant](values["c"], values["d"])
-    entries = []
+    terms = [value for value in values.values() if not isinstance(value, ChainValue)]
+    results = iter(compile_plan(*terms).root_values(model))
+    atomics, valuation = dict(model.atomics), dict(model.valuation)
     for name, value in values.items():
-        if isinstance(value, Program):
-            entries.append((atomics, name, evaluator.relation(value)))
-            continue
         if isinstance(value, ChainValue):
-            vector = [value.numerator] * len(states)
+            result = [value.numerator] * len(states)
         else:
-            vector = evaluator.vector(value)
-        entries.append((valuation, name, {s: num for s, num in zip(states, vector) if num}))
-    for table, name, entry in entries:
+            result = next(results)
+        if isinstance(value, Program):
+            table, entry = atomics, result
+        else:
+            table, entry = valuation, {s: num for s, num in zip(states, result) if num}
         if name in table:
             raise ValueError(f"the sampled model already names the metavariable {name!r}")
         table[name] = entry
-    return evaluator
+    return Model._unchecked(model.context, model.space, atomics, valuation)
 
 
 def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
     """Random (model, bindings) trials until a state falls below top.
 
-    A trial reads the schema's template, parsed once per chain, in the
-    sampled model extended by the bindings (``_bound_evaluator``); the
+    A trial runs the schema's template, compiled once per search, in the
+    sampled model extended by the bindings (``_bound_model``); the
     semantics is compositional, so that is the instance's value. The
     instance itself is built only for a witness.
     """
     ctx = cfg.context
-    template = schema.template(ctx)
+    plan = compile_plan(schema.template(ctx))
     seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
     for trial, rng, model in _trials(cfg, seed):
         bindings = sample_bindings(schema, rng, cfg)
-        vector = _bound_evaluator(schema, bindings, model).vector(template)
+        (vector,) = plan.root_values(_bound_model(schema, bindings, model))
         for state, num in enumerate(vector):
             if num < ctx.top:
                 instance = instantiate_schema(schema, bindings, ctx)
@@ -483,15 +481,17 @@ def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
 
 def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     """Search for a model where the premise of a monotonicity rule is
-    valid but the conclusion is not. A trial reads both of the rule's
-    templates in the sampled model extended by the bindings, in one
-    evaluator; the conclusion instance is built only for a witness."""
+    valid but the conclusion is not. A trial runs the rule's premise
+    template, and the conclusion template only where the premise is
+    valid, in the sampled model extended by the bindings; the conclusion
+    instance is built only for a witness."""
     if rule_id not in RULES:
         raise ValueError(f"unknown rule {rule_id!r}")
     premise, conclusion = RULES[rule_id]
     seed = derive_seed(cfg.seed, "rule", rule_id, cfg.n)
     ctx = cfg.context
-    premise_template, conclusion_template = premise.template(ctx), conclusion.template(ctx)
+    premise_plan = compile_plan(premise.template(ctx))
+    conclusion_plan = compile_plan(conclusion.template(ctx))
     premises_valid = 0
     for trial, rng, model in _trials(cfg, seed):
         bindings = {
@@ -499,11 +499,11 @@ def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
             "psi": random_formula(rng, ctx, 2),
             "pi": random_program(rng, ctx, 2),
         }
-        evaluator = _bound_evaluator(conclusion, bindings, model)
-        if min(evaluator.vector(premise_template)) < ctx.top:
+        bound = _bound_model(conclusion, bindings, model)
+        if min(premise_plan.root_values(bound)[0]) < ctx.top:
             continue
         premises_valid += 1
-        for state, num in enumerate(evaluator.vector(conclusion_template)):
+        for state, num in enumerate(conclusion_plan.root_values(bound)[0]):
             if num < ctx.top:
                 instance = instantiate_schema(conclusion, bindings, ctx)
                 witness = Witness(model, bindings, instance, state, ChainValue(num, ctx))
@@ -524,8 +524,9 @@ def valid_check(
     are None when the budget runs out first.
     """
     seed = derive_seed(cfg.seed, "valid", format_formula(formula), cfg.n)
+    plan = compile_plan(formula)
     for trial, _rng, model in _trials(cfg, seed, formula):
-        ok, refutation = valid_in_model(model, formula)
+        ok, refutation = valid_in_model(model, plan)
         if not ok:
             return trial, model, refutation
     return cfg.samples, None, None
@@ -595,7 +596,8 @@ def check_consequence_prop(
     also sends the conclusion to top, else (False, falsifying valuation):
     the first one in ``itertools.product`` order over the sorted names.
     The valuations are the states of program-free models, a block per
-    model, evaluated by ``semantics.Evaluator``.
+    model, in which the premises and the conclusion, compiled once into
+    one plan, are evaluated by one run.
     """
     premises = list(theta)
     names: set[str] = set()
@@ -609,14 +611,16 @@ def check_consequence_prop(
             f"{count} valuations over {len(ordered)} variables exceed the limit {VALUATION_LIMIT}"
         )
     top = ctx.top
+    plan = compile_plan(*premises, phi)
     valuations = itertools.product(range(ctx.n), repeat=len(ordered))
     while block := list(itertools.islice(valuations, _VALUATION_BLOCK)):
         columns = {name: dict(enumerate(column)) for name, column in zip(ordered, zip(*block))}
-        evaluator = Evaluator(Model(ctx, StateSpace(len(block)), {}, columns))
+        *premise_vectors, conclusion = plan.root_values(
+            Model(ctx, StateSpace(len(block)), {}, columns)
+        )
         for s, nums in enumerate(block):
-            if all(evaluator.value_num(f, s) == top for f in premises):
-                if evaluator.value_num(phi, s) != top:
-                    return False, {name: ChainValue(num, ctx) for name, num in zip(ordered, nums)}
+            if conclusion[s] != top and all(vector[s] == top for vector in premise_vectors):
+                return False, {name: ChainValue(num, ctx) for name, num in zip(ordered, nums)}
     return True, None
 
 
@@ -656,11 +660,10 @@ class EquivReport:
 def equiv_check(left: Formula, right: Formula, cfg: SamplerConfig) -> EquivReport:
     """Search sampled models for a state where the two formulas differ."""
     seed = derive_seed(cfg.seed, "equiv", format_formula(left), format_formula(right), cfg.n)
+    plan = compile_plan(left, right)
     for trial, _rng, model in _trials(cfg, seed, left, right):
-        evaluator = Evaluator(model)
-        for s in model.space.states():
-            lv = evaluator.value_num(left, s)
-            rv = evaluator.value_num(right, s)
+        lefts, rights = plan.root_values(model)
+        for s, (lv, rv) in enumerate(zip(lefts, rights)):
             if lv != rv:
                 return EquivReport(
                     left, right, True, trial, seed, model, s,

@@ -18,11 +18,11 @@ of class members gives the same relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .chain import ChainValue, InputError
 from .relations import ReachRelation, StateSpace, mask_states
-from .semantics import Evaluator, Model, subset_meets
+from .semantics import Model, Plan, compile_plan, subset_meets
 from .syntax import (
     Atomic,
     Box,
@@ -38,6 +38,9 @@ class NotClosedError(InputError):
     """The formula set is not closed."""
 
 
+Vectors = Mapping[Formula, tuple[int, ...]]
+
+
 def _sorted_gamma(gamma: Iterable[Formula]) -> list[Formula]:
     return sorted(set(gamma), key=format_formula)
 
@@ -48,9 +51,13 @@ class FiltrationResult:
     class_of: tuple[int, ...]  # state -> class index
     classes: tuple[tuple[int, ...], ...]  # class index -> member states, least first
     gamma: frozenset[Formula]
-    # The input model's evaluator: the checks below read the model from it,
-    # and reuse the closed-set values that it already holds at every state.
-    evaluator: Evaluator = field(compare=False, repr=False)
+    # The input model, which the checks below read; the closed set's
+    # plan, whose roots are its members in printed order; and each
+    # member's vector in the model, from one run of that plan.
+    # check_preservation runs the same plan in the quotient.
+    model: Model = field(compare=False, repr=False)
+    plan: Plan = field(compare=False, repr=False)
+    vectors: Vectors = field(compare=False, repr=False)
 
 
 def _box_diamond_pairs(gamma: Iterable[Formula], name: str) -> list[Formula]:
@@ -66,19 +73,18 @@ Term = tuple[tuple[int, ...], tuple[int, ...], list[int]]
 
 
 def _terms(
-    evaluator: Evaluator, name: str, bodies: Sequence[Formula], points: Sequence[int]
+    vectors: Vectors, name: str, bodies: Sequence[Formula], points: Sequence[int], top: int
 ) -> list[Term]:
     """Per body: the vectors of its box and its diamond under the named
-    program, and its ``subset_meets`` table over ``points``, the table
-    that box and diamond themselves read, here indexed by the bit mask of
-    positions in ``points``."""
+    program, read from ``vectors``, and its ``subset_meets`` table over
+    ``points``, the table that box and diamond themselves read, here
+    indexed by the bit mask of positions in ``points``."""
     prog = Atomic(name)
-    top = evaluator.model.context.top
     return [
         (
-            evaluator.vector(Box(prog, body)),
-            evaluator.vector(Diamond(prog, body)),
-            subset_meets(evaluator.vector(body), points, top),
+            vectors[Box(prog, body)],
+            vectors[Diamond(prog, body)],
+            subset_meets(vectors[body], points, top),
         )
         for body in bodies
     ]
@@ -108,10 +114,10 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     ctx = model.context
     if closure_of_set(gamma_set, ctx) != gamma_set:
         raise NotClosedError("the formula set is not closed")
-    evaluator = Evaluator(model)
-
-    vectors = [evaluator.vector(f) for f in _sorted_gamma(gamma_set)]
-    signatures = list(zip(*vectors)) or [()] * model.space.size
+    ordered = _sorted_gamma(gamma_set)
+    plan = compile_plan(*ordered)
+    vectors = dict(zip(ordered, plan.root_values(model)))
+    signatures = list(zip(*vectors.values())) or [()] * model.space.size
     by_signature: dict[tuple[int, ...], list[int]] = {}
     for s, signature in enumerate(signatures):
         by_signature.setdefault(signature, []).append(s)
@@ -125,7 +131,7 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     top = ctx.top
     atomics: dict[str, ReachRelation] = {}
     for name in sorted(model.atomics):
-        terms = _terms(evaluator, name, _box_diamond_pairs(gamma_set, name), reps)
+        terms = _terms(vectors, name, _box_diamond_pairs(gamma_set, name), reps, top)
         entries: dict[tuple[int, int], int] = {}
         for c, rep in enumerate(reps):
             for mask in qspace.subset_masks():
@@ -141,7 +147,7 @@ def quotient(model: Model, gamma: Iterable[Formula]) -> FiltrationResult:
     }
     names = tuple(f"c{c}" for c in qspace.states())
     qmodel = Model(ctx, qspace, atomics, valuation, names)
-    return FiltrationResult(qmodel, class_of, classes, gamma_set, evaluator)
+    return FiltrationResult(qmodel, class_of, classes, gamma_set, model, plan, vectors)
 
 
 # -- the computable inequality check ---------------------------------------------
@@ -170,7 +176,7 @@ def check_lemma4(
 ) -> Lemma4Report:
     """Check that the quotient relation dominates the corpus meet.
 
-    The model is the one ``result`` quotients, read from its evaluator.
+    The model is the one ``result`` quotients.
     For every state s and every target set T, the meet over the whole
     corpus of the box/diamond sandwich at (s, T) must be at most the
     quotient relation value at the corresponding class pair. The corpus
@@ -180,13 +186,15 @@ def check_lemma4(
     corpus formula, in printed order, whose sandwich sets the meet, or
     None if the meet is top.
     """
-    evaluator = result.evaluator
-    model = evaluator.model
+    model = result.model
     top = model.context.top
     class_of = result.class_of
     qrel = result.quotient.atomics[program_name]
     bodies = _sorted_gamma(corpus)
-    terms = _terms(evaluator, program_name, bodies, model.space.states())
+    prog = Atomic(program_name)
+    formulas = [f for body in bodies for f in (Box(prog, body), Diamond(prog, body), body)]
+    vectors = dict(zip(formulas, compile_plan(*formulas).root_values(model)))
+    terms = _terms(vectors, program_name, bodies, model.space.states(), top)
     qmasks = [0]  # per target mask, the mask of the targets' classes
     for t in model.space.states():
         qmasks += [qmask | 1 << class_of[t] for qmask in qmasks]
@@ -227,23 +235,22 @@ class PreservationReport:
 
 def check_preservation(result: FiltrationResult) -> PreservationReport:
     """Compare each closed-set formula in the model that ``result``
-    quotients, read from its evaluator, and in the quotient.
+    quotients, as ``result`` holds it, and in the quotient, from one run
+    of the closed set's plan.
 
     This emits an agreement table rather than asserting equality: the
     preservation theorem is proved for the canonical construction, and
     its behaviour on arbitrary explicit models is exactly what this
     report surfaces.
     """
-    evaluator = result.evaluator
-    model = evaluator.model
-    q_evaluator = Evaluator(result.quotient)
+    model = result.model
+    in_quotient = result.plan.root_values(result.quotient)
     report = PreservationReport()
-    for f in _sorted_gamma(result.gamma):
+    for (f, vector), quotient_vector in zip(result.vectors.items(), in_quotient):
         agreements = 0
         mismatches = []
-        in_quotient = q_evaluator.vector(f)
-        for s, original in enumerate(evaluator.vector(f)):
-            quotiented = in_quotient[result.class_of[s]]
+        for s, original in enumerate(vector):
+            quotiented = quotient_vector[result.class_of[s]]
             if original == quotiented:
                 agreements += 1
             else:

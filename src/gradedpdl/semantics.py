@@ -11,10 +11,17 @@ clauses:
 with the empty meet at top, so a relation's mass on the empty set is
 vacuous for box and counts as success for diamond.
 
-``Evaluator`` computes a formula at all states of the model at once and
-memoizes the vector of numerators. Box and diamond read the meets of
-the body from one table, ``subset_meets``, indexed by target mask, so
-each relation entry costs one lookup; filtration reads the same table.
+``compile_plan`` turns formulas and programs into a ``Plan`` once: one
+slot per distinct subterm, in post-order, each slot an opcode and the
+slots of its operands. ``Plan.run`` is the one interpreter: a loop over
+the slots that fills in a formula's vector of numerators over all states
+of a model, or a program's relation, with no recursion and no lookup
+keyed by formula. A search that evaluates one formula in many models
+compiles it once and runs the plan per model. Box and diamond read the
+meets of the body from one table, ``subset_meets``, indexed by target
+mask, so each relation entry costs one lookup; filtration reads the same
+table. ``Evaluator`` is a per-model memo over the same runner, for terms
+asked for one at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .syntax import (
     Star,
     Test,
     Union as PUnion,
+    children,
 )
 
 logger = logging.getLogger(__name__)
@@ -163,106 +171,189 @@ class Model:
         )
 
 
-class Evaluator:
-    """Memoizing interpreter for one model.
+# A plan step is (opcode, a, b), the opcode being the node's class: a
+# leaf's a is its name or constant and b None; a compound node's a and b
+# are the slots of its children in constructor order, b None for one child.
+_OPCODES = frozenset(
+    {PropVar, Constant, And, Or, Implies, Box, Diamond, Atomic, PUnion, Seq, Inter, Star, Test}
+)
 
-    Caches the materialized relation of every compound program and, for
-    every formula, one vector of numerators over all states: the formula
-    is evaluated at every state at once, the first time any state asks.
-    Propositional clauses combine the operands' vectors element-wise.
-    Box and diamond take the body's meet over every target set from
-    ``subset_meets`` and fold each relation entry into its source state's
-    value. A cache belongs to a single evaluation session; build a fresh
-    one to re-derive values from scratch.
+
+class Plan:
+    """Formulas and programs compiled for evaluation in any model.
+
+    One slot per distinct subterm, in post-order, so every child's slot
+    comes before its parent's and a box or diamond's program before its
+    body. ``nodes`` holds a subterm per slot, ``steps`` its (opcode,
+    operand, operand) step, and ``roots`` the slot of each compiled term,
+    in the order given.
+    """
+
+    __slots__ = ("nodes", "steps", "roots")
+
+    def __init__(self, nodes: tuple, steps: tuple, roots: tuple[int, ...]):
+        self.nodes = nodes
+        self.steps = steps
+        self.roots = roots
+
+    def run(self, model: Model, values: Optional[list] = None) -> list:
+        """Every slot's value in ``model``: a formula's vector of
+        numerators over the states, in state order, or a program's
+        relation. Slots that ``values`` already fills are kept, and the
+        list is filled in place and returned."""
+        if values is None:
+            values = [None] * len(self.steps)
+        ctx = model.context
+        top = ctx.top
+        space = model.space
+        size = space.size
+        states = space.states()
+        for slot, (op, a, b) in enumerate(self.steps):
+            if values[slot] is not None:
+                continue
+            if op is PropVar:
+                row = model.valuation.get(a)
+                value = tuple([row.get(s, 0) for s in states]) if row else (0,) * size
+            elif op is Atomic:
+                value = model.atomics.get(a)
+                if value is None:
+                    logger.warning("unknown atomic program %r treated as the empty relation", a)
+                    value = zero_relation(space, ctx)
+            elif op is Implies:
+                value = tuple([
+                    top if left <= right else top - left + right
+                    for left, right in zip(values[a], values[b])
+                ])
+            elif op is Box:
+                meets = subset_meets(values[b], states, top)
+                # out starts at top, which caps the implication
+                out = [top] * size
+                for (src, mask), rval in values[a].entries.items():
+                    val = top - rval + meets[mask]
+                    if val < out[src]:
+                        out[src] = val
+                value = tuple(out)
+            elif op is Diamond:
+                meets = subset_meets(values[b], states, top)
+                out = [0] * size
+                for (src, mask), rval in values[a].entries.items():
+                    val = rval + meets[mask] - top
+                    if val > out[src]:
+                        out[src] = val
+                value = tuple(out)
+            elif op is And:
+                value = tuple(map(min, values[a], values[b]))
+            elif op is Or:
+                value = tuple(map(max, values[a], values[b]))
+            elif op is Constant:
+                if a.context != ctx:
+                    raise ChainMismatchError(
+                        f"constant {a} belongs to a chain of order "
+                        f"{a.context.n}, model uses {ctx.n}"
+                    )
+                value = (a.numerator,) * size
+            elif op is Seq:
+                value = compose(values[a], values[b])
+            elif op is PUnion:
+                value = union(values[a], values[b])
+            elif op is Inter:
+                value = parallel(values[a], values[b])
+            elif op is Star:
+                value = star(values[a])
+            else:  # Test
+                entries = {(s, 1 << s): num for s, num in enumerate(values[a]) if num > 0}
+                value = ReachRelation._unchecked(space, ctx, entries)
+            values[slot] = value
+        return values
+
+    def root_values(self, model: Model) -> list:
+        """The value in ``model`` of each compiled term, in order."""
+        values = self.run(model)
+        return [values[root] for root in self.roots]
+
+
+def compile_plan(*terms: Formula | Program) -> Plan:
+    """The plan of ``terms``, whose roots are their slots in that order.
+
+    The walk keeps its own stack, so a term of any depth compiles. Equal
+    subterms share a slot: a step is keyed by its opcode and its
+    children's slots, so no subterm is hashed or compared as a tree.
+    """
+    nodes: list = []
+    steps: list[tuple] = []
+    slot_of_step: dict[tuple, int] = {}
+    slot_of_node: dict[int, int] = {}  # by id; each term keeps its nodes alive
+    roots = []
+    for term in terms:
+        stack = [(term, None)]
+        while stack:
+            node, kids = stack.pop()
+            if id(node) in slot_of_node:
+                continue
+            if kids is None:
+                kids = children(node)
+                if kids:
+                    stack.append((node, kids))
+                    stack.extend((kid, None) for kid in reversed(kids))
+                    continue
+            op = type(node)
+            if op not in _OPCODES:
+                raise TypeError(f"not a formula or program: {node!r}")
+            if not kids:
+                step = (op, node.value if op is Constant else node.name, None)
+            elif len(kids) == 1:
+                step = (op, slot_of_node[id(kids[0])], None)
+            else:
+                step = (op, slot_of_node[id(kids[0])], slot_of_node[id(kids[1])])
+            slot = slot_of_step.setdefault(step, len(steps))
+            if slot == len(steps):
+                nodes.append(node)
+                steps.append(step)
+            slot_of_node[id(node)] = slot
+        roots.append(slot_of_node[id(term)])
+    return Plan(tuple(nodes), tuple(steps), tuple(roots))
+
+
+class Evaluator:
+    """Memo of one model's values, for terms asked for one at a time.
+
+    A term not yet known is compiled and its plan run, with every
+    subterm already known filled in from the memo; every slot's value is
+    then kept. A formula's value is its vector of numerators over all
+    states, a program's its relation. A memo belongs to a single
+    evaluation session; build a fresh one to re-derive values from
+    scratch. A search that evaluates one term in many models runs its
+    ``Plan`` directly instead.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self._relations: dict[Program, ReachRelation] = {}
-        self._vectors: dict[Formula, tuple[int, ...]] = {}
+        self._values: dict = {}
+        # id of each term asked for -> (term, value); holding the term
+        # keeps its id from being reused, so a repeated question is
+        # answered without compiling the term again
+        self._asked: dict[int, tuple] = {}
+
+    def _value(self, term: Formula | Program):
+        asked = self._asked.get(id(term))
+        if asked is None:
+            # post-order, so hashing a node finds its children's hashes cached
+            plan = compile_plan(term)
+            memo = self._values
+            values = plan.run(self.model, [memo.get(node) for node in plan.nodes])
+            memo.update(zip(plan.nodes, values))
+            asked = self._asked[id(term)] = (term, values[plan.roots[0]])
+        return asked[1]
 
     def relation(self, program: Program) -> ReachRelation:
-        cached = self._relations.get(program)
-        if cached is not None:
-            return cached
-        model = self.model
-        if isinstance(program, Atomic):
-            rel = model.atomics.get(program.name)
-            if rel is None:
-                logger.warning(
-                    "unknown atomic program %r treated as the empty relation",
-                    program.name,
-                )
-                rel = zero_relation(model.space, model.context)
-        elif isinstance(program, PUnion):
-            rel = union(self.relation(program.left), self.relation(program.right))
-        elif isinstance(program, Seq):
-            rel = compose(self.relation(program.left), self.relation(program.right))
-        elif isinstance(program, Inter):
-            rel = parallel(self.relation(program.left), self.relation(program.right))
-        elif isinstance(program, Star):
-            rel = star(self.relation(program.body))
-        elif isinstance(program, Test):
-            vector = self.vector(program.condition)
-            entries = {(s, 1 << s): num for s, num in enumerate(vector) if num > 0}
-            rel = ReachRelation._unchecked(model.space, model.context, entries)
-        else:
-            raise TypeError(f"not a program: {program!r}")
-        self._relations[program] = rel
-        return rel
+        return self._value(program)
 
     def value_num(self, formula: Formula, s: int) -> int:
         return self.vector(formula)[s]
 
     def vector(self, formula: Formula) -> tuple[int, ...]:
         """The formula's numerator at every state, in state order."""
-        cached = self._vectors.get(formula)
-        if cached is not None:
-            return cached
-        model = self.model
-        top = model.context.top
-        if isinstance(formula, PropVar):
-            row = model.valuation.get(formula.name, {})
-            vector = tuple(row.get(s, 0) for s in model.space.states())
-        elif isinstance(formula, Constant):
-            if formula.value.context != model.context:
-                raise ChainMismatchError(
-                    f"constant {formula.value} belongs to a chain of order "
-                    f"{formula.value.context.n}, model uses {model.context.n}"
-                )
-            vector = (formula.value.numerator,) * model.space.size
-        elif isinstance(formula, And):
-            vector = tuple(map(min, self.vector(formula.left), self.vector(formula.right)))
-        elif isinstance(formula, Or):
-            vector = tuple(map(max, self.vector(formula.left), self.vector(formula.right)))
-        elif isinstance(formula, Implies):
-            vector = tuple(
-                min(top, top - a + b)
-                for a, b in zip(self.vector(formula.left), self.vector(formula.right))
-            )
-        elif isinstance(formula, Box):
-            entries = self.relation(formula.program).entries
-            meets = subset_meets(self.vector(formula.body), model.space.states(), top)
-            # out starts at top, which caps the implication
-            out = [top] * model.space.size
-            for (src, mask), rval in entries.items():
-                val = top - rval + meets[mask]
-                if val < out[src]:
-                    out[src] = val
-            vector = tuple(out)
-        elif isinstance(formula, Diamond):
-            entries = self.relation(formula.program).entries
-            meets = subset_meets(self.vector(formula.body), model.space.states(), top)
-            out = [0] * model.space.size
-            for (src, mask), rval in entries.items():
-                val = rval + meets[mask] - top
-                if val > out[src]:
-                    out[src] = val
-            vector = tuple(out)
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
-        self._vectors[formula] = vector
-        return vector
+        return self._value(formula)
 
 
 def eval_formula(model: Model, formula: Formula, state: int) -> ChainValue:
@@ -284,11 +375,14 @@ class Refutation:
     value: ChainValue
 
 
-def valid_in_model(model: Model, formula: Formula) -> tuple[bool, Optional[Refutation]]:
-    """True iff the formula takes the top value at every state; otherwise
-    the first state below top refutes it."""
+def valid_in_model(
+    model: Model, formula: Formula | Plan
+) -> tuple[bool, Optional[Refutation]]:
+    """True iff the formula, or the first root of a plan, takes the top
+    value at every state; otherwise the first state below top refutes it."""
+    plan = formula if isinstance(formula, Plan) else compile_plan(formula)
     top = model.context.top
-    for s, num in enumerate(Evaluator(model).vector(formula)):
+    for s, num in enumerate(plan.root_values(model)[0]):
         if num < top:
             value = ChainValue(num, model.context)
             return False, Refutation(s, model.state_names[s], value)

@@ -10,7 +10,7 @@ from gradedpdl.audit import (
     SamplerConfig,
     SamplerConfigError,
     VALUATION_LIMIT,
-    _bound_evaluator,
+    _bound_model,
     audit_all,
     audit_rule,
     check_consequence_prop,
@@ -23,7 +23,7 @@ from gradedpdl.audit import (
 from gradedpdl.chain import ChainContext
 from gradedpdl.modelio import dumps
 from gradedpdl.schemas import RULES, AxiomSchema, all_schemata, instantiate_schema, schemata_named
-from gradedpdl.semantics import Evaluator, eval_formula, valid_in_model
+from gradedpdl.semantics import Evaluator, compile_plan, eval_formula, valid_in_model
 from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model
 from gradedpdl.syntax import Box, Diamond, Implies, collect_names, parse_formula, parse_program
@@ -252,7 +252,7 @@ def test_template_in_extended_model_equals_instance():
                 model = sample_model(cfg, rng)
                 names = (set(model.valuation), set(model.atomics))
                 bindings = sample_bindings(s, rng, cfg)
-                got = _bound_evaluator(s, bindings, model).vector(s.template(ctx))
+                (got,) = compile_plan(s.template(ctx)).root_values(_bound_model(s, bindings, model))
                 assert (set(model.valuation), set(model.atomics)) == names
                 instance = instantiate_schema(s, bindings, ctx)
                 assert got == Evaluator(model).vector(instance), (n, s.label)
@@ -276,32 +276,51 @@ def test_audit_matches_instantiating_reference():
     assert witnesses >= 50
 
 
-def test_audit_instantiates_only_witnesses(monkeypatch):
-    from gradedpdl import audit, semantics
+def _count_runs(monkeypatch):
+    """Record the compiled terms of every plan run, and the model of every
+    evaluator built, from here on."""
+    from gradedpdl import semantics
 
-    instantiated, built = [], []
-    real_instantiate = audit.instantiate_schema
-    real_init = semantics.Evaluator.__init__
+    runs, built = [], []
+    real_run, real_init = semantics.Plan.run, semantics.Evaluator.__init__
 
-    def counting_instantiate(*args):
-        instantiated.append(args[0].label)
-        return real_instantiate(*args)
+    def counting_run(self, model, values=None):
+        runs.append(tuple(self.nodes[root] for root in self.roots))
+        return real_run(self, model, values)
 
     def counting_init(self, model):
         built.append(model)
         real_init(self, model)
 
-    monkeypatch.setattr(audit, "instantiate_schema", counting_instantiate)
+    monkeypatch.setattr(semantics.Plan, "run", counting_run)
     monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
+    return runs, built
+
+
+def test_audit_instantiates_only_witnesses(monkeypatch):
+    # a trial runs the template's plan, compiled once per search, and no
+    # evaluator; only a witness's instance is built
+    from gradedpdl import audit
+
+    instantiated = []
+    real_instantiate = audit.instantiate_schema
+
+    def counting_instantiate(*args):
+        instantiated.append(args[0].label)
+        return real_instantiate(*args)
+
+    monkeypatch.setattr(audit, "instantiate_schema", counting_instantiate)
+    runs, built = _count_runs(monkeypatch)
     cfg = SamplerConfig(n=3, max_states=3, seed=4, samples=80)
     refuted = []
     for s in all_schemata("DL"):
-        del built[:]
+        del runs[:]
         entry = find_counterexample(s, cfg)
-        assert len(built) == entry.models_tested, s.label
+        assert runs.count((s.template(cfg.context),)) == entry.models_tested, s.label
         if entry.witness is not None:
             refuted.append(s.label)
     assert refuted and instantiated == refuted
+    assert built == []
 
 
 def test_rule_audit_matches_two_evaluator_reference():
@@ -337,22 +356,15 @@ def test_unsound_rule_witness_is_the_instance(monkeypatch):
         assert witness.reevaluate() == witness.value
 
 
-def test_rule_audit_builds_one_evaluator_per_trial(monkeypatch):
-    from gradedpdl import semantics
-
-    built = []
-    real_init = semantics.Evaluator.__init__
-
-    def counting_init(self, model):
-        built.append(model)
-        real_init(self, model)
-
-    monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
-    for rule_id in RULES:
-        del built[:]
+def test_rule_audit_runs_the_conclusion_only_where_the_premise_is_valid(monkeypatch):
+    runs, built = _count_runs(monkeypatch)
+    for rule_id, (premise, conclusion) in RULES.items():
+        del runs[:]
         entry = audit_rule(rule_id, SamplerConfig(n=3, max_states=3, seed=2, samples=60))
-        assert entry.premises_valid > 0
-        assert len(built) == entry.models_tested == 60, rule_id
+        assert 0 < entry.premises_valid < 60, rule_id
+        assert runs.count((premise.template(C3),)) == entry.models_tested == 60, rule_id
+        assert runs.count((conclusion.template(C3),)) == entry.premises_valid, rule_id
+    assert built == []
 
 
 def test_extension_refuses_a_model_that_names_a_metavariable(monkeypatch):
@@ -363,18 +375,18 @@ def test_extension_refuses_a_model_that_names_a_metavariable(monkeypatch):
     named_phi = Model(C3, space, {}, {"phi": {0: 1}})
     bindings = {"phi": parse_formula("p", C3), "psi": parse_formula("q", C3)}
     with pytest.raises(ValueError, match="'phi'"):
-        _bound_evaluator(schema("A1"), bindings, named_phi)
+        _bound_model(schema("A1"), bindings, named_phi)
     empty = ReachRelation(space, C3, {})
     named_pi = Model(C3, space, {"a": empty, "pi": empty}, {})
     with pytest.raises(ValueError, match="'pi'"):
-        _bound_evaluator(schema("D1"), {"pi": parse_program("a", C3)}, named_pi)
+        _bound_model(schema("D1"), {"pi": parse_program("a", C3)}, named_pi)
     # A5's computed e is a metavariable too
     named_e = Model(C3, space, {}, {"e": {}})
     with pytest.raises(ValueError, match="'e'"):
-        _bound_evaluator(schema("A5/and"), {"c": C3.value(1), "d": C3.one}, named_e)
+        _bound_model(schema("A5/and"), {"c": C3.value(1), "d": C3.one}, named_e)
     # the two namespaces stay apart: a program named phi shadows nothing
     program_phi = Model(C3, space, {"phi": empty}, {})
-    _bound_evaluator(schema("A1"), bindings, program_phi)
+    _bound_model(schema("A1"), bindings, program_phi)
     # through the search, when the sampled models' names include one
     monkeypatch.setattr(audit, "_sample_names", lambda: (["p", "phi", "q"], ["a", "b"]))
     with pytest.raises(ValueError, match="'phi'"):

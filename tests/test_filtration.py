@@ -303,7 +303,7 @@ def test_quotient_round_trips_through_model_json():
     assert reborn == result.quotient
 
 
-def test_filtrate_builds_one_evaluator_per_model(tmp_path, monkeypatch, capsys):
+def test_filtrate_runs_one_plan_per_model(tmp_path, monkeypatch, capsys):
     from gradedpdl import semantics
     from gradedpdl.cli import main
 
@@ -323,15 +323,24 @@ def test_filtrate_builds_one_evaluator_per_model(tmp_path, monkeypatch, capsys):
     )
     path = tmp_path / "model.json"
     path.write_text(dumps(model_to_dict(model)))
-    built = []
-    real_init = semantics.Evaluator.__init__
+    # the closed set is compiled once and its plan run once in the model
+    # and once in the quotient; no evaluator is built
+    runs, built = [], []
+    real_run, real_init = semantics.Plan.run, semantics.Evaluator.__init__
+
+    def counting_run(self, model, values=None):
+        runs.append((self, model))
+        return real_run(self, model, values)
 
     def counting_init(self, model):
         built.append(model)
         real_init(self, model)
 
+    monkeypatch.setattr(semantics.Plan, "run", counting_run)
     monkeypatch.setattr(semantics.Evaluator, "__init__", counting_init)
     assert main(["filtrate", str(path), "[a]p & <a>p", "--force-states"]) == 0
     capsys.readouterr()
-    assert len(built) == 2
-    assert built[0].space.size == 5 and built[1] is not built[0]
+    assert built == [] and len(runs) == 2
+    (plan, in_model), (again, in_quotient) = runs
+    assert again is plan and len(plan.roots) == 4  # [a]p & <a>p, [a]p, <a>p, p
+    assert in_model.space.size == 5 and in_quotient is not in_model

@@ -1,7 +1,14 @@
 import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import gradedpdl
 
 from gradedpdl.chain import ChainContext, ChainMismatchError, ChainValue
 from gradedpdl.relations import (
@@ -14,14 +21,18 @@ from gradedpdl.relations import (
     union,
     zero_relation,
 )
-from gradedpdl.semantics import Evaluator, Model, eval_formula, eval_program, valid_in_model
+from gradedpdl.semantics import (
+    Evaluator, Model, compile_plan, eval_formula, eval_program, valid_in_model,
+)
 from gradedpdl.syntax import (
+    And,
     Atomic,
     Box,
     Constant,
     Diamond,
     Implies,
     Inter,
+    Or,
     PropVar,
     Seq,
     Star,
@@ -396,3 +407,133 @@ def test_boolean_collapse_agrees_with_classical_oracle():
         s = formula_rng.randrange(model.space.size)
         got = eval_formula(model, f, s).is_top
         assert got == classical.holds(bm, f, s), (model, f, s)
+
+
+# -- plans against the pointwise evaluator --------------------------------------
+
+C4 = ChainContext(4)
+
+
+def _copy(node):
+    """An equal tree that shares no node with ``node``."""
+    kids = children(node)
+    if kids:
+        return type(node)(*map(_copy, kids))
+    return type(node)(node.value if isinstance(node, Constant) else node.name)
+
+
+@st.composite
+def _terms(draw, sort, depth):
+    """A formula or program of C3 over p, q, a, b and the unknown program
+    z; one constant in ten is C4's. Some subterms are shared: ``f & f``
+    holds one object twice, ``[π][π]f`` one program, and ``f | f'`` an
+    equal copy."""
+    if sort == "program":
+        kind = draw(st.integers(0, 5 if depth > 0 else 0))
+        if kind == 0:
+            return Atomic(draw(st.sampled_from("abz")))
+        if kind == 4:
+            return Star(draw(_terms("program", depth - 1)))
+        if kind == 5:
+            return Test(draw(_terms("formula", depth - 1)))
+        node = (Union, Seq, Inter)[kind - 1]
+        return node(draw(_terms("program", depth - 1)), draw(_terms("program", depth - 1)))
+    kind = draw(st.integers(0, 7 if depth > 0 else 1))
+    if kind == 0:
+        return PropVar(draw(st.sampled_from("pq")))
+    if kind == 1:
+        ctx = C4 if draw(st.integers(0, 9)) == 0 else C3
+        return Constant(ctx.value(draw(st.integers(0, ctx.top))))
+    body = draw(_terms("formula", depth - 1))
+    if kind == 2:
+        return And(body, body)
+    if kind == 3:
+        return Or(body, _copy(body))
+    if kind == 4:
+        return Implies(body, draw(_terms("formula", depth - 1)))
+    program = draw(_terms("program", depth - 1))
+    if kind == 5:
+        return Box(program, Box(program, body))
+    return (Box, Diamond)[kind - 6](program, body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_terms("formula", 3), min_size=1, max_size=3),
+    st.lists(_terms("program", 2), max_size=2),
+    st.integers(1, 3),
+    st.sampled_from((0, 0.3, 1)),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_plan_slot_matches_pointwise_evaluator(formulas, programs, size, density, seed):
+    terms = formulas + programs
+    model = _random_model(random.Random(seed), C3, size, density)
+    plan = compile_plan(*terms)
+    # one slot per distinct subterm, children first, roots in order
+    subterms = {node for term in terms for node in _nodes(term)}
+    slot_of = {node: slot for slot, node in enumerate(plan.nodes)}
+    assert len(slot_of) == len(plan.nodes) and set(slot_of) == subterms
+    for slot, node in enumerate(plan.nodes):
+        assert all(slot_of[kid] < slot for kid in children(node))
+    assert [plan.nodes[root] for root in plan.roots] == terms
+    # every constant is evaluated, even where no relation entry reads it
+    if any(isinstance(node, Constant) and node.value.context != C3 for node in subterms):
+        with pytest.raises(ChainMismatchError):
+            plan.run(model)
+        return
+    pointwise = PointwiseEvaluator(model)
+    for node, value in zip(plan.nodes, plan.run(model)):
+        if isinstance(node, PROGRAMS):
+            assert value.entries == pointwise.relation(node).entries, node
+        else:
+            assert value == tuple(pointwise.value_num(node, s) for s in model.space.states())
+
+
+def test_a_two_root_plan_warns_once_per_program_in_root_order(caplog):
+    # as equiv reads them: the left root's programs first, each unknown
+    # atomic program once per run
+    model = single_state_model()
+    left, right = parse_formula("[z]p & <y>q", C3), parse_formula("<x>[z]q | [y]p", C3)
+    plan = compile_plan(left, right)
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
+            plan.run(model)
+        unknown = [record.args for record in caplog.records if "unknown atomic" in record.msg]
+        assert unknown == [("z",), ("y",), ("x",)]
+
+
+_DEEP = """
+import sys
+from gradedpdl.chain import ChainContext
+from gradedpdl.relations import ReachRelation, StateSpace
+from gradedpdl.semantics import Evaluator, Model, valid_in_model
+from gradedpdl.syntax import Atomic, Box, Implies, PropVar
+
+assert sys.getrecursionlimit() == 1000
+ctx, space = ChainContext(3), StateSpace(2)
+swap = ReachRelation(space, ctx, {(0, 0b10): 2, (1, 0b01): 1})
+model = Model(ctx, space, {"a": swap}, {"p": {0: 2, 1: 1}})
+
+
+def deep():
+    f = PropVar("p")
+    for _ in range(10_000):
+        f = Box(Atomic("a"), f)
+    return f
+
+
+# two equal trees that share no node, and a third, each never hashed before
+assert valid_in_model(model, Implies(deep(), deep())) == (True, None)
+assert Evaluator(model).vector(deep()) == (2, 2)
+"""
+
+
+def test_a_10000_deep_formula_evaluates_under_the_default_recursion_limit():
+    src = str(Path(gradedpdl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _DEEP],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
