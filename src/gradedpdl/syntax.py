@@ -12,6 +12,14 @@ Concrete syntax (whitespace-insensitive)::
 How tightly each binary operator binds and which way it groups is written
 once, in ``_INFIX``, which the parser and the printer both read.
 
+The parser is one loop over the tokens, for both sorts, with an operand
+stack and one operator stack that holds the waiting binary operators,
+the prefix forms not yet applied and the open brackets. It does not
+recurse, so its own frames do not grow with the input's nesting; it
+counts the nesting levels as the grammar above opens them and refuses
+input deeper than ``MAX_DEPTH``, with the same messages, at the same
+tokens, as a recursive-descent parser over that grammar.
+
 A token is an identifier, a constant or an operator, written once in
 ``_TOKEN``; any whitespace ``str.split`` splits at may stand between
 tokens. One ``findall`` gives the token texts, and the parser keeps only
@@ -38,12 +46,12 @@ from .chain import (
 
 
 # Deepest nesting the parser accepts, and the most levels a parsed tree may
-# have. The parser recurses up to five frames per nesting level (a bracket
-# that opens an operand shares the operand's level): 64 nested parentheses
-# parse under a recursion limit of 329, measured in a fresh interpreter on
-# Python 3.11.7. Hashing, comparing, evaluating and printing a tree
-# take up to three frames per level, so at this depth each stays far under
-# Python's default recursion limit of 1000.
+# have (a bracket that opens an operand shares the operand's level). The
+# parser keeps its levels on its own stacks and takes the same few frames
+# at any depth, but hashing a tree the first time, comparing, printing and
+# counting its nodes, and matching it against a schema recurse, up to
+# three frames per level, so at this depth each stays far under Python's
+# default recursion limit of 1000.
 MAX_DEPTH = 64
 
 # Most nodes a parsed tree may have once both sides of every "<->" are
@@ -69,8 +77,14 @@ class ClosureBudgetExceeded(InputError, RuntimeError):
 
 
 def _node(cls):
-    """Make ``cls`` a frozen dataclass whose hash is computed once per node
-    and cached on it.
+    """Make ``cls`` a frozen dataclass that is built with one dictionary
+    store per field and whose hash is computed once per node and cached
+    on it.
+
+    The frozen dataclass's own ``__init__`` calls ``object.__setattr__``
+    once per field; the one given here writes the fields straight into
+    the instance ``__dict__``, which is what those calls do, and takes the
+    same arguments, so ``dataclasses.replace`` and pickles work as before.
 
     The cached value is the one the dataclass hash gives, the hash of the
     field tuple, so sets and dicts of nodes iterate in the same order. A
@@ -79,6 +93,11 @@ def _node(cls):
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
+    stores = "".join(f"\n    attrs[{name!r}] = {name}" for name in names)
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n    attrs = self.__dict__{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __hash__(self):
         value = self._hash
@@ -90,6 +109,7 @@ def _node(cls):
     def __getstate__(self):
         return {name: getattr(self, name) for name in names}
 
+    cls.__init__ = init
     cls._hash = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -200,15 +220,8 @@ _INFIX = {
     Seq: (";", 3, False),
 }
 
-
-def _operators(*classes) -> dict:
-    """The parser's table for one sort: text -> (builder, power, right)."""
-    return {_INFIX[cls][0]: (cls, *_INFIX[cls][1:]) for cls in classes}
-
-
-# "<->" is notation and binds loosest of all.
-_FORMULA_OPS = {"<->": (biconditional, 0, False), **_operators(Implies, Or, And)}
-_PROGRAM_OPS = _operators(Union, Inter, Seq)
+# The power of the prefix forms, "*" and atoms, above every power in _INFIX.
+_TIGHT = 4
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -249,179 +262,231 @@ def _position(text: str, i: int) -> int:
     return len(text) if m is None else m.start()
 
 
+def _error(text: str, message: str, i: int) -> ParseError:
+    """The error to raise at token ``i`` of ``text``."""
+    return ParseError(message, _position(text, i))
+
+
+def _too_deep(text: str, i: int) -> ParseError:
+    """The error for a nesting level opened at token ``i`` past MAX_DEPTH."""
+    return _error(text, f"nesting deeper than {MAX_DEPTH} levels", i)
+
+
 def _shown(token: str) -> str:
     return repr(token or "end of input")
 
 
-class _Parser:
-    """Recursive descent over the token texts. The parser keeps token
-    indices only; an error maps its token's index to a character position
-    when it is raised."""
+def _constant(text: str, i: int, token: str, ctx: ChainContext) -> Constant:
+    """The constant that ``token``, token ``i`` of ``text``, names."""
+    body = token[1:]
+    try:
+        if "/" in body:
+            p_str, q_str = body.split("/", 1)
+            p, q = int(p_str), int(q_str)
+        else:
+            p, q = int(body), 1
+    except ValueError:  # more digits than int() converts
+        raise _error(text, f"constant {token[:20]!r}... is too long", i) from None
+    try:
+        return Constant(from_rational(p, q, ctx))
+    except NotAChainElement as exc:
+        raise NotAChainElement(f"{exc} (at position {_position(text, i)})") from None
 
-    def __init__(self, text: str, ctx: ChainContext):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.ctx = ctx
-        self.i = 0
-        # Open nested() calls, which bound the parser's own recursion, and
-        # the height of the tree the last rule returned: chains such as
-        # p & q & ... nest to the left in the tree but not in the parser.
-        self.depth = 0
-        self.height = 0
-        # Token index at which the last operand nested() began.
-        self.level_start = -1
-        # Whether a "<->" put one subtree into the tree twice.
-        self.shared = False
 
-    def error(self, message: str, i: int) -> ParseError:
-        """The error to raise at token ``i``."""
-        return ParseError(message, _position(self.text, i))
+# -- parser --------------------------------------------------------------------
 
-    def expect(self, text: str) -> None:
-        got = self.tokens[self.i]
-        if got != text:
-            raise self.error(f"expected {text!r}, found {_shown(got)}", self.i)
-        self.i += 1
+# The parser is one loop over the tokens with an operand stack and one
+# operator stack. A row of the operator stack that builds a node is
+# (key, build, nests, grow). The row is reduced, its node built from the
+# top operands, when a token arrives whose key is at most ``key``;
+# ``nests`` is 1 when the row holds a nesting level open, and ``grow`` is
+# how many levels the node adds above its taller operand. A binary
+# operator of power p arrives with key 2p and waits with key 2p, or 2p - 1
+# if it groups to the right, so that an operator of the same power leaves
+# it waiting. The prefix forms wait with a key above every binary
+# operator's, and a closing bracket or the end of the text arrives with
+# key 0, which reduces every row down to the bracket.
+_PREFIX_KEY = 2 * _TIGHT
 
-    def done(self) -> None:
-        got = self.tokens[self.i]
-        if got:
-            raise self.error(f"unexpected trailing input {got!r}", self.i)
 
-    def nested(self, i: int, rule, *args, bracket: bool = False):
-        """Parse ``rule(*args)`` one nesting level down, for the operator at
-        token ``i``. A bracket that opens an operand, as in [a](p & q) or
-        ~(p | q), stays on the operand's level, so that every printed tree
-        of at most MAX_DEPTH levels parses."""
-        if bracket and self.i - 1 == self.level_start:
-            return rule(*args)
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", i)
-        self.level_start = -1 if bracket else self.i
-        node = rule(*args)
-        self.depth -= 1
-        return node
+def _operators(*rows) -> dict:
+    """One sort's binary operators: text -> (arriving key, waiting row)."""
+    table = {}
+    for build, text, power, right in rows:
+        grow = 2 if build is biconditional else 1
+        table[text] = (2 * power, (2 * power - right, build, int(right), grow))
+    return table
 
-    def infix(self, ops: dict, operand, floor: int = 0):
-        """Operands joined by the operators of ``ops`` whose power is at
-        least ``floor`` (precedence climbing). The right operand of a
-        right-associative operator is one nesting level down."""
-        node = operand()
+
+# "<->" is notation and binds loosest of all.
+_FORMULA_OPS = _operators(
+    (biconditional, "<->", 0, False), *((cls, *_INFIX[cls]) for cls in (Implies, Or, And))
+)
+_PROGRAM_OPS = _operators(*((cls, *_INFIX[cls]) for cls in (Union, Inter, Seq)))
+_IFF = _FORMULA_OPS["<->"][1]
+# "~" is the one row that builds from a single operand, through negation().
+_NEGATION = (_PREFIX_KEY, None, 1, 1)
+
+# A bracket on the operator stack is (-1, closing token, what closing it
+# does, argument); its key of -1 stops every reduction.
+_PAREN, _PROGRAM, _CONDITION, _END = range(4)
+# "(" around an operand of either sort; the argument is the nesting level
+# it opens, none when it opens the operand of a level just opened.
+_OPEN_LEVEL = (-1, ")", _PAREN, 1)
+_OPEN_SAME = (-1, ")", _PAREN, 0)
+# "[" or "<" around a program; closing it leaves in its place the row that
+# builds the box or diamond from the program and the body.
+_OPEN_BOX = (-1, "]", _PROGRAM, (_PREFIX_KEY, Box, 1, 1))
+_OPEN_DIAMOND = (-1, ">", _PROGRAM, (_PREFIX_KEY, Diamond, 1, 1))
+# "?(" around a test's condition.
+_OPEN_TEST = (-1, ")", _CONDITION, 1)
+# The bottom of the stack, closed by the end of the text.
+_BOTTOM = (-1, "", _END, 0)
+
+
+def _parse(text: str, ctx: ChainContext, in_program: bool):
+    """The tree of ``text``, a program when ``in_program`` and otherwise a
+    formula, or the ParseError at the first token where it goes wrong.
+
+    The loop keeps the counters of a recursive-descent parser with one
+    rule per grammar line: ``depth`` counts the nesting levels open (the
+    right operand of "->", the operand of a prefix form, a bracket and a
+    test's condition each open one), and ``level_start`` is the token at
+    which the last level opened its operand, so that a bracket opening
+    that operand, as in [a](p & q) or ~(p | q), stays on its level and
+    every printed tree of at most MAX_DEPTH levels parses.
+    """
+    tokens = _tokenize(text)
+    operands = []
+    heights = []  # the tree height of each operand
+    ops = [_BOTTOM]
+    depth = 0
+    level_start = -1
+    shared = False  # whether a "<->" put one subtree into the tree twice
+    infix = _PROGRAM_OPS if in_program else _FORMULA_OPS
+    i = 0
+    while True:
+        # Before an operand: prefix forms and opening brackets, then a
+        # name, a constant, or a test's condition.
+        token = tokens[i]
+        if token == "(":
+            if i == level_start:
+                ops.append(_OPEN_SAME)
+            else:
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep(text, i)
+                level_start = -1
+                ops.append(_OPEN_LEVEL)
+            i += 1
+            continue
+        if token.isidentifier():  # names are the only tokens that are identifiers
+            operands.append(Atomic(token) if in_program else PropVar(token))
+        elif in_program:
+            if token != "?":
+                raise _error(text, f"expected a program, found {_shown(token)}", i)
+            if tokens[i + 1] != "(":
+                raise _error(text, f"expected '(', found {_shown(tokens[i + 1])}", i + 1)
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(text, i)
+            level_start = i + 2
+            ops.append(_OPEN_TEST)
+            in_program = False
+            infix = _FORMULA_OPS
+            i += 2
+            continue
+        elif token == "~" or token == "[" or token == "<":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(text, i)
+            level_start = i + 1
+            if token == "~":
+                ops.append(_NEGATION)
+            else:
+                ops.append(_OPEN_BOX if token == "[" else _OPEN_DIAMOND)
+                in_program = True
+                infix = _PROGRAM_OPS
+            i += 1
+            continue
+        elif token[:1] == "#":
+            operands.append(_constant(text, i, token, ctx))
+        else:
+            raise _error(text, f"expected a formula, found {_shown(token)}", i)
+        heights.append(1)
+        i += 1
+        # After an operand: stars, binary operators and closing brackets.
         while True:
-            i = self.i
-            op = ops.get(self.tokens[i])
-            if op is None or op[1] < floor:
-                return node
-            build, power, right = op
-            self.i = i + 1
-            height = self.height
-            if right:
-                node = build(node, self.nested(i, self.infix, ops, operand, power))
+            token = tokens[i]
+            op = infix.get(token)
+            if op is not None:
+                key, row = op
+            elif token == "*" and in_program:
+                operands[-1] = Star(operands[-1])
+                heights[-1] += 1
+                i += 1
+                continue
             else:
-                node = build(node, self.infix(ops, operand, power + 1))
-            if build is biconditional:
-                self.shared = True
-                self.height = max(height, self.height) + 2
+                key = 0
+            while ops[-1][0] >= key:
+                _, build, nests, grow = ops.pop()
+                depth -= nests
+                if build is None:
+                    operands[-1] = negation(operands[-1], ctx)
+                    heights[-1] += 1
+                    continue
+                right = operands.pop()
+                right_height = heights.pop()
+                left_height = heights[-1]
+                operands[-1] = build(operands[-1], right)
+                heights[-1] = (left_height if left_height > right_height else right_height) + grow
+            if op is not None:
+                if row[2]:  # the right operand is one level down
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise _too_deep(text, i)
+                    level_start = i + 1
+                elif row is _IFF:
+                    shared = True
+                ops.append(row)
+                i += 1
+                break
+            _, closer, kind, arg = bracket = ops[-1]
+            if token != closer:
+                if bracket is _BOTTOM:
+                    raise _error(text, f"unexpected trailing input {token!r}", i)
+                raise _error(text, f"expected {closer!r}, found {_shown(token)}", i)
+            if kind == _PAREN:
+                ops.pop()
+                depth -= arg
+            elif kind == _PROGRAM:
+                # the program is read; the body opens the level it closed
+                ops[-1] = arg
+                level_start = i + 1
+                in_program = False
+                infix = _FORMULA_OPS
+                i += 1
+                break
+            elif kind == _CONDITION:
+                ops.pop()
+                depth -= 1
+                operands[-1] = Test(operands[-1])
+                heights[-1] += 1
+                in_program = True
+                infix = _PROGRAM_OPS
             else:
-                self.height = max(height, self.height) + 1
-
-    # formulas
-
-    def formula(self) -> Formula:
-        return self.infix(_FORMULA_OPS, self.unary)
-
-    def unary(self) -> Formula:
-        i = self.i
-        text = self.tokens[i]
-        if text.isidentifier():  # names are the only tokens that are identifiers
-            self.i = i + 1
-            self.height = 1
-            return PropVar(text)
-        if text == "~":
-            self.i = i + 1
-            node = negation(self.nested(i, self.unary), self.ctx)
-            self.height += 1
-            return node
-        if text == "[" or text == "<":
-            self.i = i + 1
-            prog = self.nested(i, self.program)
-            height = self.height
-            self.expect("]" if text == "[" else ">")
-            body = self.nested(i, self.unary)
-            self.height = max(height, self.height) + 1
-            return Box(prog, body) if text == "[" else Diamond(prog, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        """A constant or a bracketed formula; unary() reads propositions."""
-        i = self.i
-        text = self.tokens[i]
-        self.i = i + 1
-        self.height = 1
-        if text[:1] == "#":
-            body = text[1:]
-            try:
-                if "/" in body:
-                    p_str, q_str = body.split("/", 1)
-                    p, q = int(p_str), int(q_str)
-                else:
-                    p, q = int(body), 1
-            except ValueError:  # more digits than int() converts
-                raise self.error(f"constant {text[:20]!r}... is too long", i) from None
-            try:
-                return Constant(from_rational(p, q, self.ctx))
-            except NotAChainElement as exc:
-                position = _position(self.text, i)
-                raise NotAChainElement(f"{exc} (at position {position})") from None
-        if text == "(":
-            node = self.nested(i, self.formula, bracket=True)
-            self.expect(")")
-            return node
-        raise self.error(f"expected a formula, found {_shown(text)}", i)
-
-    # programs
-
-    def program(self) -> Program:
-        return self.infix(_PROGRAM_OPS, self.post)
-
-    def post(self) -> Program:
-        node = self.prim()
-        while self.tokens[self.i] == "*":
-            self.i += 1
-            node = Star(node)
-            self.height += 1
-        return node
-
-    def prim(self) -> Program:
-        i = self.i
-        text = self.tokens[i]
-        self.i = i + 1
-        if text.isidentifier():
-            self.height = 1
-            return Atomic(text)
-        if text == "?":
-            self.expect("(")
-            cond = self.nested(i, self.formula)
-            self.expect(")")
-            self.height += 1
-            return Test(cond)
-        if text == "(":
-            node = self.nested(i, self.program, bracket=True)
-            self.expect(")")
-            return node
-        raise self.error(f"expected a program, found {_shown(text)}", i)
+                return _checked(operands[0], heights[0], shared, len(tokens))
+            i += 1
 
 
-def _parse(text: str, ctx: ChainContext, rule):
-    parser = _Parser(text, ctx)
-    node = rule(parser)
-    parser.done()
-    if parser.height > MAX_DEPTH:
+def _checked(node, height: int, shared: bool, tokens: int):
+    """``node``, a parsed tree of ``height`` levels read from ``tokens``
+    tokens, once it passes the caps on levels and nodes."""
+    if height > MAX_DEPTH:
         raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
     # Without a shared subtree each token adds at most two nodes ("~p" is
     # p -> #0), so short input needs no count.
-    if (parser.shared or 2 * len(parser.tokens) > MAX_NODES) and ast_size(node) > MAX_NODES:
+    if (shared or 2 * tokens > MAX_NODES) and ast_size(node) > MAX_NODES:
         raise ParseError(
             f"formula or program has more than {MAX_NODES} nodes after expanding '~' and '<->'", 0
         )
@@ -429,18 +494,14 @@ def _parse(text: str, ctx: ChainContext, rule):
 
 
 def parse_formula(text: str, ctx: ChainContext) -> Formula:
-    return _parse(text, ctx, _Parser.formula)
+    return _parse(text, ctx, False)
 
 
 def parse_program(text: str, ctx: ChainContext) -> Program:
-    return _parse(text, ctx, _Parser.program)
+    return _parse(text, ctx, True)
 
 
 # -- printer -----------------------------------------------------------------
-
-# The power of the prefix forms, "*" and atoms, above every power in _INFIX.
-_TIGHT = 4
-
 
 def _wrap(rendered: tuple[str, int], floor: int) -> str:
     text, power = rendered

@@ -1,3 +1,5 @@
+import copy as copy_module
+import dataclasses
 import json
 import os
 import pickle
@@ -192,54 +194,72 @@ def test_depth_limit_is_exact():
 
 # -- the deepest inputs: parser frames ---------------------------------------------
 
-# The deepest accepted input of each shape, as (text of k levels, k), and
-# the least recursion limit under which it parses in a fresh interpreter,
-# measured on Python 3.11.7. Before names were read in the parser's
-# ``unary`` rule, which saves a frame under the deepest name, the limits
-# were one higher, except for program parentheses, and 3.10.13, 3.12.1
-# and 3.13.0 needed the same or up to two less. The parser before the one
-# operator table needed 460, 138, 138, 353, 384 and 401.
+# The deepest accepted input of each shape, as (text of k levels, k). The
+# parser keeps its levels on its own stacks, so every shape parses under
+# one recursion limit whatever its depth, and at 100 000 levels each
+# raises the nesting error under the same limit. PARSE_FRAME_LIMIT is the
+# least limit under which all of them run in a fresh interpreter,
+# measured on Python 3.11.7 (the negations need the most, for the frames
+# of negation() and the chain value it builds). The recursive parser
+# before the one loop needed 135 to 334, depending on the shape, and a
+# limit that grew with k.
 DEEPEST_SHAPES = {
-    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH, 329),
-    "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1, 135),
-    "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1, 135),
-    "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2, 288),
-    "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2, 288),
-    "program-parentheses": (lambda k: "[" + "(" * k + "a" + ")" * k + "]p", MAX_DEPTH, 334),
+    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH),
+    "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1),
+    "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1),
+    "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2),
+    "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2),
+    "program-parentheses": (lambda k: "[" + "(" * k + "a" + ")" * k + "]p", MAX_DEPTH),
 }
-# Room above each measured limit for the interpreter's own frames, which
+PARSE_FRAME_LIMIT = 9
+FAR_TOO_DEEP = 100_000
+# Room above the measured limit for the interpreter's own frames, which
 # differ by a few between Python versions.
 FRAME_HEADROOM = 20
 
+# Reads [[name, text], ...] and a recursion limit on stdin, since a text
+# of 100 000 levels is longer than one command-line argument may be.
 _UNDER_LIMIT = """
 import json, sys
 from gradedpdl.chain import ChainContext
-from gradedpdl.syntax import parse_formula
-for name, (text, limit) in json.loads(sys.argv[1]).items():
+from gradedpdl.syntax import ParseError, parse_formula
+texts, limit = json.load(sys.stdin)
+outcomes = {}
+for name, text in texts:
     sys.setrecursionlimit(limit)
     try:
         parse_formula(text, ChainContext(3))
+        outcome = "parsed"
+    except ParseError as exc:
+        outcome = str(exc)
     except RecursionError:
-        print(name)
+        outcome = "RecursionError"
     sys.setrecursionlimit(1000)
+    outcomes[name] = outcome
+print(json.dumps(outcomes))
 """
 
 
 def test_deepest_inputs_parse_within_a_frame_budget():
-    budget = {}
-    for name, (make, k, limit) in DEEPEST_SHAPES.items():
+    texts = []
+    for name, (make, k) in DEEPEST_SHAPES.items():
         parse_formula(make(k), C3)
         with pytest.raises(ParseError):
             parse_formula(make(k + 1), C3)
-        budget[name] = (make(k), limit + FRAME_HEADROOM)
+        texts += [[name, make(k)], [f"{name} x{FAR_TOO_DEEP}", make(FAR_TOO_DEEP)]]
     src = str(Path(gradedpdl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _UNDER_LIMIT, json.dumps(budget)],
+        [sys.executable, "-c", _UNDER_LIMIT],
+        input=json.dumps([texts, PARSE_FRAME_LIMIT + FRAME_HEADROOM]),
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    outcomes = json.loads(run.stdout)
+    too_deep = f"nesting deeper than {MAX_DEPTH} levels"
+    for name in DEEPEST_SHAPES:
+        assert outcomes[name] == "parsed"
+        assert outcomes[f"{name} x{FAR_TOO_DEEP}"].startswith(too_deep)
 
 
 # -- differential: the parser and printer against tests/oracle_syntax.py -------------
@@ -348,6 +368,63 @@ def test_printers_match_the_oracle(rng, depth):
     assert format_program(p) == oracle_syntax.format_program(p)
 
 
+# Text of each binary operator, for the fully bracketed renderer below.
+_BINARY_TEXT = {And: "&", Or: "|", Implies: "->", Union: "+", Inter: "^", Seq: ";"}
+
+
+def _bracketed(node) -> str:
+    """The text of a tree with every binary operand bracketed and every
+    starred program too, as the benchmark's derivation files are written."""
+    kind = type(node)
+    if kind is PropVar or kind is Atomic:
+        return node.name
+    if kind is Constant:
+        return format_formula(node)
+    if kind is Box or kind is Diamond:
+        opening, closing = "[]" if kind is Box else "<>"
+        return f"{opening}{_bracketed(node.program)}{closing}{_bracketed(node.body)}"
+    if kind is Star:
+        return f"({_bracketed(node.body)})*"
+    if kind is Test:
+        return f"?({_bracketed(node.condition)})"
+    return f"({_bracketed(node.left)} {_BINARY_TEXT[kind]} {_bracketed(node.right)})"
+
+
+# Ways to put a tree one level further down, so that some texts pass the
+# depth cap: as the right operand of "->" or "&", a box or diamond body,
+# or a test's condition.
+_DEEPER = [
+    lambda f, g: Implies(PropVar("p"), f),
+    lambda f, g: And(PropVar("q"), f),
+    lambda f, g: Box(Atomic("a"), f),
+    lambda f, g: Diamond(Star(g), f),
+    lambda f, g: Box(Test(f), PropVar("p")),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.randoms(use_true_random=False), st.integers(0, 7), st.integers(0, MAX_DEPTH + 2), st.data()
+)
+def test_fully_bracketed_texts_match_the_oracle(rng, depth, levels, data):
+    f = _random_formula(rng, C3, depth, "pqr", "abc")
+    g = _random_program(rng, C3, depth, "pqr", "abc")
+    for _ in range(levels):
+        f = rng.choice(_DEEPER)(f, g)
+    for tree in (f, g):
+        text = _bracketed(tree)
+        starts = [m.start() for m in oracle_syntax._TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+        cut = text[:data.draw(st.sampled_from(starts))]
+        for parse, reference in (
+            (parse_formula, oracle_syntax.parse_formula),
+            (parse_program, oracle_syntax.parse_program),
+        ):
+            for t in (text, cut):
+                assert _outcome(parse, t) == _outcome(reference, t)
+        got = _outcome(parse_formula if tree is f else parse_program, text)
+        assert got == tree or isinstance(got, tuple) and "deeper" in got[1]
+
+
 def test_nodes_hash_once_like_dataclasses():
     # Two parses build separate but equal trees, which hash equal; every
     # node's hash is the frozen-dataclass one, hash of its field tuple.
@@ -366,6 +443,37 @@ def test_nodes_hash_once_like_dataclasses():
     # the cached hash stays out of pickles: string hashes differ by process
     copy = pickle.loads(pickle.dumps(one))
     assert copy == one and "_hash" not in vars(copy)
+
+
+def test_nodes_are_frozen_dataclasses_built_into_their_dict():
+    p, q, a = PropVar("p"), PropVar("q"), Atomic("a")
+    nodes = [p, Constant(ChainValue(1, C3)), And(p, q), Or(p, q),
+             Implies(p, q), Box(a, p), Diamond(Star(a), q), a, Union(a, a), Inter(a, Test(p)),
+             Seq(a, Star(a)), Star(a), Test(q)]
+    # the fields, and nothing else until the first hash, sit in __dict__
+    for node in nodes:
+        assert vars(node) == {f.name: getattr(node, f.name) for f in fields(node)}
+    for node in nodes:
+        values = tuple(getattr(node, f.name) for f in fields(node))
+        assert type(node)(*values) == node
+        assert type(node)(**{f.name: v for f, v in zip(fields(node), values)}) == node
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, fields(node)[0].name, p)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.other = p
+        for copy in (pickle.loads(pickle.dumps(node)), copy_module.deepcopy(node),
+                     dataclasses.replace(node)):
+            assert copy == node and copy is not node and type(copy) is type(node)
+            assert hash(copy) == hash(node) == hash(values)
+        args = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(node), values))
+        assert repr(node) == f"{type(node).__name__}({args})"
+    assert dataclasses.replace(And(p, q), right=p) == And(p, p)
+    assert And(p, q) != Or(p, q) and Union(a, a) != Inter(a, a) != Seq(a, a)
+    assert Box(a, p) != Diamond(a, p)
+    with pytest.raises(TypeError):
+        And(p)
+    with pytest.raises(TypeError):
+        And(p, q, p)
 
 
 def test_node_cap_counts_the_expanded_tree():
