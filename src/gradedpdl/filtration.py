@@ -17,8 +17,9 @@ of class members gives the same relation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 from .chain import ChainValue, InputError
 from .relations import ReachRelation, StateSpace, mask_states

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union as _U
+from typing import Optional
 
 from .chain import ChainContext, InputError
 from .schemas import RULES, all_schemata, instantiate_schema, match_axiom_instance, schemata_named
@@ -63,7 +63,7 @@ class MonStep:
     formula: Formula
 
 
-Step = _U[AxiomStep, PremiseStep, MPStep, MonStep]
+Step = AxiomStep | PremiseStep | MPStep | MonStep
 
 
 @dataclass

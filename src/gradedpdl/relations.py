@@ -11,6 +11,9 @@ right operand's ``_tables`` slot on first use, and every later
 composition with that operand, whatever its left operand, reads them
 there. This is exact because relations are immutable values. The slot
 is a cache, so it takes no part in equality, printing, pickles or copies.
+``compose`` folds its products into one dense row per source, a list of
+2^size numerators indexed by target mask, and turns the rows into
+entries once, at the end.
 
 ``star`` runs each of its rounds through ``compose``. ``star``
 is a semi-naive fixpoint: its first step is unit join r, since
@@ -23,8 +26,8 @@ p = unit join (r o p) without a confirming round of full compositions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union as _U
 
 from .chain import ChainContext, ChainMismatchError, ChainValue, parse_value
 
@@ -75,7 +78,7 @@ def mask_states(mask: int) -> list[int]:
     return out
 
 
-StateSetLike = _U[int, Iterable[int]]
+StateSetLike = int | Iterable[int]
 
 
 class ReachRelation:
@@ -140,7 +143,7 @@ class ReachRelation:
         cls,
         space: StateSpace,
         context: ChainContext,
-        triples: Iterable[tuple[int, StateSetLike, _U[int, str, ChainValue]]],
+        triples: Iterable[tuple[int, StateSetLike, int | str | ChainValue]],
     ) -> "ReachRelation":
         """Build from (state, state set, value) triples; values may be
         numerators, ``p/q`` strings, or chain values."""
@@ -242,8 +245,9 @@ def _product_table(
     member_rows = rows.get(low)
     if member_rows:
         for pmask, pval in _product_table(best, rows, top, umask ^ low).items():
+            drop = top - pval
             for tmask, qval in member_rows:
-                val = pval + qval - top
+                val = qval - drop
                 if val > 0:
                     key = pmask | tmask
                     if val > ext.get(key, 0):
@@ -273,6 +277,14 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     A step costs at most (unions so far) x (rows of the member), while
     listing every family costs the product of the members' row counts.
 
+    The products are folded per source s into one row, a list of 2^size
+    numerators indexed by target mask and kept at the largest product
+    so far, so a product is one subtraction and one list read: with
+    drop = top - r(s, U), r(s, U) (*) best[U][T] is
+    max(0, best[U][T] - drop), and it is kept only if it beats the
+    row's cell, which starts at bottom, so no clamp is needed. r's entries may come in any order of sources. The nonzero
+    cells become the result's entries once, at the end.
+
     q's rows and best[U] are functions of q and U alone, and q is an
     immutable value, so they are kept on q (``q._tables``) and serve
     every later composition with q on the right. Tables are built on
@@ -294,17 +306,27 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
         tables = q._tables = (rows, {0: {0: top}})
     rows, best = tables
 
-    out: dict[tuple[int, int], int] = {}
+    size = r.space.size
+    acc: list[list[int] | None] = [None] * size
     for (s, umask), rval in r.entries.items():
         table = best.get(umask)
         if table is None:
             table = _product_table(best, rows, top, umask)
+        row = acc[s]
+        if row is None:
+            row = acc[s] = [0] * (1 << size)
+        drop = top - rval
         for tmask, bval in table.items():
-            val = rval + bval - top
-            if val > 0:
-                key = (s, tmask)
-                if val > out.get(key, 0):
-                    out[key] = val
+            val = bval - drop
+            if val > row[tmask]:
+                row[tmask] = val
+    out = {
+        (s, tmask): val
+        for s, row in enumerate(acc)
+        if row is not None
+        for tmask, val in enumerate(row)
+        if val
+    }
     return ReachRelation._unchecked(r.space, r.context, out)
 
 

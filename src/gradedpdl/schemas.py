@@ -29,8 +29,9 @@ too, as a premise and a conclusion template each, outside the catalog.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union as _U
+from typing import Optional
 
 from .chain import ChainContext, ChainValue
 from .syntax import (
@@ -49,7 +50,7 @@ class MissingBinding(KeyError):
     """A metavariable was left unbound during instantiation."""
 
 
-Binding = _U[Formula, Program, ChainValue]
+Binding = Formula | Program | ChainValue
 
 # Proposition names that stand for chain constants rather than formulas.
 _CONSTANTS = frozenset("cde")

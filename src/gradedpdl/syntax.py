@@ -35,10 +35,10 @@ negation or biconditional nodes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Union as _U
 
 from .chain import (
     ChainContext, ChainValue, InputError, NotAChainElement, format_value, from_rational,
@@ -191,8 +191,11 @@ class Test:
     __test__ = False  # keep pytest from collecting the class
 
 
-Formula = _U[PropVar, Constant, And, Or, Implies, Box, Diamond]
-Program = _U[Atomic, Union, Inter, Seq, Star, Test]
+# Module-level aliases are built without ``typing``: its alias cache is
+# process-wide, and would keep these classes, and with them every copy of
+# the package ever imported, alive after the package is imported again.
+Formula = PropVar | Constant | And | Or | Implies | Box | Diamond
+Program = Atomic | Union | Inter | Seq | Star | Test
 
 
 def negation(f: Formula, ctx: ChainContext) -> Formula:
@@ -575,7 +578,7 @@ def children(node: object) -> tuple:
     return get(node) if get is not None else ()
 
 
-def ast_size(node: _U[Formula, Program]) -> int:
+def ast_size(node: Formula | Program) -> int:
     """Node count of the whole tree, programs included.
 
     A subtree held once and used twice, as both sides of a desugared
@@ -594,11 +597,11 @@ def ast_size(node: _U[Formula, Program]) -> int:
     return size(node)
 
 
-def collect_names(node: _U[Formula, Program]) -> tuple[set[str], set[str]]:
+def collect_names(node: Formula | Program) -> tuple[set[str], set[str]]:
     """All proposition names and atomic program names in the tree."""
     props: set[str] = set()
     progs: set[str] = set()
-    stack: list[_U[Formula, Program]] = [node]
+    stack: list[Formula | Program] = [node]
     while stack:
         cur = stack.pop()
         if isinstance(cur, PropVar):

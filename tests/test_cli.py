@@ -332,6 +332,35 @@ def test_parser_schema_tables_and_pools_built_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+_REIMPORT = """
+import contextlib, gc, io, sys, weakref
+import gradedpdl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gradedpdl.cli.main(["valid", "p -> p", "--samples", "3"]) == 0
+syntax = weakref.ref(sys.modules["gradedpdl.syntax"])
+conjunction = weakref.ref(sys.modules["gradedpdl.syntax"].And)
+for name in [m for m in sys.modules if m.partition(".")[0] == "gradedpdl"]:
+    del sys.modules[name]
+import gradedpdl.cli
+gc.collect()
+assert syntax() is None, "first gradedpdl.syntax still alive"
+assert conjunction() is None, "first syntax.And still alive"
+"""
+
+
+def test_reimported_package_releases_the_first_copy():
+    # nothing outside the package may hold its classes: a process that
+    # re-imports it (the benchmark does for each set-up) would otherwise
+    # keep every earlier copy of its modules alive
+    src = str(Path(gradedpdl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _REIMPORT],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def _run_cli(*argv):
     """Run the command in a fresh interpreter, as the installed script would."""
     env = dict(os.environ, PYTHONPATH=str(Path(gradedpdl.__file__).parents[1]))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gradedpdl import audit
 from gradedpdl.chain import ChainContext, ChainMismatchError
 from gradedpdl.relations import (
     ReachRelation,
@@ -306,6 +307,38 @@ def test_compose_with_warmed_right_operand_matches_enumeration():
             assert tables is not None and q._tables is tables
         operands += 1
     assert operands == 3 * (4 * 5 + 2)
+
+
+def _fold_cases(rng):
+    """Left and right operands of the compositions in the benchmark's
+    shape: atomics a and b of models drawn by the sampler at n=3, up to
+    4 states and the default density. The left operands of the nested
+    chains (a;b);a, ((a+b);b);a and (b;b);a are dense results of
+    compose itself, and those from union, and their reversed and
+    shuffled copies, do not list their entries grouped by source."""
+    cfg = audit.SamplerConfig(n=3, max_states=4)
+    sizes = set()
+    for _ in range(40):
+        model = audit.sample_model(cfg, rng)
+        a, b = model.atomics["a"], model.atomics["b"]
+        space, ctx = model.space, model.context
+        sizes.add(space.size)
+        for left in (compose(a, b), compose(union(a, b), b), compose(b, b), union(a, b), union(b, a)):
+            items = list(left.entries.items())
+            yield left, a
+            yield ReachRelation._unchecked(space, ctx, dict(reversed(items))), a
+            rng.shuffle(items)
+            yield ReachRelation._unchecked(space, ctx, dict(items)), b
+    assert sizes == {1, 2, 3, 4}
+
+
+def test_compose_fold_matches_enumeration_on_sampled_chains():
+    rng = random.Random(23)
+    for r, q in _fold_cases(rng):
+        got = compose(r, q)
+        assert got.entries == oracle.enum_compose(r, q)
+        assert got == compose(r, ReachRelation(q.space, q.context, q.entries))
+        assert all(val > 0 for val in got.entries.values())
 
 
 def test_warmed_tables_stay_out_of_equality_pickles_and_copies():
