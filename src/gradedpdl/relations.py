@@ -282,8 +282,9 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     so far, so a product is one subtraction and one list read: with
     drop = top - r(s, U), r(s, U) (*) best[U][T] is
     max(0, best[U][T] - drop), and it is kept only if it beats the
-    row's cell, which starts at bottom, so no clamp is needed. r's entries may come in any order of sources. The nonzero
-    cells become the result's entries once, at the end.
+    row's cell, which starts at bottom, so no clamp is needed. r's
+    entries may come in any order of sources. The nonzero cells become
+    the result's entries once, at the end.
 
     q's rows and best[U] are functions of q and U alone, and q is an
     immutable value, so they are kept on q (``q._tables``) and serve

@@ -17,11 +17,35 @@ slots of its operands. ``Plan.run`` is the one interpreter: a loop over
 the slots that fills in a formula's vector of numerators over all states
 of a model, or a program's relation, with no recursion and no lookup
 keyed by formula. A search that evaluates one formula in many models
-compiles it once and runs the plan per model. Box and diamond read the
-meets of the body from one table, ``subset_meets``, indexed by target
-mask, so each relation entry costs one lookup; filtration reads the same
-table. ``Evaluator`` is a per-model memo over the same runner, for terms
-asked for one at a time.
+compiles it once and runs the plan per model. Box and diamond fold a
+relation's entries against a table slot indexed by target mask, so each
+entry costs one lookup: ``subset_meets``, the meets of the body, for a
+plain modality; filtration reads the same table.
+
+Two exact rewrites keep a modality from composing its outer step, since
+the clauses read a relation only through its meets over target sets.
+
+* ``[l;q]phi`` and ``<l;q>phi`` fold ``l``'s entries against a table
+  made from ``q``'s rows and the meets ``m`` of the body, so ``l;q`` is
+  never materialised. Composition joins, over the members u of an
+  intermediate set U, one row ``q(u, T_u)`` each, and the meet over the
+  union of the T_u is the least of their meets. So the box table is
+  ``G[U] = sum_u (top - qmax(u)) + min_u (qmax(u) + min_T (m(T) - q(u,T)))``:
+  every member takes its largest row but one, which takes the row that
+  lowers the meet most for its cost. The diamond table is
+  ``H[U] = max_theta (theta + sum_u (up_theta(u) - top))``, where
+  ``up_theta(u)`` is u's largest row whose meet is at least theta, and
+  theta ranges over the meets of ``q``'s rows; ``H[empty] = top``.
+  Products are summed unclipped: a family whose product reaches bottom
+  gives a box term at or above top and a diamond term at or below bottom,
+  which neither fold keeps.
+* ``[a+b]phi`` is the meet of ``[a]phi`` and ``[b]phi``, and ``<a+b>phi``
+  the join of ``<a>phi`` and ``<b>phi``: implication is antitone in its
+  first argument and strong conjunction monotone, and a union's entries
+  are the larger of its operands'.
+
+``Evaluator`` is a per-model memo over the same runner, for terms asked
+for one at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +53,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .chain import ChainContext, ChainMismatchError, ChainValue
@@ -78,6 +103,52 @@ def subset_meets(vector: Sequence[int], points: Sequence[int], top: int) -> list
         value = vector[point]
         meets += [meet if meet < value else value for meet in meets]
     return meets
+
+
+def _box_table(q: ReachRelation, meets: Sequence[int], top: int) -> list[int]:
+    """G of ``[l;q]``, indexed by intermediate-set mask: the least of
+    sum_u (top - q(u, T_u)) + m(union of the T_u) over the families of
+    one row of ``q`` per member u, with ``meets`` the body's
+    ``subset_meets``. At or above top where no family exists, the empty
+    set included."""
+    size = q.space.size
+    qmax = [0] * size
+    low = [top] * size  # least m(T) - q(u, T) over u's rows
+    for (u, mask), val in q.entries.items():
+        if val > qmax[u]:
+            qmax[u] = val
+        val = meets[mask] - val
+        if val < low[u]:
+            low[u] = val
+    # a member without rows costs top, so every set holding it reads >= top
+    sums, mins = [0], [top]
+    for u in range(size):
+        cost, best = top - qmax[u], qmax[u] + low[u]
+        sums += [total + cost for total in sums]
+        mins += [least if least < best else best for least in mins]
+    return list(map(add, sums, mins))
+
+
+def _diamond_table(q: ReachRelation, meets: Sequence[int], top: int) -> list[int]:
+    """H of ``<l;q>``, indexed by intermediate-set mask: the largest of
+    sum_u (q(u, T_u) - top) + m(union of the T_u) over the families of one
+    row of ``q`` per member u, with ``meets`` the body's ``subset_meets``.
+    At or below bottom where no family exists; top at the empty set."""
+    rows = [(u, meets[mask], val) for (u, mask), val in q.entries.items()]
+    table = [0] * (1 << q.space.size)
+    for theta in {meet for _, meet, _ in rows}:
+        # each member's largest row whose meet is at least theta, 0 if none
+        ups = [0] * q.space.size
+        for u, meet, val in rows:
+            if meet >= theta and val > ups[u]:
+                ups[u] = val
+        sums = [theta]
+        for up in ups:
+            up -= top
+            sums += [total + up for total in sums]
+        table = list(map(max, table, sums))
+    table[0] = top
+    return table
 
 
 class Model:
@@ -171,9 +242,13 @@ class Model:
         )
 
 
-# A plan step is (opcode, a, b), the opcode being the node's class: a
+# A plan step is (opcode, a, b). A term's opcode is its node's class: a
 # leaf's a is its name or constant and b None; a compound node's a and b
-# are the slots of its children in constructor order, b None for one child.
+# are the slots of its children in constructor order, b None for one
+# child, except that a box or diamond reads (program, table) and one over
+# a union (min or max, left modality, right modality). A table's opcode
+# is the function that builds it: subset_meets (body, None), _box_table
+# and _diamond_table (right operand of ';', meets of the body).
 _OPCODES = frozenset(
     {PropVar, Constant, And, Or, Implies, Box, Diamond, Atomic, PUnion, Seq, Inter, Star, Test}
 )
@@ -182,11 +257,16 @@ _OPCODES = frozenset(
 class Plan:
     """Formulas and programs compiled for evaluation in any model.
 
-    One slot per distinct subterm, in post-order, so every child's slot
-    comes before its parent's and a box or diamond's program before its
-    body. ``nodes`` holds a subterm per slot, ``steps`` its (opcode,
-    operand, operand) step, and ``roots`` the slot of each compiled term,
-    in the order given.
+    One slot per distinct step, in post-order, so every operand's slot
+    comes before its reader's. Each distinct subterm has a slot, except a
+    ``;`` or ``+`` that is only ever read as the program of a box or
+    diamond: ``[l;q]phi`` reads slots for ``l``, ``q`` and a table built
+    from ``q`` and the body's meets, and ``[a+b]phi`` the slots of
+    ``[a]phi`` and ``[b]phi`` (see the module docstring). ``nodes`` holds
+    the subterm of each slot, None for a table and for a modality over a
+    piece of such a ``+`` that no compiled term holds; ``steps`` holds
+    each slot's (opcode, operand, operand) step, and ``roots`` the slot
+    of each compiled term, in the order given.
     """
 
     __slots__ = ("nodes", "steps", "roots")
@@ -198,8 +278,8 @@ class Plan:
 
     def run(self, model: Model, values: Optional[list] = None) -> list:
         """Every slot's value in ``model``: a formula's vector of
-        numerators over the states, in state order, or a program's
-        relation. Slots that ``values`` already fills are kept, and the
+        numerators over the states, in state order, a program's relation,
+        or a table. Slots that ``values`` already fills are kept, and the
         list is filled in place and returned."""
         if values is None:
             values = [None] * len(self.steps)
@@ -225,25 +305,29 @@ class Plan:
                     for left, right in zip(values[a], values[b])
                 ])
             elif op is Box:
-                meets = subset_meets(values[b], states, top)
+                table = values[b]
                 # out starts at top, which caps the implication
                 out = [top] * size
                 for (src, mask), rval in values[a].entries.items():
-                    val = top - rval + meets[mask]
+                    val = top - rval + table[mask]
                     if val < out[src]:
                         out[src] = val
                 value = tuple(out)
             elif op is Diamond:
-                meets = subset_meets(values[b], states, top)
+                table = values[b]
                 out = [0] * size
                 for (src, mask), rval in values[a].entries.items():
-                    val = rval + meets[mask] - top
+                    val = rval + table[mask] - top
                     if val > out[src]:
                         out[src] = val
                 value = tuple(out)
-            elif op is And:
+            elif op is subset_meets:
+                value = subset_meets(values[a], states, top)
+            elif op is _box_table or op is _diamond_table:
+                value = op(values[a], values[b], top)
+            elif op is And or op is min:
                 value = tuple(map(min, values[a], values[b]))
-            elif op is Or:
+            elif op is Or or op is max:
                 value = tuple(map(max, values[a], values[b]))
             elif op is Constant:
                 if a.context != ctx:
@@ -272,43 +356,118 @@ class Plan:
         return [values[root] for root in self.roots]
 
 
+# The form of a box or diamond: its program's pieces, in post-order over
+# the '+' nodes at its top, each a plain program (False) or a ';' (True),
+# with None for each '+' that joins the last two.
+_PLAIN = (False,)
+
+
+def _modal_form(program: Program, body: Formula) -> tuple[list, list]:
+    """The relations a modality over ``program`` reads, in order, then its
+    body; and its form. A ';' gives its two operands, a '+' its operands'
+    pieces."""
+    kids: list = []
+    form: list = []
+    todo = [(program, False)]
+    while todo:
+        program, joined = todo.pop()
+        kind = type(program)
+        if joined:
+            form.append(None)
+        elif kind is PUnion:
+            todo += [(program, True), (program.right, False), (program.left, False)]
+        elif kind is Seq:
+            kids += (program.left, program.right)
+            form.append(True)
+        else:
+            kids.append(program)
+            form.append(False)
+    kids.append(body)
+    return kids, form
+
+
 def compile_plan(*terms: Formula | Program) -> Plan:
     """The plan of ``terms``, whose roots are their slots in that order.
 
     The walk keeps its own stack, so a term of any depth compiles. Equal
     subterms share a slot: a step is keyed by its opcode and its
-    children's slots, so no subterm is hashed or compared as a tree.
+    operands' slots, so no subterm is hashed or compared as a tree, and
+    equal tables share a slot the same way. Each node is classified once,
+    when it is first reached; a box or diamond then takes its program's
+    form (``_modal_form``) to the visit that emits its steps. The
+    relations it reads come before its body, as they would if its
+    program were built.
     """
     nodes: list = []
     steps: list[tuple] = []
     slot_of_step: dict[tuple, int] = {}
     slot_of_node: dict[int, int] = {}  # by id; each term keeps its nodes alive
     roots = []
+
+    def unnamed(step: tuple) -> int:
+        """The slot of a step that no node names (yet): a table, or a
+        modality over a piece of a '+'."""
+        slot = slot_of_step.setdefault(step, len(steps))
+        if slot == len(steps):
+            nodes.append(None)
+            steps.append(step)
+        return slot
+
     for term in terms:
-        stack = [(term, None)]
+        stack = [(term, None, None)]
         while stack:
-            node, kids = stack.pop()
-            if id(node) in slot_of_node:
-                continue
+            node, kids, form = stack.pop()
             if kids is None:
+                if id(node) in slot_of_node:
+                    continue
+                op = type(node)
                 kids = children(node)
                 if kids:
-                    stack.append((node, kids))
-                    stack.extend((kid, None) for kid in reversed(kids))
+                    if op is Box or op is Diamond:
+                        kind = type(kids[0])
+                        if kind is Seq or kind is PUnion:
+                            kids, form = _modal_form(*kids)
+                        else:
+                            form = _PLAIN
+                    stack.append((node, kids, form))
+                    stack.extend((kid, None, None) for kid in reversed(kids))
                     continue
-            op = type(node)
-            if op not in _OPCODES:
-                raise TypeError(f"not a formula or program: {node!r}")
-            if not kids:
+                if op not in _OPCODES:
+                    raise TypeError(f"not a formula or program: {node!r}")
                 step = (op, node.value if op is Constant else node.name, None)
-            elif len(kids) == 1:
-                step = (op, slot_of_node[id(kids[0])], None)
+            elif form is None:
+                op = type(node)
+                if len(kids) == 1:
+                    step = (op, slot_of_node[id(kids[0])], None)
+                else:
+                    step = (op, slot_of_node[id(kids[0])], slot_of_node[id(kids[1])])
             else:
-                step = (op, slot_of_node[id(kids[0])], slot_of_node[id(kids[1])])
+                op = type(node)
+                meets = unnamed((subset_meets, slot_of_node[id(kids[-1])], None))
+                if form is _PLAIN:
+                    step = (op, slot_of_node[id(kids[0])], meets)
+                else:
+                    pending = []
+                    i = 0
+                    for piece in form:
+                        if piece is None:
+                            right, left = pending.pop(), pending.pop()
+                            join = min if op is Box else max
+                            pending.append((join, unnamed(left), unnamed(right)))
+                            continue
+                        table = meets
+                        if piece:
+                            build = _box_table if op is Box else _diamond_table
+                            table = unnamed((build, slot_of_node[id(kids[i + 1])], meets))
+                        pending.append((op, slot_of_node[id(kids[i])], table))
+                        i += 2 if piece else 1
+                    (step,) = pending
             slot = slot_of_step.setdefault(step, len(steps))
             if slot == len(steps):
                 nodes.append(node)
                 steps.append(step)
+            elif nodes[slot] is None:
+                nodes[slot] = node
             slot_of_node[id(node)] = slot
         roots.append(slot_of_node[id(term)])
     return Plan(tuple(nodes), tuple(steps), tuple(roots))
@@ -341,7 +500,8 @@ class Evaluator:
             plan = compile_plan(term)
             memo = self._values
             values = plan.run(self.model, [memo.get(node) for node in plan.nodes])
-            memo.update(zip(plan.nodes, values))
+            # tables and rewritten modalities have no node and stay out
+            memo.update(pair for pair in zip(plan.nodes, values) if pair[0] is not None)
             asked = self._asked[id(term)] = (term, values[plan.roots[0]])
         return asked[1]
 

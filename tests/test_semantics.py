@@ -10,19 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 import gradedpdl
 
+from gradedpdl import semantics
 from gradedpdl.chain import ChainContext, ChainMismatchError, ChainValue
 from gradedpdl.relations import (
     ReachRelation,
     StateSpace,
     compose,
     iota,
+    mask_states,
     parallel,
     star,
     union,
     zero_relation,
 )
 from gradedpdl.semantics import (
-    Evaluator, Model, compile_plan, eval_formula, eval_program, valid_in_model,
+    Evaluator, Model, compile_plan, eval_formula, eval_program, subset_meets, valid_in_model,
 )
 from gradedpdl.syntax import (
     And,
@@ -118,12 +120,15 @@ def test_unknown_atomic_program_warns_and_is_empty(caplog):
 
 
 def test_box_reads_its_program_before_its_body(caplog):
-    # the outer program's relation comes first, so its warning does too
+    # the outer program's relations come first, so their warnings do too,
+    # also where a ';' or '+' under the box is never built
     model = single_state_model()
-    with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
-        eval_formula(model, parse_formula("[z][y]p", C3), 0)
-    unknown = [record.args for record in caplog.records if "unknown atomic" in record.msg]
-    assert unknown == [("z",), ("y",)]
+    for text in ("[z][y]p", "[z;x][y]p", "[z+x]<y>p", "<(z;x)+w>[y]p"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
+            eval_formula(model, parse_formula(text, C3), 0)
+        unknown = [record.args[0] for record in caplog.records if "unknown atomic" in record.msg]
+        assert unknown == [name for name in "zxwy" if name in text], text
 
 
 def test_wrong_chain_constant_rejected():
@@ -457,6 +462,95 @@ def _terms(draw, sort, depth):
     return (Box, Diamond)[kind - 6](program, body)
 
 
+def _read_subterms(term):
+    """The subterms a plan of ``term`` holds a slot for: all of them but a
+    ``;`` or ``+`` met only as a modality's program (an operand of a ``+``
+    that is one is such a program too)."""
+    stack = [(term, False)]
+    while stack:
+        node, modal = stack.pop()
+        if modal and isinstance(node, Union):
+            stack += [(node.left, True), (node.right, True)]
+        elif modal and isinstance(node, Seq):
+            stack += [(node.left, False), (node.right, False)]
+        else:
+            yield node
+            if isinstance(node, (Box, Diamond)):
+                stack += [(node.program, True), (node.body, False)]
+            else:
+                stack += [(kid, False) for kid in children(node)]
+
+
+def _slot_terms(plan):
+    """Per slot, the term its step computes, rebuilt from the steps alone,
+    or None for a table; with the body and the right operand of ';' that
+    each table reads."""
+    terms, tables = [], {}
+    for op, a, b in plan.steps:
+        term = None
+        if op is subset_meets:
+            tables[len(terms)] = (None, terms[a])
+        elif op in (semantics._box_table, semantics._diamond_table):
+            tables[len(terms)] = (terms[a], tables[b][1])
+        elif op in (Box, Diamond):
+            right, body = tables[b]
+            term = op(terms[a] if right is None else Seq(terms[a], right), body)
+        elif op in (min, max):
+            left, right = terms[a], terms[b]
+            term = type(left)(Union(left.program, right.program), left.body)
+        elif op in (PropVar, Atomic, Constant):
+            term = op(a)
+        else:
+            term = op(*(terms[slot] for slot in (a, b) if slot is not None))
+        terms.append(term)
+    return terms, tables
+
+
+def _check_plan(plan, terms, model):
+    """The plan's shape, and every slot's value against the pointwise
+    evaluator: a term slot's value, and a table's by its definition on
+    each intermediate set U, as the box or diamond of the composition of
+    the one entry (0, U) at top with the table's right operand."""
+    rebuilt, tables = _slot_terms(plan)
+    # each slot's step computes its node; a node holds one slot, each
+    # read subterm has one, and operands come before their readers
+    for slot, (node, (_, a, b)) in enumerate(zip(plan.nodes, plan.steps)):
+        assert node is None or rebuilt[slot] == node
+        assert (rebuilt[slot] is None) == (slot in tables)
+        assert all(operand < slot for operand in (a, b) if type(operand) is int)
+    named = [node for node in plan.nodes if node is not None]
+    assert len(set(named)) == len(named)
+    assert set(named) == {node for term in terms for node in _read_subterms(term)}
+    assert [plan.nodes[root] for root in plan.roots] == list(terms)
+    pointwise = PointwiseEvaluator(model)
+    ctx, space, top = model.context, model.space, model.context.top
+    values = plan.run(model)
+    for slot, term in enumerate(rebuilt):
+        if isinstance(term, PROGRAMS):
+            assert values[slot].entries == pointwise.relation(term).entries, term
+        elif term is not None:
+            vector = tuple(pointwise.value_num(term, s) for s in space.states())
+            assert values[slot] == vector, term
+    for slot, (right, body) in tables.items():
+        meets = [
+            min([top] + [pointwise.value_num(body, t) for t in mask_states(mask)])
+            for mask in space.subset_masks()
+        ]
+        if right is None:
+            assert values[slot] == meets, body
+            continue
+        box = plan.steps[slot][0] is semantics._box_table
+        for umask in space.subset_masks():
+            one = ReachRelation(space, ctx, {(0, umask): top})
+            entries = compose(one, pointwise.relation(right)).entries.items()
+            if box:
+                want = min([top] + [top - r + meets[t] for (_, t), r in entries])
+                assert min(top, values[slot][umask]) == want, (right, body, umask)
+            else:
+                want = max([0] + [r + meets[t] - top for (_, t), r in entries])
+                assert max(0, values[slot][umask]) == want, (right, body, umask)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(_terms("formula", 3), min_size=1, max_size=3),
@@ -469,38 +563,138 @@ def test_every_plan_slot_matches_pointwise_evaluator(formulas, programs, size, d
     terms = formulas + programs
     model = _random_model(random.Random(seed), C3, size, density)
     plan = compile_plan(*terms)
-    # one slot per distinct subterm, children first, roots in order
-    subterms = {node for term in terms for node in _nodes(term)}
-    slot_of = {node: slot for slot, node in enumerate(plan.nodes)}
-    assert len(slot_of) == len(plan.nodes) and set(slot_of) == subterms
-    for slot, node in enumerate(plan.nodes):
-        assert all(slot_of[kid] < slot for kid in children(node))
-    assert [plan.nodes[root] for root in plan.roots] == terms
     # every constant is evaluated, even where no relation entry reads it
-    if any(isinstance(node, Constant) and node.value.context != C3 for node in subterms):
+    if any(
+        isinstance(node, Constant) and node.value.context != C3
+        for term in terms for node in _nodes(term)
+    ):
         with pytest.raises(ChainMismatchError):
             plan.run(model)
         return
+    _check_plan(plan, terms, model)
+
+
+@st.composite
+def _seq_terms(draw, ctx, sort, depth):
+    """A formula or program of ``ctx`` over p, q, a, b and the unknown
+    program z that leans to ';', on either side and inside '+', '^', '*'
+    and '?', whose modalities are often over ';' or '+', and whose bodies
+    hold constants."""
+    if sort == "program":
+        kind = draw(st.integers(0, 6 if depth > 0 else 0))
+        if kind == 0:
+            return Atomic(draw(st.sampled_from("aabz")))
+        if kind == 1:
+            return Star(draw(_seq_terms(ctx, "program", depth - 1)))
+        if kind == 2:
+            return Test(draw(_seq_terms(ctx, "formula", depth - 1)))
+        node = (Union, Inter, Seq, Seq)[kind - 3]
+        left = draw(_seq_terms(ctx, "program", depth - 1))
+        return node(left, draw(_seq_terms(ctx, "program", depth - 1)))
+    kind = draw(st.integers(0, 5 if depth > 0 else 1))
+    if kind == 0:
+        return PropVar(draw(st.sampled_from("pq")))
+    if kind == 1:
+        return Constant(ctx.value(draw(st.integers(0, ctx.top))))
+    if kind == 2:
+        left = draw(_seq_terms(ctx, "formula", depth - 1))
+        return (And, Or, Implies)[draw(st.integers(0, 2))](
+            left, draw(_seq_terms(ctx, "formula", depth - 1))
+        )
+    program = draw(_seq_terms(ctx, "program", depth - 1))
+    body = draw(_seq_terms(ctx, "formula", depth - 1))
+    if kind in (3, 4):
+        program = (Seq, Union)[kind - 3](program, draw(_seq_terms(ctx, "program", depth - 1)))
+    return (Box, Diamond)[draw(st.integers(0, 1))](program, body)
+
+
+@st.composite
+def _seq_cases(draw):
+    """A chain, a model of 1-6 states whose atomic programs have rows at
+    only some states and may hold entries on the empty target set, and
+    terms: a few formulas, a ';' read both as a relation and under a
+    modality, and that ';' itself."""
+    ctx = ChainContext(draw(st.sampled_from((2, 3, 4, 5, 7))))
+    size = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space = StateSpace(size)
+    density = draw(st.sampled_from((0.05, 0.2, 0.5) if size <= 4 else (0.03, 0.08)))
+    atomics = {}
+    for name in "ab":
+        sources = [s for s in space.states() if rng.random() < 0.7]
+        entries = {
+            (s, mask): rng.randint(1, ctx.top)
+            for s in sources
+            for mask in space.subset_masks()
+            if rng.random() < density or (mask == 0 and rng.random() < 0.3)
+        }
+        atomics[name] = ReachRelation(space, ctx, entries)
+    valuation = {name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in "pq"}
+    model = Model(ctx, space, atomics, valuation)
+    formulas = draw(st.lists(_seq_terms(ctx, "formula", 3), min_size=1, max_size=3))
+    shared = Seq(draw(_seq_terms(ctx, "program", 1)), draw(_seq_terms(ctx, "program", 1)))
+    body = draw(_seq_terms(ctx, "formula", 1))
+    modal = draw(st.sampled_from((Box, Diamond)))
+    both = And(modal(Seq(shared, Atomic("a")), body), modal(shared, body))
+    return model, formulas + [both, shared]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seq_cases())
+def test_modalities_over_seq_and_union_match_pointwise_evaluator(case):
+    model, terms = case
+    _check_plan(compile_plan(*terms), terms, model)
+
+
+def test_a_union_of_compositions_composes_only_its_left_operands(monkeypatch):
+    model = _random_model(random.Random(4), C3, 4, 0.3)
+    formula = parse_formula("[((a;b);a)+b]p -> [(a;b);a]p", C3)
+    calls = []
+
+    def counting(r, q):
+        calls.append((r, q))
+        return compose(r, q)
+
+    monkeypatch.setattr(semantics, "compose", counting)
+    got = compile_plan(formula).root_values(model)[0]
+    a, b = model.atomics["a"], model.atomics["b"]
+    assert len(calls) == 1 and calls[0][0] is a and calls[0][1] is b
     pointwise = PointwiseEvaluator(model)
-    for node, value in zip(plan.nodes, plan.run(model)):
-        if isinstance(node, PROGRAMS):
-            assert value.entries == pointwise.relation(node).entries, node
-        else:
-            assert value == tuple(pointwise.value_num(node, s) for s in model.space.states())
+    assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states())
+
+
+def test_evaluator_answers_after_rewritten_modalities():
+    # neither a table nor a modality made by a rewrite enters the memo, and
+    # a;b, read only under the diamond, is composed when it is asked for
+    texts = ["[a+b]p", "[a]p", "<a;b>p"]
+    for seed in range(20):
+        model = _random_model(random.Random(seed), C3, 1 + seed % 4, 0.3)
+        evaluator, pointwise = Evaluator(model), PointwiseEvaluator(model)
+        for text in texts:
+            formula = parse_formula(text, C3)
+            want = tuple(pointwise.value_num(formula, s) for s in model.space.states())
+            assert evaluator.vector(formula) == want, (seed, text)
+        program = parse_program("a;b", C3)
+        assert evaluator.relation(program).entries == pointwise.relation(program).entries
+    # in one plan, [a]p takes the slot that [a+b]p's piece made, and names it
+    terms = [parse_formula(text, C3) for text in texts]
+    _check_plan(compile_plan(*terms), terms, model)
 
 
 def test_a_two_root_plan_warns_once_per_program_in_root_order(caplog):
     # as equiv reads them: the left root's programs first, each unknown
-    # atomic program once per run
+    # atomic program once per run, also where a modality over ';' or '+'
+    # is rewritten
     model = single_state_model()
-    left, right = parse_formula("[z]p & <y>q", C3), parse_formula("<x>[z]q | [y]p", C3)
-    plan = compile_plan(left, right)
-    for _ in range(2):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
-            plan.run(model)
-        unknown = [record.args for record in caplog.records if "unknown atomic" in record.msg]
-        assert unknown == [("z",), ("y",), ("x",)]
+    pairs = [("[z]p & <y>q", "<x>[z]q | [y]p"), ("[z;y]p", "[z+y]p | <x;z>q")]
+    for left, right in pairs:
+        plan = compile_plan(parse_formula(left, C3), parse_formula(right, C3))
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="gradedpdl.semantics"):
+                plan.run(model)
+            unknown = [record.args for record in caplog.records if "unknown atomic" in record.msg]
+            assert unknown == [("z",), ("y",), ("x",)], (left, right)
 
 
 _DEEP = """
