@@ -5,7 +5,7 @@ The pieces, bottom up:
 * ``chain``      exact arithmetic in the finite chain of truth values
 * ``syntax``     formula/program ASTs, parser, printer, closure computation
 * ``relations``  graded reachability relations and their algebra
-* ``semantics``  models, formula plans and their runner, the memoizing evaluator
+* ``semantics``  models, formula plans and their runner, one-question evaluation
 * ``schemas``    axiom-schema templates, instantiation, instance matching
 * ``audit``      counterexample search over sampled models
 * ``proofcheck`` Hilbert-style derivation verification

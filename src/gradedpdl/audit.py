@@ -305,7 +305,7 @@ class Witness:
     value: ChainValue
 
     def reevaluate(self) -> ChainValue:
-        """Recompute the witness value with a fresh cache."""
+        """Recompute the witness value from a fresh compile and run of its formula."""
         return eval_formula(self.model, self.formula, self.state)
 
     def to_json(self) -> dict[str, Any]:

@@ -30,7 +30,7 @@ from .filtration import check_preservation, quotient
 from .modelio import dumps, load_model, model_to_dict
 from .proofcheck import check_derivation, load_derivation
 from .relations import mask_states
-from .semantics import Evaluator, Model
+from .semantics import Model, compile_plan
 from .syntax import fl_closure, format_formula, parse_formula
 
 
@@ -93,11 +93,10 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     _check_model_size(model, args.force_states)
     formula = parse_formula(args.formula, model.context)
-    evaluator = Evaluator(model)
     all_top = True
-    for s in model.space.states():
-        value = ChainValue(evaluator.value_num(formula, s), model.context)
-        print(f"{model.state_names[s]}: {value}")
+    for name, num in zip(model.state_names, compile_plan(formula).root_values(model)[0]):
+        value = ChainValue(num, model.context)
+        print(f"{name}: {value}")
         all_top = all_top and value.is_top
     return 0 if all_top else 1
 

@@ -44,8 +44,9 @@ the clauses read a relation only through its meets over target sets.
   first argument and strong conjunction monotone, and a union's entries
   are the larger of its operands'.
 
-``Evaluator`` is a per-model memo over the same runner, for terms asked
-for one at a time.
+``Evaluator``, ``eval_formula`` and ``eval_program`` answer one
+question of one model each by compiling the term and running its plan
+once; they keep nothing between questions.
 """
 
 from __future__ import annotations
@@ -276,21 +277,17 @@ class Plan:
         self.steps = steps
         self.roots = roots
 
-    def run(self, model: Model, values: Optional[list] = None) -> list:
+    def run(self, model: Model) -> list:
         """Every slot's value in ``model``: a formula's vector of
         numerators over the states, in state order, a program's relation,
-        or a table. Slots that ``values`` already fills are kept, and the
-        list is filled in place and returned."""
-        if values is None:
-            values = [None] * len(self.steps)
+        or a table."""
+        values = [None] * len(self.steps)
         ctx = model.context
         top = ctx.top
         space = model.space
         size = space.size
         states = space.states()
         for slot, (op, a, b) in enumerate(self.steps):
-            if values[slot] is not None:
-                continue
             if op is PropVar:
                 row = model.valuation.get(a)
                 value = tuple([row.get(s, 0) for s in states]) if row else (0,) * size
@@ -474,55 +471,38 @@ def compile_plan(*terms: Formula | Program) -> Plan:
 
 
 class Evaluator:
-    """Memo of one model's values, for terms asked for one at a time.
-
-    A term not yet known is compiled and its plan run, with every
-    subterm already known filled in from the memo; every slot's value is
-    then kept. A formula's value is its vector of numerators over all
-    states, a program's its relation. A memo belongs to a single
-    evaluation session; build a fresh one to re-derive values from
-    scratch. A search that evaluates one term in many models runs its
-    ``Plan`` directly instead.
+    """The values of terms in one model, each read from one run of the
+    term's plan. A formula's value is its vector of numerators over all
+    states, a program's its relation. A search that evaluates one term in
+    many models compiles its ``Plan`` once and runs it per model instead.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self._values: dict = {}
-        # id of each term asked for -> (term, value); holding the term
-        # keeps its id from being reused, so a repeated question is
-        # answered without compiling the term again
-        self._asked: dict[int, tuple] = {}
-
-    def _value(self, term: Formula | Program):
-        asked = self._asked.get(id(term))
-        if asked is None:
-            # post-order, so hashing a node finds its children's hashes cached
-            plan = compile_plan(term)
-            memo = self._values
-            values = plan.run(self.model, [memo.get(node) for node in plan.nodes])
-            # tables and rewritten modalities have no node and stay out
-            memo.update(pair for pair in zip(plan.nodes, values) if pair[0] is not None)
-            asked = self._asked[id(term)] = (term, values[plan.roots[0]])
-        return asked[1]
 
     def relation(self, program: Program) -> ReachRelation:
-        return self._value(program)
+        return compile_plan(program).root_values(self.model)[0]
 
     def value_num(self, formula: Formula, s: int) -> int:
         return self.vector(formula)[s]
 
     def vector(self, formula: Formula) -> tuple[int, ...]:
         """The formula's numerator at every state, in state order."""
-        return self._value(formula)
+        return compile_plan(formula).root_values(self.model)[0]
 
 
 def eval_formula(model: Model, formula: Formula, state: int) -> ChainValue:
+    model.space.mask_of((state,))  # a state outside the space raises ValueError
     return ChainValue(Evaluator(model).value_num(formula, state), model.context)
 
 
 def eval_program(
     model: Model, program: Program, state: int, target: StateSetLike
 ) -> ChainValue:
+    space = model.space
+    space.mask_of((state,))
+    if isinstance(target, int) and not 0 <= target < 1 << space.size:
+        raise ValueError(f"target mask {target} outside space of size {space.size}")
     return Evaluator(model).relation(program).value(state, target)
 
 

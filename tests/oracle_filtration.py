@@ -8,7 +8,9 @@ evaluator's value vectors. They ask for one numerator per (formula,
 state), build a fresh box and diamond node for every (state, target set,
 body) cell, write the box/diamond sandwich loop once per caller, and the
 quotient builds every relation a second time from maximal-index class
-representatives, recording a warning if the two differ.
+representatives, recording a warning if the two differ. Their numerators
+come from ``oracle_semantics.PointwiseEvaluator``, so the reference runs
+none of the package's plans.
 
 The differential test asserts that the package's functions give the same
 classes, quotient models and reports.
@@ -20,7 +22,7 @@ from typing import Any, Optional
 from gradedpdl.chain import ChainValue
 from gradedpdl.filtration import Lemma4Report, NotClosedError, PreservationReport
 from gradedpdl.relations import ReachRelation, StateSpace, mask_states
-from gradedpdl.semantics import Evaluator, Model
+from gradedpdl.semantics import Model
 from gradedpdl.syntax import (
     Atomic,
     Box,
@@ -30,6 +32,7 @@ from gradedpdl.syntax import (
     closure_of_set,
     format_formula,
 )
+from oracle_semantics import PointwiseEvaluator
 
 
 def _sorted_gamma(gamma):
@@ -43,7 +46,7 @@ class ReferenceResult:
     classes: tuple
     representatives: tuple  # class index -> minimal member
     gamma: frozenset
-    evaluator: Evaluator = field(compare=False, repr=False)
+    evaluator: PointwiseEvaluator = field(compare=False, repr=False)
     warnings: tuple = ()
 
 
@@ -93,7 +96,7 @@ def reference_quotient(model, gamma):
     if closure_of_set(gamma_set, ctx) != gamma_set:
         raise NotClosedError("the formula set is not closed")
     ordered = _sorted_gamma(gamma_set)
-    evaluator = Evaluator(model)
+    evaluator = PointwiseEvaluator(model)
 
     by_signature = {}
     for s in model.space.states():
@@ -186,7 +189,7 @@ def reference_check_lemma4(model, result, program_name, corpus):
 
 def reference_check_preservation(model, result):
     evaluator = _model_evaluator(model, result)
-    q_evaluator = Evaluator(result.quotient)
+    q_evaluator = PointwiseEvaluator(result.quotient)
     report = PreservationReport()
     for f in _sorted_gamma(result.gamma):
         agreements = 0

@@ -284,9 +284,9 @@ def _count_runs(monkeypatch):
     runs, built = [], []
     real_run, real_init = semantics.Plan.run, semantics.Evaluator.__init__
 
-    def counting_run(self, model, values=None):
+    def counting_run(self, model):
         runs.append(tuple(self.nodes[root] for root in self.roots))
-        return real_run(self, model, values)
+        return real_run(self, model)
 
     def counting_init(self, model):
         built.append(model)

@@ -297,6 +297,50 @@ SUBCOMMANDS = ["eval", "valid", "audit", "closure", "check-proof", "filtrate", "
 SAMPLER_OPTIONS = ["--n", "--states", "--samples", "--seed", "--force-states"]
 
 
+SIX_STATES = {
+    "n": 3,
+    "states": ["u0", "u1", "u2", "u3", "u4", "u5"],
+    "valuation": {
+        "p": {"u0": "1", "u2": "1/2", "u3": "1", "u5": "1"},
+        "q": {"u1": "1/2", "u3": "1", "u4": "1"},
+    },
+    "programs": {
+        "a": [
+            {"from": "u0", "to": ["u1", "u3"], "value": "1"},
+            {"from": "u1", "to": ["u2"], "value": "1/2"},
+            {"from": "u2", "to": [], "value": "1/2"},
+            {"from": "u3", "to": ["u3", "u4"], "value": "1"},
+            {"from": "u4", "to": ["u5"], "value": "1"},
+            {"from": "u5", "to": ["u0", "u2"], "value": "1/2"},
+        ]
+    },
+}
+
+
+def test_eval_reads_every_state_from_one_plan_run(tmp_path, monkeypatch, capsys):
+    from gradedpdl import semantics
+
+    path = tmp_path / "six.json"
+    path.write_text(dumps(SIX_STATES))
+    compiled, runs = [], []
+    real_compile, real_run = semantics.compile_plan, semantics.Plan.run
+
+    def counting_compile(*terms):
+        compiled.append(terms)
+        return real_compile(*terms)
+
+    def counting_run(self, model):
+        runs.append(self)
+        return real_run(self, model)
+
+    monkeypatch.setattr(cli, "compile_plan", counting_compile)
+    monkeypatch.setattr(semantics.Plan, "run", counting_run)
+    assert main(["eval", str(path), "[a](p -> q) | <a;a>p", "--force-states"]) == 1
+    assert len(compiled) == 1 and len(runs) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["u0: 1", "u1: 1", "u2: 1", "u3: 1", "u4: 0", "u5: 1/2"]
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_help_for_every_subcommand(command, capsys):
     assert main([command, "--help"]) == 0

@@ -7,6 +7,7 @@ from oracle_filtration import (
     reference_check_preservation,
     reference_quotient,
 )
+from oracle_semantics import PointwiseEvaluator
 
 from gradedpdl.audit import SamplerConfig, random_formula, sample_model
 from gradedpdl.chain import ChainContext, ChainValue
@@ -18,7 +19,7 @@ from gradedpdl.filtration import (
 )
 from gradedpdl.modelio import dumps, model_from_dict, model_to_dict
 from gradedpdl.relations import ReachRelation, StateSpace, mask_states
-from gradedpdl.semantics import Evaluator, Model
+from gradedpdl.semantics import Model
 from gradedpdl.syntax import (
     And,
     Atomic,
@@ -29,7 +30,6 @@ from gradedpdl.syntax import (
     PropVar,
     closure_of_set,
     fl_closure,
-    format_formula,
     parse_formula,
 )
 
@@ -49,7 +49,7 @@ def test_merge_ignores_names_outside_the_set():
     rel = ReachRelation.of(space, C3, [(0, [1], "1"), (1, [0], "1")])
     model = Model(C3, space, {"a": rel}, {"p": {0: 2, 1: 2}, "q": {0: 2}})
     gamma = fl_closure(parse_formula("[a]p", C3), C3)
-    ev = Evaluator(model)
+    ev = PointwiseEvaluator(model)
     for f in gamma:
         assert ev.value_num(f, 0) == ev.value_num(f, 1)
     result = quotient(model, gamma)
@@ -109,13 +109,12 @@ def test_quotient_properties_random():
             for s in members:
                 assert result.class_of[s] == c
         # equivalence: same signature iff same class
-        ev = Evaluator(model)
-        ordered = sorted(gamma, key=format_formula)
-        for s in model.space.states():
-            for t in model.space.states():
-                same = all(
-                    ev.value_num(f, s) == ev.value_num(f, t) for f in ordered
-                )
+        ev = PointwiseEvaluator(model)
+        states = model.space.states()
+        signature = [tuple(ev.value_num(f, s) for f in gamma) for s in states]
+        for s in states:
+            for t in states:
+                same = signature[s] == signature[t]
                 assert same == (result.class_of[s] == result.class_of[t])
 
 
@@ -142,7 +141,7 @@ def test_lemma4_identical_index_sets_coincide():
         report = check_lemma4(result, "a", corpus)
         assert report.ok
         # equality, not just domination
-        ev = Evaluator(model)
+        ev = PointwiseEvaluator(model)
         qrel = result.quotient.atomics["a"]
         top = C3.top
         for s in space.states():
@@ -328,9 +327,9 @@ def test_filtrate_runs_one_plan_per_model(tmp_path, monkeypatch, capsys):
     runs, built = [], []
     real_run, real_init = semantics.Plan.run, semantics.Evaluator.__init__
 
-    def counting_run(self, model, values=None):
+    def counting_run(self, model):
         runs.append((self, model))
-        return real_run(self, model, values)
+        return real_run(self, model)
 
     def counting_init(self, model):
         built.append(model)

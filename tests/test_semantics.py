@@ -1,5 +1,6 @@
 import logging
 import os
+import operator
 import random
 import subprocess
 import sys
@@ -86,6 +87,27 @@ def test_not_interdefinable_witness():
     assert eval_formula(model, parse_formula("~[a]~p", ctx), 2).is_top
 
 
+def test_states_and_target_masks_outside_the_space_are_refused():
+    # a negative state read another state's value, a state past the end
+    # raised IndexError, and a mask past the space read bottom
+    space = StateSpace(2)
+    model = Model(C3, space, {"a": ReachRelation.of(space, C3, [(0, [1], "1")])}, {"p": {1: 2}})
+    p, a = parse_formula("p", C3), parse_program("a", C3)
+    for bad in (-1, space.size, 1 << space.size):
+        with pytest.raises(ValueError, match=f"^state {bad} outside space of size 2$"):
+            eval_formula(model, p, bad)
+        with pytest.raises(ValueError, match=f"^state {bad} outside space of size 2$"):
+            eval_program(model, a, bad, 0b10)
+    for bad in (-1, 1 << space.size):
+        with pytest.raises(ValueError, match=f"^target mask {bad} outside space of size 2$"):
+            eval_program(model, a, 0, bad)
+    with pytest.raises(ValueError, match="^state 2 outside space of size 2$"):
+        eval_program(model, a, 0, [1, 2])
+    assert eval_formula(model, p, 1).is_top and eval_formula(model, p, 0).is_bottom
+    assert eval_program(model, a, 0, 0b10).is_top
+    assert eval_program(model, a, 0, 0b11).is_bottom
+
+
 def test_program_clauses():
     model = single_state_model(props={"p": {0: 1}})
     p = parse_formula("p", C3)
@@ -99,11 +121,8 @@ def test_program_clauses():
 
     for _ in range(10):
         m = sample_model(cfg, rng)
-        ev = Evaluator(m)
         composed = compose(m.atomics["a"], m.atomics["b"])
-        for s in m.space.states():
-            for mask in m.space.subset_masks():
-                assert ev.relation(parse_program("a;b", C3)).num(s, mask) == composed.num(s, mask)
+        assert Evaluator(m).relation(parse_program("a;b", C3)) == composed
 
 
 def test_unknown_propvar_defaults_to_bottom():
@@ -188,8 +207,7 @@ def test_box_constant_shift_identity():
             c = Constant(ChainValue(rng.randint(0, ctx.top), ctx))
             lhs = Box(prog, Implies(c, f))
             rhs = Implies(c, Box(prog, f))
-            for s in model.space.states():
-                assert ev.value_num(lhs, s) == ev.value_num(rhs, s)
+            assert ev.vector(lhs) == ev.vector(rhs)
 
 
 def _without_empty_mass(model):
@@ -219,8 +237,7 @@ def test_box_to_constant_dominated_by_diamond_form_without_empty_mass():
             c = Constant(ChainValue(rng.randint(0, ctx.top), ctx))
             lhs = Box(prog, Implies(f, c))
             rhs = Implies(Diamond(prog, f), c)
-            for s in model.space.states():
-                assert ev.value_num(lhs, s) <= ev.value_num(rhs, s)
+            assert all(map(operator.le, ev.vector(lhs), ev.vector(rhs)))
 
 
 def test_box_to_constant_gap_witnesses_both_directions():
@@ -268,10 +285,9 @@ def test_test_program_identities():
 
             box_test = Box(PTest(f), g)
             dia_test = Diamond(PTest(f), g)
-            for s in model.space.states():
-                assert ev.value_num(box_test, s) == ev.value_num(Implies(f, g), s)
-                want = max(0, ev.value_num(f, s) + ev.value_num(g, s) - ctx.top)
-                assert ev.value_num(dia_test, s) == want
+            assert ev.vector(box_test) == ev.vector(Implies(f, g))
+            want = tuple(max(0, x + y - ctx.top) for x, y in zip(ev.vector(f), ev.vector(g)))
+            assert ev.vector(dia_test) == want
 
 
 def test_modal_monotonicity():
@@ -283,13 +299,10 @@ def test_modal_monotonicity():
             f = random_formula(rng, ctx, 2)
             g = random_formula(rng, ctx, 2)
             prog = random_program(rng, ctx, 2)
-            if not all(
-                ev.value_num(f, t) <= ev.value_num(g, t) for t in model.space.states()
-            ):
+            if not all(map(operator.le, ev.vector(f), ev.vector(g))):
                 continue
-            for s in model.space.states():
-                assert ev.value_num(Box(prog, f), s) <= ev.value_num(Box(prog, g), s)
-                assert ev.value_num(Diamond(prog, f), s) <= ev.value_num(Diamond(prog, g), s)
+            for modal in (Box, Diamond):
+                assert all(map(operator.le, ev.vector(modal(prog, f)), ev.vector(modal(prog, g))))
 
 
 PROGRAMS = (Atomic, Inter, Seq, Star, Test, Union)
@@ -341,9 +354,8 @@ def test_vectors_match_pointwise_evaluator():
                             want = pointwise.relation(node).entries
                             assert vectors.relation(node).entries == want, (model, node)
                             continue
-                        for s in model.space.states():
-                            want = pointwise.value_num(node, s)
-                            assert vectors.value_num(node, s) == want, (model, node, s)
+                        want = tuple(pointwise.value_num(node, s) for s in model.space.states())
+                        assert vectors.vector(node) == want, (model, node)
                     # valid_in_model refutes at the first state below top
                     below = [
                         s for s in model.space.states()
@@ -385,19 +397,6 @@ def test_library_relations_pass_the_validating_constructor():
                     assert all(type(num) is int for num in rel.entries.values())
                     checked = ReachRelation(rel.space, rel.context, rel.entries)
                     assert checked.entries == rel.entries, (model, rel)
-
-
-def test_cache_matches_cold_evaluation():
-    rng = random.Random(7)
-    cfg = SamplerConfig(n=3, max_states=3, seed=7)
-    model_rng = random.Random(8)
-    for _ in range(200):
-        model = sample_model(cfg, model_rng)
-        shared = Evaluator(model)
-        for _ in range(5):
-            f = random_formula(rng, model.context, 3)
-            s = rng.randrange(model.space.size)
-            assert shared.value_num(f, s) == Evaluator(model).value_num(f, s)
 
 
 def test_boolean_collapse_agrees_with_classical_oracle():
@@ -664,8 +663,8 @@ def test_a_union_of_compositions_composes_only_its_left_operands(monkeypatch):
 
 
 def test_evaluator_answers_after_rewritten_modalities():
-    # neither a table nor a modality made by a rewrite enters the memo, and
-    # a;b, read only under the diamond, is composed when it is asked for
+    # the evaluator answers the rewritten modalities, and composes a;b,
+    # which <a;b>p reads only through a table, when a;b itself is asked for
     texts = ["[a+b]p", "[a]p", "<a;b>p"]
     for seed in range(20):
         model = _random_model(random.Random(seed), C3, 1 + seed % 4, 0.3)
