@@ -113,11 +113,15 @@ class SamplerConfig:
     allow_large: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "max_states", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise SamplerConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise SamplerConfigError(f"chain order {self.n} is below 2")
         check_state_count(self.max_states, self.allow_large)
-        if not 0.0 <= self.density <= 1.0:
-            raise SamplerConfigError(f"density must be in [0, 1], got {self.density}")
+        if not isinstance(self.density, (int, float)) or not 0.0 <= self.density <= 1.0:
+            raise SamplerConfigError(f"density must be in [0, 1], got {self.density!r}")
         if self.samples < 1:
             raise SamplerConfigError(f"sample budget {self.samples} is below 1")
 
@@ -192,14 +196,9 @@ def sample_model(
                 entries[key] = r + 1
         atomics[name] = ReachRelation._unchecked(space, ctx, entries)
 
-    valuation = {}
-    for name in props:
-        row = {}
-        for s in range(size):
-            num = _below(getrandbits, top + 1)
-            if num:
-                row[s] = num
-        valuation[name] = row
+    valuation = {
+        name: tuple([_below(getrandbits, top + 1) for _ in range(size)]) for name in props
+    }
     return Model._unchecked(ctx, space, atomics, valuation)
 
 
@@ -431,7 +430,7 @@ def _bound_model(
     the atomic program of its binding's relation. The bindings are read
     in the model's own names, as one plan run; a metavariable that the
     model already names raises ValueError rather than shadow that name."""
-    states = model.space.states()
+    size = model.space.size
     values = dict(bindings)
     if schema.variant in _A5_OPS:
         values["e"] = _A5_OPS[schema.variant](values["c"], values["d"])
@@ -440,16 +439,13 @@ def _bound_model(
     atomics, valuation = dict(model.atomics), dict(model.valuation)
     for name, value in values.items():
         if isinstance(value, ChainValue):
-            result = [value.numerator] * len(states)
+            result = (value.numerator,) * size
         else:
             result = next(results)
-        if isinstance(value, Program):
-            table, entry = atomics, result
-        else:
-            table, entry = valuation, {s: num for s, num in zip(states, result) if num}
+        table = atomics if isinstance(value, Program) else valuation
         if name in table:
             raise ValueError(f"the sampled model already names the metavariable {name!r}")
-        table[name] = entry
+        table[name] = result
     return Model._unchecked(model.context, model.space, atomics, valuation)
 
 
@@ -614,9 +610,9 @@ def check_consequence_prop(
     plan = compile_plan(*premises, phi)
     valuations = itertools.product(range(ctx.n), repeat=len(ordered))
     while block := list(itertools.islice(valuations, _VALUATION_BLOCK)):
-        columns = {name: dict(enumerate(column)) for name, column in zip(ordered, zip(*block))}
+        columns = dict(zip(ordered, zip(*block)))
         *premise_vectors, conclusion = plan.root_values(
-            Model(ctx, StateSpace(len(block)), {}, columns)
+            Model._unchecked(ctx, StateSpace(len(block)), {}, columns)
         )
         for s, nums in enumerate(block):
             if conclusion[s] != top and all(vector[s] == top for vector in premise_vectors):

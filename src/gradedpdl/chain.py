@@ -153,15 +153,17 @@ def from_rational(p: int, q: int, ctx: ChainContext) -> ChainValue:
     return ChainValue(num, ctx)
 
 
+def rational_parts(text: str) -> tuple[int, int]:
+    """The integers p and q of ``p/q`` text, q = 1 without a slash.
+    Raises ValueError when a part is not an integer, as in ``3/``."""
+    p, slash, q = text.partition("/")
+    return int(p), int(q) if slash else 1
+
+
 def parse_value(text: str, ctx: ChainContext) -> ChainValue:
     """Parse the ``p/q`` serialization (``0`` and ``1`` accepted)."""
-    body = text.strip()
     try:
-        if "/" in body:
-            p_str, q_str = body.split("/", 1)
-            p, q = int(p_str), int(q_str)
-        else:
-            p, q = int(body), 1
+        p, q = rational_parts(text.strip())
     except ValueError:
         raise NotAChainElement(f"malformed chain value {text!r}") from None
     return from_rational(p, q, ctx)

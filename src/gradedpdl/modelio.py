@@ -34,12 +34,11 @@ def model_to_dict(model: Model) -> dict[str, Any]:
     valuation: dict[str, dict[str, str]] = {}
     for prop in sorted(model.valuation):
         row = model.valuation[prop]
-        if not row:
-            continue
-        valuation[prop] = {
-            names[s]: format_value(ChainValue(num, model.context))
-            for s, num in sorted(row.items())
-        }
+        if any(row):
+            valuation[prop] = {
+                names[s]: format_value(ChainValue(num, model.context))
+                for s, num in enumerate(row) if num
+            }
     programs: dict[str, list[dict[str, Any]]] = {}
     for prog in sorted(model.atomics):
         rel = model.atomics[prog]

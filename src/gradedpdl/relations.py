@@ -60,8 +60,8 @@ class StateSpace:
     def mask_of(self, states: Iterable[int]) -> int:
         mask = 0
         for s in states:
-            if not 0 <= s < self.size:
-                raise ValueError(f"state {s} outside space of size {self.size}")
+            if not isinstance(s, int) or not 0 <= s < self.size:
+                raise ValueError(f"state {s!r} outside space of size {self.size}")
             mask |= 1 << s
         return mask
 
@@ -114,10 +114,11 @@ class ReachRelation:
         full = space.full_mask
         top = context.top
         for (s, mask), num in (entries or {}).items():
-            if not 0 <= s < space.size:
-                raise ValueError(f"state {s} outside space of size {space.size}")
-            if not 0 <= mask <= full:
-                raise ValueError(f"mask {mask:#x} outside space of size {space.size}")
+            if not isinstance(s, int) or not 0 <= s < space.size:
+                raise ValueError(f"state {s!r} outside space of size {space.size}")
+            if not isinstance(mask, int) or not 0 <= mask <= full:
+                shown = f"{mask:#x}" if isinstance(mask, int) else repr(mask)
+                raise ValueError(f"mask {shown} outside space of size {space.size}")
             if not isinstance(num, int) or not 0 <= num <= top:
                 raise ValueError(f"numerator {num!r} outside chain of order {context.n}")
             if num > 0:

@@ -156,13 +156,14 @@ class Model:
     """A finite graded model.
 
     ``atomics`` maps atomic program names to relations; ``valuation``
-    maps proposition names to per-state numerators (absent means bottom).
-    Atomic-program names and proposition names live in separate
-    namespaces, so the same name may appear in both maps. The
-    constructor checks that every relation lives on the model's space
-    and chain and every valuation entry on its states and chain, and
-    drops zero entries; the sampler, whose parts hold this by
-    construction, builds its models with ``_unchecked``.
+    maps proposition names to rows, each a tuple of ``space.size``
+    numerators in state order: the vector a plan run reads. Atomic-program
+    names and proposition names live in separate namespaces, so the same
+    name may appear in both maps. The constructor takes each row sparse,
+    as a map from state to numerator (absent means bottom), and checks
+    that every relation lives on the model's space and chain and every
+    valuation entry on its states and chain; the sampler, whose parts
+    hold this by construction, builds its models with ``_unchecked``.
     """
 
     __slots__ = ("context", "space", "atomics", "valuation", "state_names")
@@ -183,17 +184,16 @@ class Model:
                 raise ValueError(f"relation {name!r} lives on a different state space")
             if rel.context != context:
                 raise ChainMismatchError(f"relation {name!r} uses a different chain")
-        table: dict[str, dict[int, int]] = {}
+        table: dict[str, tuple[int, ...]] = {}
         for name, per_state in (valuation or {}).items():
-            row = {}
+            row = [0] * space.size
             for s, num in per_state.items():
-                if not 0 <= s < space.size:
-                    raise ValueError(f"state {s} outside space of size {space.size}")
-                if not 0 <= num <= context.top:
-                    raise ValueError(f"numerator {num} outside chain of order {context.n}")
-                if num > 0:
-                    row[s] = num
-            table[name] = row
+                if not isinstance(s, int) or not 0 <= s < space.size:
+                    raise ValueError(f"state {s!r} outside space of size {space.size}")
+                if not isinstance(num, int) or not 0 <= num <= context.top:
+                    raise ValueError(f"numerator {num!r} outside chain of order {context.n}")
+                row[s] = num
+            table[name] = tuple(row)
         self.valuation = table
         if state_names is None:
             state_names = _default_state_names(space.size)
@@ -207,12 +207,12 @@ class Model:
         context: ChainContext,
         space: StateSpace,
         atomics: dict[str, ReachRelation],
-        valuation: dict[str, dict[int, int]],
+        valuation: dict[str, tuple[int, ...]],
     ) -> "Model":
         """Wrap parts that already hold the constructor's invariants:
-        relations on this space and chain, valuation rows without zeros
-        and inside the space and chain. States get the default names.
-        Takes ownership of the dicts."""
+        relations on this space and chain, and valuation rows of
+        ``space.size`` numerators inside the chain. States get the
+        default names. Takes ownership of the dicts."""
         model = object.__new__(cls)
         model.context = context
         model.space = space
@@ -222,7 +222,9 @@ class Model:
         return model
 
     def prop_num(self, name: str, s: int) -> int:
-        return self.valuation.get(name, {}).get(s, 0)
+        self.space.mask_of((s,))  # a state outside the space raises ValueError
+        row = self.valuation.get(name)
+        return row[s] if row else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
@@ -232,8 +234,8 @@ class Model:
             and self.space == other.space
             and self.state_names == other.state_names
             and self.atomics == other.atomics
-            and {k: v for k, v in self.valuation.items() if v}
-            == {k: v for k, v in other.valuation.items() if v}
+            and {k: v for k, v in self.valuation.items() if any(v)}
+            == {k: v for k, v in other.valuation.items() if any(v)}
         )
 
     def __repr__(self) -> str:
@@ -289,8 +291,7 @@ class Plan:
         states = space.states()
         for slot, (op, a, b) in enumerate(self.steps):
             if op is PropVar:
-                row = model.valuation.get(a)
-                value = tuple([row.get(s, 0) for s in states]) if row else (0,) * size
+                value = model.valuation.get(a) or (0,) * size
             elif op is Atomic:
                 value = model.atomics.get(a)
                 if value is None:

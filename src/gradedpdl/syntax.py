@@ -42,6 +42,7 @@ from operator import attrgetter
 
 from .chain import (
     ChainContext, ChainValue, InputError, NotAChainElement, format_value, from_rational,
+    rational_parts,
 )
 
 
@@ -281,13 +282,8 @@ def _shown(token: str) -> str:
 
 def _constant(text: str, i: int, token: str, ctx: ChainContext) -> Constant:
     """The constant that ``token``, token ``i`` of ``text``, names."""
-    body = token[1:]
     try:
-        if "/" in body:
-            p_str, q_str = body.split("/", 1)
-            p, q = int(p_str), int(q_str)
-        else:
-            p, q = int(body), 1
+        p, q = rational_parts(token[1:])
     except ValueError:  # more digits than int() converts
         raise _error(text, f"constant {token[:20]!r}... is too long", i) from None
     try:

@@ -38,7 +38,7 @@ def bool_model(model):
                 pairs.add((s, members))
         rel[name] = pairs
     val = {
-        name: {s for s, num in row.items() if num == 1}
+        name: {s for s, num in enumerate(row) if num == 1}
         for name, row in model.valuation.items()
     }
     return {"size": model.space.size, "rel": rel, "val": val}

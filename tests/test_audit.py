@@ -106,6 +106,14 @@ def test_sampler_config_validation():
         SamplerConfig(n=3, density=1.5)
     with pytest.raises(SamplerConfigError):
         SamplerConfig(n=3, samples=0)
+    # a float went through and failed later: in ChainContext, in the
+    # sampler's bit_length, in range()
+    for bad in ({"n": 3.0}, {"n": 3, "max_states": 2.5}, {"n": 3, "samples": 2.5}):
+        with pytest.raises(SamplerConfigError, match="must be an integer"):
+            SamplerConfig(**bad)
+    # and a string density raised TypeError from the range comparison
+    with pytest.raises(SamplerConfigError, match="^density must be in \\[0, 1\\], got '0.5'$"):
+        SamplerConfig(n=3, density="0.5")
 
 
 def test_bindings_match_reference_stream():
@@ -365,6 +373,29 @@ def test_rule_audit_runs_the_conclusion_only_where_the_premise_is_valid(monkeypa
         assert runs.count((premise.template(C3),)) == entry.models_tested == 60, rule_id
         assert runs.count((conclusion.template(C3),)) == entry.premises_valid, rule_id
     assert built == []
+
+
+def test_extension_rows_are_the_binding_vectors():
+    cfg = SamplerConfig(n=3, max_states=3, seed=2)
+    rng = random.Random(2)
+    for _ in range(10):
+        model = sample_model(cfg, rng)
+        size = model.space.size
+        phi, psi = parse_formula("p -> q", C3), parse_formula("[a*]p & q", C3)
+        bound = _bound_model(schema("A1"), {"phi": phi, "psi": psi}, model)
+        evaluator = Evaluator(model)
+        assert bound.valuation == {
+            **model.valuation, "phi": evaluator.vector(phi), "psi": evaluator.vector(psi)
+        }
+        bound = _bound_model(schema("A5/and"), {"c": C3.value(1), "d": C3.one}, model)
+        constants = {"c": (1,) * size, "d": (2,) * size, "e": (1,) * size}
+        assert bound.valuation == {**model.valuation, **constants}
+        pi = parse_program("a;b", C3)
+        bound = _bound_model(schema("D1"), {"pi": pi}, model)
+        assert bound.atomics == {**model.atomics, "pi": evaluator.relation(pi)}
+        for row in bound.valuation.values():
+            assert type(row) is tuple and len(row) == size
+            assert all(type(num) is int for num in row)
 
 
 def test_extension_refuses_a_model_that_names_a_metavariable(monkeypatch):

@@ -10,6 +10,7 @@ from gradedpdl.chain import (
     format_value,
     from_rational,
     parse_value,
+    rational_parts,
 )
 
 
@@ -96,6 +97,18 @@ def test_serialization_round_trip():
     assert format_value(ChainContext(3).value(2)) == "1"
     with pytest.raises(NotAChainElement):
         parse_value("nonsense", ChainContext(3))
+
+
+def test_p_over_q_text_has_one_reading():
+    # model files and formula constants split p/q text with one helper;
+    # each caller turns a bad part into its own error
+    assert rational_parts("3/4") == (3, 4)
+    assert rational_parts("1") == (1, 1)
+    for text in ("3/", "/4", "", "a/b", "1/2/3"):
+        with pytest.raises(ValueError):
+            rational_parts(text)
+        with pytest.raises(NotAChainElement, match="^malformed chain value"):
+            parse_value(text, ChainContext(3))
 
 
 def _laws(ctx):

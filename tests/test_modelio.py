@@ -119,6 +119,15 @@ def test_malformed_json_reported(tmp_path):
         load_model(path)
 
 
+def test_emission_writes_nonzero_entries_and_skips_zero_rows():
+    space = StateSpace(3)
+    model = Model(C3, space, {}, {"p": {0: 0, 2: 1, 1: 2}, "q": {1: 0}, "r": {}})
+    valuation = model_to_dict(model)["valuation"]
+    assert valuation == {"p": {"s1": "1", "s2": "1/2"}}
+    assert list(valuation["p"]) == ["s1", "s2"]
+    assert model_from_dict(model_to_dict(model)) == model
+
+
 def test_lowest_terms_in_emission():
     ctx5 = ChainContext(5)
     space = StateSpace(1)

@@ -2,6 +2,7 @@ import logging
 import os
 import operator
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,8 @@ def test_states_and_target_masks_outside_the_space_are_refused():
         with pytest.raises(ValueError, match=f"^state {bad} outside space of size 2$"):
             eval_formula(model, p, bad)
         with pytest.raises(ValueError, match=f"^state {bad} outside space of size 2$"):
+            model.prop_num("p", bad)
+        with pytest.raises(ValueError, match=f"^state {bad} outside space of size 2$"):
             eval_program(model, a, bad, 0b10)
     for bad in (-1, 1 << space.size):
         with pytest.raises(ValueError, match=f"^target mask {bad} outside space of size 2$"):
@@ -106,6 +109,44 @@ def test_states_and_target_masks_outside_the_space_are_refused():
     assert eval_formula(model, p, 1).is_top and eval_formula(model, p, 0).is_bottom
     assert eval_program(model, a, 0, 0b10).is_top
     assert eval_program(model, a, 0, 0b11).is_bottom
+
+
+def test_non_integer_states_masks_and_numerators_are_refused():
+    # a float state or numerator was accepted, and failed only later: in
+    # ChainValue, or as the index of a valuation row
+    space = StateSpace(2)
+    bad_rows = [({0.0: 1}, "state 0.0"), ({0: 1.5}, "numerator 1.5"), ({0: "1"}, "numerator '1'")]
+    for row, shown in bad_rows:
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside "):
+            Model(C3, space, {}, {"p": row})
+    bad_entries = [
+        ({(0.0, 1): 1}, "state 0.0"), ({(0, 1.0): 1}, "mask 1.0"), ({(0, 1): 1.0}, "numerator 1.0"),
+    ]
+    for entries, shown in bad_entries:
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside "):
+            ReachRelation(space, C3, entries)
+    with pytest.raises(ValueError, match="^state 1.0 outside space of size 2$"):
+        ReachRelation.of(space, C3, [(0, [1.0], 1)])
+    model = Model(C3, space, {}, {"p": {1: 2}})
+    with pytest.raises(ValueError, match="^state 1.0 outside space of size 2$"):
+        eval_formula(model, parse_formula("p", C3), 1.0)
+    with pytest.raises(ValueError, match="^state 1.0 outside space of size 2$"):
+        model.prop_num("p", 1.0)
+
+
+def test_valuation_rows_are_full_vectors_and_all_zero_is_absent():
+    # each row is stored as the vector a plan run reads; the constructor
+    # takes the sparse form, and a row of zeros equals no row
+    space = StateSpace(3)
+    model = Model(C3, space, {}, {"p": {1: 2}, "q": {}, "r": {0: 0, 2: 0}})
+    assert model.valuation == {"p": (0, 2, 0), "q": (0, 0, 0), "r": (0, 0, 0)}
+    assert model == Model(C3, space, {}, {"p": {1: 2}})
+    assert model == Model(C3, space, {}, {"p": {0: 0, 1: 2}, "s": {}})
+    assert model != Model(C3, space, {}, {"p": {1: 1}})
+    assert model != Model(C3, space, {}, {"p": {1: 2}, "q": {0: 1}})
+    assert [model.prop_num(name, 1) for name in "pqx"] == [2, 0, 0]
+    (vector,) = compile_plan(PropVar("p")).root_values(model)
+    assert vector is model.valuation["p"]
 
 
 def test_program_clauses():
@@ -219,7 +260,9 @@ def _without_empty_mass(model):
         )
         for name, rel in model.atomics.items()
     }
-    return Model(model.context, model.space, atomics, model.valuation, model.state_names)
+    # the constructor takes each row in its sparse input form
+    valuation = {name: dict(enumerate(row)) for name, row in model.valuation.items()}
+    return Model(model.context, model.space, atomics, valuation, model.state_names)
 
 
 def test_box_to_constant_dominated_by_diamond_form_without_empty_mass():
