@@ -14,7 +14,7 @@ from gradedpdl.modelio import dumps
 
 for n in (2, 3):
     print(f"=== audit at chain order {n} (400 trials per schema) ===")
-    cfg = SamplerConfig(n=n, max_states=3, density=0.4, samples=400, seed=7)
+    cfg = SamplerConfig(n=n, max_states=3, samples=400, seed=7)
     report = audit_all(cfg)
     for entry in report.schemas:
         if entry.verdict == "counterexample":

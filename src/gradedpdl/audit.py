@@ -68,6 +68,8 @@ PROP_NAMES = "pq"
 
 STATE_CAP = 4
 STATE_CAP_FORCED = 6
+# The share of (state, target set) pairs at which a sampled program has an entry.
+DENSITY = 0.4
 
 
 class ModalFormulaRejected(ValueError):
@@ -107,7 +109,6 @@ class SamplerConfig:
 
     n: int
     max_states: int = 3
-    density: float = 0.4
     samples: int = 1000
     seed: int = 0
     allow_large: bool = False
@@ -120,8 +121,6 @@ class SamplerConfig:
         if self.n < 2:
             raise SamplerConfigError(f"chain order {self.n} is below 2")
         check_state_count(self.max_states, self.allow_large)
-        if not isinstance(self.density, (int, float)) or not 0.0 <= self.density <= 1.0:
-            raise SamplerConfigError(f"density must be in [0, 1], got {self.density!r}")
         if self.samples < 1:
             raise SamplerConfigError(f"sample budget {self.samples} is below 1")
 
@@ -165,7 +164,7 @@ def sample_model(
     """One pseudorandom model, reproducible from the rng state.
 
     Draws, in order: the size (``randint(1, max_states)``); per program,
-    state and target mask, one ``random()`` and, below the density, the
+    state and target mask, one ``random()`` and, below ``DENSITY``, the
     entry (``randint(1, top)``); per proposition and state, its value
     (``randint(0, top)``). Each ``randint(a, b)`` is taken as
     ``a + _below(b - a + 1)``, which is how ``random.Random.randint``
@@ -175,7 +174,6 @@ def sample_model(
     draw, getrandbits = rng.random, rng.getrandbits
     ctx = cfg.context
     top = ctx.top
-    density = cfg.density
 
     size = 1 + _below(getrandbits, cfg.max_states)
     shape = _SHAPES.get(size)
@@ -189,7 +187,7 @@ def sample_model(
     for name in progs:
         entries = {}
         for key in keys:
-            if draw() < density:
+            if draw() < DENSITY:
                 r = getrandbits(bits)  # 1 + _below(getrandbits, top), inlined
                 while r >= top:
                     r = getrandbits(bits)
@@ -545,7 +543,7 @@ def audit_all(
         seed=cfg.seed,
         config={
             "max_states": cfg.max_states,
-            "density": cfg.density,
+            "density": DENSITY,
             "num_programs": len(PROGRAM_NAMES),
             "num_propvars": len(PROP_NAMES),
             "samples": cfg.samples,

@@ -167,8 +167,15 @@ class ReachRelation:
         return self.entries.get((s, mask), 0)
 
     def value(self, s: int, states: StateSetLike) -> ChainValue:
-        mask = states if isinstance(states, int) else self.space.mask_of(states)
-        return ChainValue(self.num(s, mask), self.context)
+        """The value at ``s`` and a target set, a mask or its states;
+        unlike ``num``, it refuses a state or mask outside the space."""
+        space = self.space
+        space.mask_of((s,))
+        if not isinstance(states, int):
+            states = space.mask_of(states)
+        elif not 0 <= states < 1 << space.size:
+            raise ValueError(f"target mask {states} outside space of size {space.size}")
+        return ChainValue(self.num(s, states), self.context)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReachRelation):

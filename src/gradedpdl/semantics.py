@@ -44,9 +44,10 @@ the clauses read a relation only through its meets over target sets.
   first argument and strong conjunction monotone, and a union's entries
   are the larger of its operands'.
 
-``Evaluator``, ``eval_formula`` and ``eval_program`` answer one
-question of one model each by compiling the term and running its plan
-once; they keep nothing between questions.
+``eval_formula`` and ``eval_program`` answer one question of one model
+each, through ``Evaluator``, by compiling the term and running its plan
+once; they keep nothing between questions. A formula's vector over all
+states is its plan's root value, ``compile_plan(f).root_values(model)[0]``.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ class Model:
                 raise ChainMismatchError(f"relation {name!r} uses a different chain")
         table: dict[str, tuple[int, ...]] = {}
         for name, per_state in (valuation or {}).items():
+            if not isinstance(per_state, Mapping):
+                shown = type(per_state).__name__
+                raise ValueError(f"valuation of {name!r} must map state to numerator, got {shown}")
             row = [0] * space.size
             for s, num in per_state.items():
                 if not isinstance(s, int) or not 0 <= s < space.size:
@@ -265,17 +269,14 @@ class Plan:
     ``;`` or ``+`` that is only ever read as the program of a box or
     diamond: ``[l;q]phi`` reads slots for ``l``, ``q`` and a table built
     from ``q`` and the body's meets, and ``[a+b]phi`` the slots of
-    ``[a]phi`` and ``[b]phi`` (see the module docstring). ``nodes`` holds
-    the subterm of each slot, None for a table and for a modality over a
-    piece of such a ``+`` that no compiled term holds; ``steps`` holds
+    ``[a]phi`` and ``[b]phi`` (see the module docstring). ``steps`` holds
     each slot's (opcode, operand, operand) step, and ``roots`` the slot
     of each compiled term, in the order given.
     """
 
-    __slots__ = ("nodes", "steps", "roots")
+    __slots__ = ("steps", "roots")
 
-    def __init__(self, nodes: tuple, steps: tuple, roots: tuple[int, ...]):
-        self.nodes = nodes
+    def __init__(self, steps: tuple, roots: tuple[int, ...]):
         self.steps = steps
         self.roots = roots
 
@@ -396,20 +397,18 @@ def compile_plan(*terms: Formula | Program) -> Plan:
     relations it reads come before its body, as they would if its
     program were built.
     """
-    nodes: list = []
     steps: list[tuple] = []
     slot_of_step: dict[tuple, int] = {}
     slot_of_node: dict[int, int] = {}  # by id; each term keeps its nodes alive
     roots = []
 
-    def unnamed(step: tuple) -> int:
-        """The slot of a step that no node names (yet): a table, or a
-        modality over a piece of a '+'."""
-        slot = slot_of_step.setdefault(step, len(steps))
-        if slot == len(steps):
-            nodes.append(None)
+    def slot(step: tuple) -> int:
+        """The slot of ``step``: a node's, a table's, or a modality's over
+        a piece of a '+'; a new step takes the next one."""
+        found = slot_of_step.setdefault(step, len(steps))
+        if found == len(steps):
             steps.append(step)
-        return slot
+        return found
 
     for term in terms:
         stack = [(term, None, None)]
@@ -441,7 +440,7 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                     step = (op, slot_of_node[id(kids[0])], slot_of_node[id(kids[1])])
             else:
                 op = type(node)
-                meets = unnamed((subset_meets, slot_of_node[id(kids[-1])], None))
+                meets = slot((subset_meets, slot_of_node[id(kids[-1])], None))
                 if form is _PLAIN:
                     step = (op, slot_of_node[id(kids[0])], meets)
                 else:
@@ -451,31 +450,24 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                         if piece is None:
                             right, left = pending.pop(), pending.pop()
                             join = min if op is Box else max
-                            pending.append((join, unnamed(left), unnamed(right)))
+                            pending.append((join, slot(left), slot(right)))
                             continue
                         table = meets
                         if piece:
                             build = _box_table if op is Box else _diamond_table
-                            table = unnamed((build, slot_of_node[id(kids[i + 1])], meets))
+                            table = slot((build, slot_of_node[id(kids[i + 1])], meets))
                         pending.append((op, slot_of_node[id(kids[i])], table))
                         i += 2 if piece else 1
                     (step,) = pending
-            slot = slot_of_step.setdefault(step, len(steps))
-            if slot == len(steps):
-                nodes.append(node)
-                steps.append(step)
-            elif nodes[slot] is None:
-                nodes[slot] = node
-            slot_of_node[id(node)] = slot
+            slot_of_node[id(node)] = slot(step)
         roots.append(slot_of_node[id(term)])
-    return Plan(tuple(nodes), tuple(steps), tuple(roots))
+    return Plan(tuple(steps), tuple(roots))
 
 
 class Evaluator:
-    """The values of terms in one model, each read from one run of the
-    term's plan. A formula's value is its vector of numerators over all
-    states, a program's its relation. A search that evaluates one term in
-    many models compiles its ``Plan`` once and runs it per model instead.
+    """A formula's numerator at one state, or a program's relation, in one
+    model, each read from one run of the term's plan. A formula's vector
+    over all states is ``compile_plan(formula).root_values(model)[0]``.
     """
 
     def __init__(self, model: Model):
@@ -485,11 +477,7 @@ class Evaluator:
         return compile_plan(program).root_values(self.model)[0]
 
     def value_num(self, formula: Formula, s: int) -> int:
-        return self.vector(formula)[s]
-
-    def vector(self, formula: Formula) -> tuple[int, ...]:
-        """The formula's numerator at every state, in state order."""
-        return compile_plan(formula).root_values(self.model)[0]
+        return compile_plan(formula).root_values(self.model)[0][s]
 
 
 def eval_formula(model: Model, formula: Formula, state: int) -> ChainValue:
@@ -500,10 +488,6 @@ def eval_formula(model: Model, formula: Formula, state: int) -> ChainValue:
 def eval_program(
     model: Model, program: Program, state: int, target: StateSetLike
 ) -> ChainValue:
-    space = model.space
-    space.mask_of((state,))
-    if isinstance(target, int) and not 0 <= target < 1 << space.size:
-        raise ValueError(f"target mask {target} outside space of size {space.size}")
     return Evaluator(model).relation(program).value(state, target)
 
 

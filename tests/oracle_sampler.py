@@ -18,6 +18,7 @@ leaves the rng in the same state.
 
 import random
 
+from gradedpdl import audit
 from gradedpdl.audit import PROGRAM_NAMES, PROP_NAMES
 from gradedpdl.chain import ChainValue
 from gradedpdl.relations import ReachRelation, StateSpace
@@ -53,7 +54,7 @@ def reference_sample_model(cfg, rng=None, prop_names=None, prog_names=None):
         entries = {}
         for s in space.states():
             for mask in space.subset_masks():
-                if rng.random() < cfg.density:
+                if rng.random() < audit.DENSITY:
                     entries[(s, mask)] = rng.randint(1, ctx.top)
         atomics[name] = ReachRelation(space, ctx, entries)
     valuation = {

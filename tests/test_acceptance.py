@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from gradedpdl import audit
 from gradedpdl.audit import (
     SamplerConfig,
     check_consequence_prop,
@@ -138,7 +139,7 @@ def _schemas_for(labels):
 def _run_shared_model_sweep(labels, n, models, seed):
     """Evaluate one fresh instantiation of each schema on shared models;
     return the first counterexample or None."""
-    cfg = SamplerConfig(n=n, max_states=3, density=0.4, seed=seed)
+    cfg = SamplerConfig(n=n, max_states=3, seed=seed)
     rng = random.Random(seed)
     schemas = _schemas_for(labels)
     for _ in range(models):
@@ -221,7 +222,7 @@ def _d_schemata(inter_box_variant):
 def test_criterion_04_boolean_audit_as_stated():
     schemas = _d_schemata("corrected")
     assert len(schemas) == 17
-    cfg = SamplerConfig(n=2, max_states=3, density=0.4, seed=400, samples=600)
+    cfg = SamplerConfig(n=2, max_states=3, seed=400, samples=600)
     entries = [find_counterexample(s, cfg) for s in schemas]
     sampled = sum(e.models_tested for e in entries)
     bad = [e.label for e in entries if e.verdict == "counterexample"]
@@ -236,7 +237,7 @@ def test_criterion_04_boolean_audit_as_stated():
 
 def test_criterion_04_attainable_part():
     schemas = [s for s in _d_schemata("corrected") if s.id not in ("D4", "D5")]
-    cfg = SamplerConfig(n=2, max_states=3, density=0.4, seed=400, samples=700)
+    cfg = SamplerConfig(n=2, max_states=3, seed=400, samples=700)
     entries = [find_counterexample(s, cfg) for s in schemas]
     sampled = sum(e.models_tested for e in entries)
     bad = [e.label for e in entries if e.verdict == "counterexample"]
@@ -261,7 +262,7 @@ def test_criterion_04_attainable_part():
 
 
 def test_criterion_05_order3_counterexamples():
-    cfg = SamplerConfig(n=3, max_states=3, density=0.4, seed=7, samples=10_000)
+    cfg = SamplerConfig(n=3, max_states=3, seed=7, samples=10_000)
     (d16,) = schemata_named("D16")
     (d17,) = schemata_named("D17")
     e16 = find_counterexample(d16, cfg)
@@ -294,9 +295,13 @@ def test_criterion_05_order3_counterexamples():
 # -- 6: box and diamond are not dual ---------------------------------------------------
 
 
-def test_criterion_06_non_interdefinability():
+def test_criterion_06_non_interdefinability(monkeypatch):
+    # at entry density 0.35 the first difference is the one read here, a
+    # mixed target set; at the sampler's 0.4 it is mass on the empty set,
+    # which makes both <a>p and [a]~p top
+    monkeypatch.setattr(audit, "DENSITY", 0.35)
     ctx = ChainContext(2)
-    cfg = SamplerConfig(n=2, max_states=3, density=0.35, seed=1, samples=1000)
+    cfg = SamplerConfig(n=2, max_states=3, seed=1, samples=1000)
     report = equiv_check(
         parse_formula("<a>p", ctx), parse_formula("~[a]~p", ctx), cfg
     )
@@ -446,7 +451,7 @@ def test_criterion_10_filtration_random_pairs():
         n = rng.choice((2, 3, 5))
         ctx = ChainContext(n)
         cfg = SamplerConfig(
-            n=n, max_states=4, density=0.35, seed=rng.randrange(10**6)
+            n=n, max_states=4, seed=rng.randrange(10**6)
         )
         model = sample_model(cfg, rng)
         gamma = fl_closure(random_formula(rng, ctx, 3), ctx)

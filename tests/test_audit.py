@@ -65,31 +65,18 @@ def test_sampler_matches_reference_stream():
     names = ("pq", "ab"), (["p", "r", "z"], ["a", "x"])
     for n in range(2, 9):
         for max_states in range(1, 7):
-            for density in (0, 0.1, 0.4, 1):
-                cfg = SamplerConfig(
-                    n=n, max_states=max_states, density=density, allow_large=True
-                )
-                for props, progs in names:
-                    seed = f"{n}:{max_states}:{density}:{props}"
-                    rng, ref_rng = random.Random(seed), random.Random(seed)
-                    for _ in range(3 if max_states > 4 else 8):
-                        got = sample_model(cfg, rng, props, progs)
-                        want = reference_sample_model(cfg, ref_rng, props, progs)
-                        _same_model(got, want)
-                        assert rng.getstate() == ref_rng.getstate(), (n, max_states, density)
+            cfg = SamplerConfig(n=n, max_states=max_states, allow_large=True)
+            for props, progs in names:
+                seed = f"{n}:{max_states}:{props}"
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(3 if max_states > 4 else 8):
+                    got = sample_model(cfg, rng, props, progs)
+                    want = reference_sample_model(cfg, ref_rng, props, progs)
+                    _same_model(got, want)
+                    assert rng.getstate() == ref_rng.getstate(), (n, max_states)
     # the reference without an rng starts from the configured seed
     cfg = SamplerConfig(n=4, max_states=3, seed=12)
     _same_model(sample_model(cfg, random.Random(cfg.seed)), reference_sample_model(cfg))
-
-
-def test_sampler_density_extremes():
-    cfg0 = SamplerConfig(n=3, max_states=2, density=0.0, seed=1)
-    model = sample_model(cfg0, random.Random(cfg0.seed))
-    assert all(not rel.entries for rel in model.atomics.values())
-    cfg1 = SamplerConfig(n=4, max_states=1, density=1.0, seed=1)
-    model = sample_model(cfg1, random.Random(cfg1.seed))
-    for rel in model.atomics.values():
-        assert set(rel.entries) == {(0, 0), (0, 1)}  # both subsets of a singleton
 
 
 def test_sampler_config_validation():
@@ -103,17 +90,12 @@ def test_sampler_config_validation():
     with pytest.raises(SamplerConfigError):
         SamplerConfig(n=3, max_states=0)
     with pytest.raises(SamplerConfigError):
-        SamplerConfig(n=3, density=1.5)
-    with pytest.raises(SamplerConfigError):
         SamplerConfig(n=3, samples=0)
     # a float went through and failed later: in ChainContext, in the
     # sampler's bit_length, in range()
     for bad in ({"n": 3.0}, {"n": 3, "max_states": 2.5}, {"n": 3, "samples": 2.5}):
         with pytest.raises(SamplerConfigError, match="must be an integer"):
             SamplerConfig(**bad)
-    # and a string density raised TypeError from the range comparison
-    with pytest.raises(SamplerConfigError, match="^density must be in \\[0, 1\\], got '0.5'$"):
-        SamplerConfig(n=3, density="0.5")
 
 
 def test_bindings_match_reference_stream():
@@ -263,7 +245,7 @@ def test_template_in_extended_model_equals_instance():
                 (got,) = compile_plan(s.template(ctx)).root_values(_bound_model(s, bindings, model))
                 assert (set(model.valuation), set(model.atomics)) == names
                 instance = instantiate_schema(s, bindings, ctx)
-                assert got == Evaluator(model).vector(instance), (n, s.label)
+                assert got == compile_plan(instance).root_values(model)[0], (n, s.label)
                 pointwise = PointwiseEvaluator(model)
                 want = tuple(pointwise.value_num(instance, st) for st in model.space.states())
                 assert got == want, (n, s.label)
@@ -284,16 +266,22 @@ def test_audit_matches_instantiating_reference():
     assert witnesses >= 50
 
 
+def _steps(*terms):
+    """What ``_count_runs`` records of a run of the plan of ``terms``."""
+    plan = compile_plan(*terms)
+    return plan.steps, plan.roots
+
+
 def _count_runs(monkeypatch):
-    """Record the compiled terms of every plan run, and the model of every
-    evaluator built, from here on."""
+    """Record the steps and roots of every plan run, and the model of
+    every evaluator built, from here on."""
     from gradedpdl import semantics
 
     runs, built = [], []
     real_run, real_init = semantics.Plan.run, semantics.Evaluator.__init__
 
     def counting_run(self, model):
-        runs.append(tuple(self.nodes[root] for root in self.roots))
+        runs.append((self.steps, self.roots))
         return real_run(self, model)
 
     def counting_init(self, model):
@@ -324,7 +312,7 @@ def test_audit_instantiates_only_witnesses(monkeypatch):
     for s in all_schemata("DL"):
         del runs[:]
         entry = find_counterexample(s, cfg)
-        assert runs.count((s.template(cfg.context),)) == entry.models_tested, s.label
+        assert runs.count(_steps(s.template(cfg.context))) == entry.models_tested, s.label
         if entry.witness is not None:
             refuted.append(s.label)
     assert refuted and instantiated == refuted
@@ -370,8 +358,8 @@ def test_rule_audit_runs_the_conclusion_only_where_the_premise_is_valid(monkeypa
         del runs[:]
         entry = audit_rule(rule_id, SamplerConfig(n=3, max_states=3, seed=2, samples=60))
         assert 0 < entry.premises_valid < 60, rule_id
-        assert runs.count((premise.template(C3),)) == entry.models_tested == 60, rule_id
-        assert runs.count((conclusion.template(C3),)) == entry.premises_valid, rule_id
+        assert runs.count(_steps(premise.template(C3))) == entry.models_tested == 60, rule_id
+        assert runs.count(_steps(conclusion.template(C3))) == entry.premises_valid, rule_id
     assert built == []
 
 
@@ -383,16 +371,14 @@ def test_extension_rows_are_the_binding_vectors():
         size = model.space.size
         phi, psi = parse_formula("p -> q", C3), parse_formula("[a*]p & q", C3)
         bound = _bound_model(schema("A1"), {"phi": phi, "psi": psi}, model)
-        evaluator = Evaluator(model)
-        assert bound.valuation == {
-            **model.valuation, "phi": evaluator.vector(phi), "psi": evaluator.vector(psi)
-        }
+        vectors = compile_plan(phi, psi).root_values(model)
+        assert bound.valuation == {**model.valuation, "phi": vectors[0], "psi": vectors[1]}
         bound = _bound_model(schema("A5/and"), {"c": C3.value(1), "d": C3.one}, model)
         constants = {"c": (1,) * size, "d": (2,) * size, "e": (1,) * size}
         assert bound.valuation == {**model.valuation, **constants}
         pi = parse_program("a;b", C3)
         bound = _bound_model(schema("D1"), {"pi": pi}, model)
-        assert bound.atomics == {**model.atomics, "pi": evaluator.relation(pi)}
+        assert bound.atomics == {**model.atomics, "pi": Evaluator(model).relation(pi)}
         for row in bound.valuation.values():
             assert type(row) is tuple and len(row) == size
             assert all(type(num) is int for num in row)
@@ -545,7 +531,7 @@ def test_equiv_box_test_is_implication():
 
 def test_equiv_finds_modal_non_duality():
     ctx = ChainContext(2)
-    cfg = SamplerConfig(n=2, max_states=3, density=0.35, seed=1, samples=1000)
+    cfg = SamplerConfig(n=2, max_states=3, seed=1, samples=1000)
     report = equiv_check(parse_formula("<a>p", ctx), parse_formula("~[a]~p", ctx), cfg)
     assert report.difference_found
     assert report.models_tested <= 1000

@@ -88,7 +88,7 @@ def test_quotient_valuation_copies_members():
 
 
 def _random_pair(rng, n):
-    cfg = SamplerConfig(n=n, max_states=4, density=0.35, seed=rng.randrange(10**6))
+    cfg = SamplerConfig(n=n, max_states=4, seed=rng.randrange(10**6))
     model = sample_model(cfg, rng)
     formula = random_formula(rng, ChainContext(n), 3)
     gamma = fl_closure(formula, ChainContext(n))
@@ -161,7 +161,7 @@ def test_lemma4_identical_index_sets_coincide():
 
 def test_lemma4_smaller_set_dominates():
     rng = random.Random(6)
-    cfg = SamplerConfig(n=3, max_states=3, density=0.4, seed=6)
+    cfg = SamplerConfig(n=3, max_states=3, seed=6)
     corpus = [
         parse_formula("p", C3),
         parse_formula("q", C3),

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from gradedpdl import audit
 from gradedpdl.audit import SamplerConfig, sample_model
 from gradedpdl.cli import main
 from gradedpdl.modelio import save_model
@@ -61,9 +62,11 @@ GOLDEN = {
 }
 
 
-def _five_state_model(path):
-    """A 5-state model drawn from a fixed seed."""
-    cfg = SamplerConfig(n=3, max_states=5, density=0.3, allow_large=True)
+def _five_state_model(path, monkeypatch):
+    """A 5-state model drawn from a fixed seed, at the entry density 0.3
+    the digest was recorded with."""
+    monkeypatch.setattr(audit, "DENSITY", 0.3)
+    cfg = SamplerConfig(n=3, max_states=5, allow_large=True)
     rng = random.Random(2024)
     while True:
         model = sample_model(cfg, rng)
@@ -72,14 +75,14 @@ def _five_state_model(path):
             return
 
 
-def _digest(label, tmp_path):
+def _digest(label, tmp_path, monkeypatch):
     paths = {
         "out": tmp_path / "out.json",
         "dot": tmp_path / "classes.dot",
         "model": tmp_path / "model.json",
     }
     if label.startswith("filtrate"):
-        _five_state_model(paths["model"])
+        _five_state_model(paths["model"], monkeypatch)
     argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in CASES[label]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -95,6 +98,6 @@ def _digest(label, tmp_path):
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_golden_output(label, tmp_path):
-    code, digest = _digest(label, tmp_path)
+def test_golden_output(label, tmp_path, monkeypatch):
+    code, digest = _digest(label, tmp_path, monkeypatch)
     assert digest == GOLDEN[label], f"{label}: exit {code}, sha256 {digest}"

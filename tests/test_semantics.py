@@ -106,6 +106,12 @@ def test_states_and_target_masks_outside_the_space_are_refused():
             eval_program(model, a, 0, bad)
     with pytest.raises(ValueError, match="^state 2 outside space of size 2$"):
         eval_program(model, a, 0, [1, 2])
+    # the relation's own value read bottom at both
+    rel = model.atomics["a"]
+    for state, target, shown in [(5, [0], "state 5"), (-1, 0, "state -1"), (0, 9, "target mask 9")]:
+        with pytest.raises(ValueError, match=f"^{shown} outside space of size 2$"):
+            rel.value(state, target)
+    assert rel.value(0, [1]).is_top and rel.value(0, 0b11).is_bottom
     assert eval_formula(model, p, 1).is_top and eval_formula(model, p, 0).is_bottom
     assert eval_program(model, a, 0, 0b10).is_top
     assert eval_program(model, a, 0, 0b11).is_bottom
@@ -119,6 +125,13 @@ def test_non_integer_states_masks_and_numerators_are_refused():
     for row, shown in bad_rows:
         with pytest.raises(ValueError, match=f"^{re.escape(shown)} outside "):
             Model(C3, space, {}, {"p": row})
+    # a row that is not a map, such as another model's stored tuple, raised
+    # AttributeError from its missing items()
+    stored = Model(C3, space, {}, {"p": {1: 2}}).valuation
+    for rows, shown in [(stored, "tuple"), ({"p": [0, 2]}, "list"), ({"p": 2}, "int")]:
+        message = f"^valuation of 'p' must map state to numerator, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            Model(C3, space, {}, rows)
     bad_entries = [
         ({(0.0, 1): 1}, "state 0.0"), ({(0, 1.0): 1}, "mask 1.0"), ({(0, 1): 1.0}, "numerator 1.0"),
     ]
@@ -242,13 +255,13 @@ def test_box_constant_shift_identity():
         ctx = ChainContext(n)
         rng = random.Random(n)
         for model in _sampled_models(n, 25, 40 + n):
-            ev = Evaluator(model)
             f = random_formula(rng, ctx, 2)
             prog = random_program(rng, ctx, 2)
             c = Constant(ChainValue(rng.randint(0, ctx.top), ctx))
             lhs = Box(prog, Implies(c, f))
             rhs = Implies(c, Box(prog, f))
-            assert ev.vector(lhs) == ev.vector(rhs)
+            left, right = compile_plan(lhs, rhs).root_values(model)
+            assert left == right
 
 
 def _without_empty_mass(model):
@@ -274,13 +287,12 @@ def test_box_to_constant_dominated_by_diamond_form_without_empty_mass():
         rng = random.Random(50 + n)
         for model in _sampled_models(n, 25, 50 + n):
             model = _without_empty_mass(model)
-            ev = Evaluator(model)
             f = random_formula(rng, ctx, 2)
             prog = random_program(rng, ctx, 2)
             c = Constant(ChainValue(rng.randint(0, ctx.top), ctx))
             lhs = Box(prog, Implies(f, c))
             rhs = Implies(Diamond(prog, f), c)
-            assert all(map(operator.le, ev.vector(lhs), ev.vector(rhs)))
+            assert all(map(operator.le, *compile_plan(lhs, rhs).root_values(model)))
 
 
 def test_box_to_constant_gap_witnesses_both_directions():
@@ -321,16 +333,14 @@ def test_test_program_identities():
         ctx = ChainContext(n)
         rng = random.Random(70 + n)
         for model in _sampled_models(n, 25, 70 + n):
-            ev = Evaluator(model)
             f = random_formula(rng, ctx, 2)
             g = random_formula(rng, ctx, 2)
             from gradedpdl.syntax import Test as PTest
 
-            box_test = Box(PTest(f), g)
-            dia_test = Diamond(PTest(f), g)
-            assert ev.vector(box_test) == ev.vector(Implies(f, g))
-            want = tuple(max(0, x + y - ctx.top) for x, y in zip(ev.vector(f), ev.vector(g)))
-            assert ev.vector(dia_test) == want
+            plan = compile_plan(Box(PTest(f), g), Implies(f, g), Diamond(PTest(f), g), f, g)
+            box_test, implies, dia_test, fv, gv = plan.root_values(model)
+            assert box_test == implies
+            assert dia_test == tuple(max(0, x + y - ctx.top) for x, y in zip(fv, gv))
 
 
 def test_modal_monotonicity():
@@ -338,14 +348,14 @@ def test_modal_monotonicity():
         ctx = ChainContext(n)
         rng = random.Random(80 + n)
         for model in _sampled_models(n, 20, 80 + n):
-            ev = Evaluator(model)
             f = random_formula(rng, ctx, 2)
             g = random_formula(rng, ctx, 2)
             prog = random_program(rng, ctx, 2)
-            if not all(map(operator.le, ev.vector(f), ev.vector(g))):
+            if not all(map(operator.le, *compile_plan(f, g).root_values(model))):
                 continue
             for modal in (Box, Diamond):
-                assert all(map(operator.le, ev.vector(modal(prog, f)), ev.vector(modal(prog, g))))
+                plan = compile_plan(modal(prog, f), modal(prog, g))
+                assert all(map(operator.le, *plan.root_values(model)))
 
 
 PROGRAMS = (Atomic, Inter, Seq, Star, Test, Union)
@@ -390,15 +400,15 @@ def test_vectors_match_pointwise_evaluator():
                 model = _random_model(rng, ctx, size, density)
                 formulas = [parse_formula(text, ctx) for text in fixed]
                 formulas += [_random_formula(rng, ctx, 3, "pq", "abz") for _ in range(6)]
-                vectors, pointwise = Evaluator(model), PointwiseEvaluator(model)
+                evaluator, pointwise = Evaluator(model), PointwiseEvaluator(model)
                 for formula in formulas:
                     for node in _nodes(formula):
                         if isinstance(node, PROGRAMS):
                             want = pointwise.relation(node).entries
-                            assert vectors.relation(node).entries == want, (model, node)
+                            assert evaluator.relation(node).entries == want, (model, node)
                             continue
                         want = tuple(pointwise.value_num(node, s) for s in model.space.states())
-                        assert vectors.vector(node) == want, (model, node)
+                        assert compile_plan(node).root_values(model)[0] == want, (model, node)
                     # valid_in_model refutes at the first state below top
                     below = [
                         s for s in model.space.states()
@@ -420,30 +430,34 @@ def test_library_relations_pass_the_validating_constructor():
     for n in (2, 3, 5):
         ctx = ChainContext(n)
         programs = [parse_program(text, ctx) for text in fixed]
-        for density in (0, 0.1, 0.4, 1):
-            cfg = SamplerConfig(n=n, max_states=4, density=density)
-            rng = random.Random(f"{n}:{density}")
-            for _ in range(5):
-                model = sample_model(cfg, rng)
-                a, b = model.atomics["a"], model.atomics["b"]
-                built = list(model.atomics.values()) + [
-                    iota(model.space, ctx), zero_relation(model.space, ctx),
-                    compose(a, b), union(a, b), parallel(a, b), star(a),
+        rng = random.Random(n)
+        # sampled models, whose atomics skip the checks too, and models
+        # built at densities other than the sampler's
+        models = [sample_model(SamplerConfig(n=n, max_states=4), rng) for _ in range(5)]
+        models += [
+            _random_model(rng, ctx, rng.randint(1, 4), density)
+            for density in (0, 0.1, 1) for _ in range(5)
+        ]
+        for model in models:
+            a, b = model.atomics["a"], model.atomics["b"]
+            built = list(model.atomics.values()) + [
+                iota(model.space, ctx), zero_relation(model.space, ctx),
+                compose(a, b), union(a, b), parallel(a, b), star(a),
+            ]
+            evaluator = Evaluator(model)
+            for program in programs + [random_program(rng, ctx, 3) for _ in range(4)]:
+                built += [
+                    evaluator.relation(node) for node in _nodes(program)
+                    if isinstance(node, PROGRAMS)
                 ]
-                evaluator = Evaluator(model)
-                for program in programs + [random_program(rng, ctx, 3) for _ in range(4)]:
-                    built += [
-                        evaluator.relation(node) for node in _nodes(program)
-                        if isinstance(node, PROGRAMS)
-                    ]
-                for rel in built:
-                    assert all(type(num) is int for num in rel.entries.values())
-                    checked = ReachRelation(rel.space, rel.context, rel.entries)
-                    assert checked.entries == rel.entries, (model, rel)
+            for rel in built:
+                assert all(type(num) is int for num in rel.entries.values())
+                checked = ReachRelation(rel.space, rel.context, rel.entries)
+                assert checked.entries == rel.entries, (model, rel)
 
 
 def test_boolean_collapse_agrees_with_classical_oracle():
-    cfg = SamplerConfig(n=2, max_states=3, seed=11, density=0.35)
+    cfg = SamplerConfig(n=2, max_states=3, seed=11)
     rng = random.Random(11)
     formula_rng = random.Random(12)
     ctx = ChainContext(2)
@@ -554,16 +568,16 @@ def _check_plan(plan, terms, model):
     each intermediate set U, as the box or diamond of the composition of
     the one entry (0, U) at top with the table's right operand."""
     rebuilt, tables = _slot_terms(plan)
-    # each slot's step computes its node; a node holds one slot, each
-    # read subterm has one, and operands come before their readers
-    for slot, (node, (_, a, b)) in enumerate(zip(plan.nodes, plan.steps)):
-        assert node is None or rebuilt[slot] == node
+    # the roots rebuild the terms in order; distinct term slots rebuild
+    # distinct terms, each read subterm has a slot, and operands come
+    # before their readers
+    assert [rebuilt[root] for root in plan.roots] == list(terms)
+    named = [term for term in rebuilt if term is not None]
+    assert len(set(named)) == len(named)
+    assert set(named) >= {node for term in terms for node in _read_subterms(term)}
+    for slot, (_, a, b) in enumerate(plan.steps):
         assert (rebuilt[slot] is None) == (slot in tables)
         assert all(operand < slot for operand in (a, b) if type(operand) is int)
-    named = [node for node in plan.nodes if node is not None]
-    assert len(set(named)) == len(named)
-    assert set(named) == {node for term in terms for node in _read_subterms(term)}
-    assert [plan.nodes[root] for root in plan.roots] == list(terms)
     pointwise = PointwiseEvaluator(model)
     ctx, space, top = model.context, model.space, model.context.top
     values = plan.run(model)
@@ -714,11 +728,12 @@ def test_evaluator_answers_after_rewritten_modalities():
         evaluator, pointwise = Evaluator(model), PointwiseEvaluator(model)
         for text in texts:
             formula = parse_formula(text, C3)
-            want = tuple(pointwise.value_num(formula, s) for s in model.space.states())
-            assert evaluator.vector(formula) == want, (seed, text)
+            for s in model.space.states():
+                want = pointwise.value_num(formula, s)
+                assert evaluator.value_num(formula, s) == want, (seed, text, s)
         program = parse_program("a;b", C3)
         assert evaluator.relation(program).entries == pointwise.relation(program).entries
-    # in one plan, [a]p takes the slot that [a+b]p's piece made, and names it
+    # in one plan, [a]p takes the slot that [a+b]p's piece made, its root
     terms = [parse_formula(text, C3) for text in texts]
     _check_plan(compile_plan(*terms), terms, model)
 
@@ -743,7 +758,7 @@ _DEEP = """
 import sys
 from gradedpdl.chain import ChainContext
 from gradedpdl.relations import ReachRelation, StateSpace
-from gradedpdl.semantics import Evaluator, Model, valid_in_model
+from gradedpdl.semantics import Model, compile_plan, valid_in_model
 from gradedpdl.syntax import Atomic, Box, Implies, PropVar
 
 assert sys.getrecursionlimit() == 1000
@@ -761,7 +776,7 @@ def deep():
 
 # two equal trees that share no node, and a third, each never hashed before
 assert valid_in_model(model, Implies(deep(), deep())) == (True, None)
-assert Evaluator(model).vector(deep()) == (2, 2)
+assert compile_plan(deep()).root_values(model)[0] == (2, 2)
 """
 
 
