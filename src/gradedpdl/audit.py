@@ -37,6 +37,7 @@ from .schemas import (
     Binding,
     all_schemata,
     instantiate_schema,
+    schema_label,
 )
 from .semantics import Model, Refutation, compile_plan, eval_formula, valid_in_model
 from .syntax import (
@@ -327,7 +328,7 @@ class SchemaAudit:
 
     @property
     def label(self) -> str:
-        return self.schema_id if self.variant is None else f"{self.schema_id}/{self.variant}"
+        return schema_label(self.schema_id, self.variant)
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

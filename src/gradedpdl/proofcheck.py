@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chain import ChainContext, InputError
-from .schemas import RULES, all_schemata, instantiate_schema, match_axiom_instance, schemata_named
+from .schemas import (
+    RULES, all_schemata, instantiate_schema, match_axiom_instance, schema_label, schemata_named,
+)
 from .syntax import Formula, Implies, format_formula, parse_formula
 
 
@@ -127,7 +129,7 @@ def check_derivation(
                 candidates = all_schemata(system)
                 cited = f"any schema of system {system}"
             else:
-                label = step.schema_id if step.variant is None else f"{step.schema_id}/{step.variant}"
+                label = schema_label(step.schema_id, step.variant)
                 candidates = schemata_named(step.schema_id, step.variant)
                 candidates = [s for s in candidates if system in s.systems]
                 if not candidates:

@@ -62,6 +62,11 @@ _A5_OPS = {"and": ChainValue.meet, "or": ChainValue.join, "imp": ChainValue.impl
 _parse_template = functools.lru_cache(maxsize=None)(parse_formula)
 
 
+def schema_label(schema_id: str, variant: Optional[str]) -> str:
+    """The name a schema is cited and reported by: ``id`` or ``id/variant``."""
+    return schema_id if variant is None else f"{schema_id}/{variant}"
+
+
 @dataclass(frozen=True)
 class AxiomSchema:
     id: str
@@ -71,7 +76,7 @@ class AxiomSchema:
 
     @property
     def label(self) -> str:
-        return self.id if self.variant is None else f"{self.id}/{self.variant}"
+        return schema_label(self.id, self.variant)
 
     def template(self, ctx: ChainContext) -> Formula:
         """The template read at ``ctx``; parsed once per chain."""
@@ -146,7 +151,7 @@ def all_schemata(system: str = "DL") -> list[AxiomSchema]:
 def schemata_named(schema_id: str, variant: Optional[str] = None) -> list[AxiomSchema]:
     """Catalog entries for an id; a variant narrows to one entry."""
     if variant is not None:
-        entry = _BY_LABEL.get(f"{schema_id}/{variant}")
+        entry = _BY_LABEL.get(schema_label(schema_id, variant))
         return [entry] if entry else []
     return [s for s in _CATALOG if s.id == schema_id]
 

@@ -15,10 +15,10 @@ once, in ``_INFIX``, which the parser and the printer both read.
 The parser is one loop over the tokens, for both sorts, with an operand
 stack and one operator stack that holds the waiting binary operators,
 the prefix forms not yet applied and the open brackets. It does not
-recurse, so its own frames do not grow with the input's nesting; it
-counts the nesting levels as the grammar above opens them and refuses
-input deeper than ``MAX_DEPTH``, with the same messages, at the same
-tokens, as a recursive-descent parser over that grammar.
+recurse, so its own frames do not grow with the input's nesting. The one
+depth it bounds is the height of the tree: it refuses a node taller than
+``MAX_DEPTH`` levels at the token that would build it, so no taller tree
+is built. Parentheses build no node, so any number of them is free.
 
 A token is an identifier, a constant or an operator, written once in
 ``_TOKEN``; any whitespace ``str.split`` splits at may stand between
@@ -46,13 +46,12 @@ from .chain import (
 )
 
 
-# Deepest nesting the parser accepts, and the most levels a parsed tree may
-# have (a bracket that opens an operand shares the operand's level). The
-# parser keeps its levels on its own stacks and takes the same few frames
-# at any depth, but hashing a tree the first time, comparing, printing and
-# counting its nodes, and matching it against a schema recurse, up to
-# three frames per level, so at this depth each stays far under Python's
-# default recursion limit of 1000.
+# Most levels a parsed tree may have: its height, the nodes on its longest
+# path from the root. Parentheses add no level. The parser takes the same
+# few frames at any depth, but hashing a tree the first time, comparing,
+# printing and counting its nodes, and matching it against a schema
+# recurse, up to three frames per level, so at this height each stays far
+# under Python's default recursion limit of 1000.
 MAX_DEPTH = 64
 
 # Most nodes a parsed tree may have once both sides of every "<->" are
@@ -271,9 +270,9 @@ def _error(text: str, message: str, i: int) -> ParseError:
     return ParseError(message, _position(text, i))
 
 
-def _too_deep(text: str, i: int) -> ParseError:
-    """The error for a nesting level opened at token ``i`` past MAX_DEPTH."""
-    return _error(text, f"nesting deeper than {MAX_DEPTH} levels", i)
+def _too_tall(text: str, i: int) -> ParseError:
+    """The error for a node that token ``i`` would build past MAX_DEPTH."""
+    return _error(text, f"formula or program deeper than {MAX_DEPTH} levels", i)
 
 
 def _shown(token: str) -> str:
@@ -294,17 +293,16 @@ def _constant(text: str, i: int, token: str, ctx: ChainContext) -> Constant:
 
 # -- parser --------------------------------------------------------------------
 
-# The parser is one loop over the tokens with an operand stack and one
-# operator stack. A row of the operator stack that builds a node is
-# (key, build, nests, grow). The row is reduced, its node built from the
-# top operands, when a token arrives whose key is at most ``key``;
-# ``nests`` is 1 when the row holds a nesting level open, and ``grow`` is
-# how many levels the node adds above its taller operand. A binary
-# operator of power p arrives with key 2p and waits with key 2p, or 2p - 1
-# if it groups to the right, so that an operator of the same power leaves
-# it waiting. The prefix forms wait with a key above every binary
-# operator's, and a closing bracket or the end of the text arrives with
-# key 0, which reduces every row down to the bracket.
+# The parser is one loop over the tokens with an operand stack, a parallel
+# stack of tree heights and one operator stack. A row of the operator
+# stack that builds a node is (key, build, grow). The row is reduced, its
+# node built from the top operands, when a token arrives whose key is at
+# most ``key``; ``grow`` is how many levels the node adds above its taller
+# operand. A binary operator of power p arrives with key 2p and waits with
+# key 2p, or 2p - 1 if it groups to the right, so that an operator of the
+# same power leaves it waiting. The prefix forms wait with a key above
+# every binary operator's, and a closing bracket or the end of the text
+# arrives with key 0, which reduces every row down to the bracket.
 _PREFIX_KEY = 2 * _TIGHT
 
 
@@ -313,7 +311,7 @@ def _operators(*rows) -> dict:
     table = {}
     for build, text, power, right in rows:
         grow = 2 if build is biconditional else 1
-        table[text] = (2 * power, (2 * power - right, build, int(right), grow))
+        table[text] = (2 * power, (2 * power - right, build, grow))
     return table
 
 
@@ -323,44 +321,35 @@ _FORMULA_OPS = _operators(
 )
 _PROGRAM_OPS = _operators(*((cls, *_INFIX[cls]) for cls in (Union, Inter, Seq)))
 _IFF = _FORMULA_OPS["<->"][1]
-# "~" is the one row that builds from a single operand, through negation().
-_NEGATION = (_PREFIX_KEY, None, 1, 1)
+# "~" waits as a row with no build: "~f" is f -> #0, built as "->" is.
+_NEGATION = (_PREFIX_KEY, None, 1)
 
-# A bracket on the operator stack is (-1, closing token, what closing it
-# does, argument); its key of -1 stops every reduction.
-_PAREN, _PROGRAM, _CONDITION, _END = range(4)
-# "(" around an operand of either sort; the argument is the nesting level
-# it opens, none when it opens the operand of a level just opened.
-_OPEN_LEVEL = (-1, ")", _PAREN, 1)
-_OPEN_SAME = (-1, ")", _PAREN, 0)
-# "[" or "<" around a program; closing it leaves in its place the row that
-# builds the box or diamond from the program and the body.
-_OPEN_BOX = (-1, "]", _PROGRAM, (_PREFIX_KEY, Box, 1, 1))
-_OPEN_DIAMOND = (-1, ">", _PROGRAM, (_PREFIX_KEY, Diamond, 1, 1))
-# "?(" around a test's condition.
-_OPEN_TEST = (-1, ")", _CONDITION, 1)
-# The bottom of the stack, closed by the end of the text.
-_BOTTOM = (-1, "", _END, 0)
+# A bracket on the operator stack is (-1, closing token, then); its key of
+# -1 stops every reduction. ``then`` is what closing it builds: nothing for
+# "(" around an operand of either sort, which adds no level, and for the
+# bottom of the stack, which the end of the text closes; for "[" or "<"
+# around a program, the row that builds the box or diamond from the
+# program and the body; Test for "?(" around a test's condition.
+_OPEN = (-1, ")", None)
+_OPEN_BOX = (-1, "]", (_PREFIX_KEY, Box, 1))
+_OPEN_DIAMOND = (-1, ">", (_PREFIX_KEY, Diamond, 1))
+_OPEN_TEST = (-1, ")", Test)
+_BOTTOM = (-1, "", None)
 
 
 def _parse(text: str, ctx: ChainContext, in_program: bool):
     """The tree of ``text``, a program when ``in_program`` and otherwise a
     formula, or the ParseError at the first token where it goes wrong.
 
-    The loop keeps the counters of a recursive-descent parser with one
-    rule per grammar line: ``depth`` counts the nesting levels open (the
-    right operand of "->", the operand of a prefix form, a bracket and a
-    test's condition each open one), and ``level_start`` is the token at
-    which the last level opened its operand, so that a bracket opening
-    that operand, as in [a](p & q) or ~(p | q), stays on its level and
-    every printed tree of at most MAX_DEPTH levels parses.
+    Every node is built at one token: a binary operator or a prefix form
+    at the first token after its right operand, a star at "*" and a test
+    at its closing ")". The height of the node is checked there, before
+    the node is built, so no tree taller than MAX_DEPTH levels exists.
     """
     tokens = _tokenize(text)
     operands = []
     heights = []  # the tree height of each operand
     ops = [_BOTTOM]
-    depth = 0
-    level_start = -1
     shared = False  # whether a "<->" put one subtree into the tree twice
     infix = _PROGRAM_OPS if in_program else _FORMULA_OPS
     i = 0
@@ -369,14 +358,7 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
         # name, a constant, or a test's condition.
         token = tokens[i]
         if token == "(":
-            if i == level_start:
-                ops.append(_OPEN_SAME)
-            else:
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise _too_deep(text, i)
-                level_start = -1
-                ops.append(_OPEN_LEVEL)
+            ops.append(_OPEN)
             i += 1
             continue
         if token.isidentifier():  # names are the only tokens that are identifiers
@@ -386,20 +368,12 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
                 raise _error(text, f"expected a program, found {_shown(token)}", i)
             if tokens[i + 1] != "(":
                 raise _error(text, f"expected '(', found {_shown(tokens[i + 1])}", i + 1)
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise _too_deep(text, i)
-            level_start = i + 2
             ops.append(_OPEN_TEST)
             in_program = False
             infix = _FORMULA_OPS
             i += 2
             continue
         elif token == "~" or token == "[" or token == "<":
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise _too_deep(text, i)
-            level_start = i + 1
             if token == "~":
                 ops.append(_NEGATION)
             else:
@@ -421,6 +395,8 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
             if op is not None:
                 key, row = op
             elif token == "*" and in_program:
+                if heights[-1] >= MAX_DEPTH:
+                    raise _too_tall(text, i)
                 operands[-1] = Star(operands[-1])
                 heights[-1] += 1
                 i += 1
@@ -428,61 +404,53 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
             else:
                 key = 0
             while ops[-1][0] >= key:
-                _, build, nests, grow = ops.pop()
-                depth -= nests
+                _, build, grow = ops.pop()
                 if build is None:
-                    operands[-1] = negation(operands[-1], ctx)
-                    heights[-1] += 1
-                    continue
-                right = operands.pop()
+                    build = Implies
+                    operands.append(Constant(ctx.zero))
+                    heights.append(1)
                 right_height = heights.pop()
                 left_height = heights[-1]
+                height = (left_height if left_height > right_height else right_height) + grow
+                if height > MAX_DEPTH:
+                    raise _too_tall(text, i)
+                right = operands.pop()
                 operands[-1] = build(operands[-1], right)
-                heights[-1] = (left_height if left_height > right_height else right_height) + grow
+                heights[-1] = height
             if op is not None:
-                if row[2]:  # the right operand is one level down
-                    depth += 1
-                    if depth > MAX_DEPTH:
-                        raise _too_deep(text, i)
-                    level_start = i + 1
-                elif row is _IFF:
+                if row is _IFF:
                     shared = True
                 ops.append(row)
                 i += 1
                 break
-            _, closer, kind, arg = bracket = ops[-1]
+            _, closer, then = bracket = ops[-1]
             if token != closer:
                 if bracket is _BOTTOM:
                     raise _error(text, f"unexpected trailing input {token!r}", i)
                 raise _error(text, f"expected {closer!r}, found {_shown(token)}", i)
-            if kind == _PAREN:
-                ops.pop()
-                depth -= arg
-            elif kind == _PROGRAM:
-                # the program is read; the body opens the level it closed
-                ops[-1] = arg
-                level_start = i + 1
-                in_program = False
-                infix = _FORMULA_OPS
-                i += 1
-                break
-            elif kind == _CONDITION:
-                ops.pop()
-                depth -= 1
+            if bracket is _BOTTOM:
+                return _checked(operands[0], shared, len(tokens))
+            if then is Test:
+                if heights[-1] >= MAX_DEPTH:
+                    raise _too_tall(text, i)
                 operands[-1] = Test(operands[-1])
                 heights[-1] += 1
                 in_program = True
                 infix = _PROGRAM_OPS
-            else:
-                return _checked(operands[0], heights[0], shared, len(tokens))
+            elif then is not None:
+                # the program is read; the box or diamond waits for its body
+                ops[-1] = then
+                in_program = False
+                infix = _FORMULA_OPS
+                i += 1
+                break
+            ops.pop()
             i += 1
 
 
-def _checked(node, height: int, shared: bool, tokens: int):
-    """``node``, a parsed tree of ``height`` levels read from ``tokens``
-    tokens, once it passes the caps on levels and nodes."""
-    if height > MAX_DEPTH:
-        raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
+def _checked(node, shared: bool, tokens: int):
+    """``node``, a parsed tree read from ``tokens`` tokens, once it passes
+    the cap on nodes."""
     # Without a shared subtree each token adds at most two nodes ("~p" is
     # p -> #0), so short input needs no count.
     if (shared or 2 * tokens > MAX_NODES) and ast_size(node) > MAX_NODES:

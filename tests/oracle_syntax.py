@@ -6,7 +6,9 @@ every binding power: the parser has one rule per precedence level
 (``formula``, ``imp``, ``disj``, ``conj`` for formulas; ``program``,
 ``par``, ``seq`` for programs), and the printer has one renderer per sort
 with its own level constants. The nodes, the desugaring helpers and the
-caps are the package's own.
+caps are the package's own, and so is the one depth rule: a node taller
+than ``MAX_DEPTH`` levels is refused at the token that builds it, and
+parentheses add no level.
 
 The differential tests assert that each text gives equal trees, or the
 same exception type and message, under both parsers, and that both
@@ -67,13 +69,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.i = 0
-        # Open nested() calls, which bound the parser's own recursion, and
-        # the height of the tree the last rule returned: chains such as
+        # The height of the tree the last rule returned: chains such as
         # p & q & ... nest to the left in the tree but not in the parser.
-        self.depth = 0
         self.height = 0
-        # Token index at which the last operand nested() began.
-        self.level_start = -1
         # Whether a "<->" put one subtree into the tree twice.
         self.shared = False
 
@@ -98,20 +96,15 @@ class _Parser:
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {got!r}", pos)
 
-    def nested(self, rule, pos: int, bracket: bool = False):
-        """Parse ``rule`` one nesting level down. A bracket that opens an
-        operand, as in [a](p & q) or ~(p | q), stays on the operand's
-        level, so that every printed tree of at most MAX_DEPTH levels
-        parses."""
-        if bracket and self.i - 1 == self.level_start:
-            return rule()
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
-        self.level_start = -1 if bracket else self.i
-        node = rule()
-        self.depth -= 1
-        return node
+    def built(self, height: int, back: int = 0) -> None:
+        """Record the height of the node just built, or refuse it past
+        MAX_DEPTH at the token that built it: the next token for an
+        operator, which the rule has just looked at, or the one ``back``
+        tokens before for "*" and a test's ")"."""
+        if height > MAX_DEPTH:
+            pos = self.tokens[self.i - back][2]
+            raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", pos)
+        self.height = height
 
     # formulas
 
@@ -122,16 +115,16 @@ class _Parser:
             self.shared = True
             height = self.height
             node = biconditional(node, self.imp())
-            self.height = max(height, self.height) + 2
+            self.built(max(height, self.height) + 2)
         return node
 
     def imp(self) -> Formula:
         left = self.disj()
         if self.at("->"):
             height = self.height
-            _, _, pos = self.take()
-            node = Implies(left, self.nested(self.imp, pos))
-            self.height = max(height, self.height) + 1
+            self.take()
+            node = Implies(left, self.imp())
+            self.built(max(height, self.height) + 1)
             return node
         return left
 
@@ -141,7 +134,7 @@ class _Parser:
             self.take()
             height = self.height
             node = Or(node, self.conj())
-            self.height = max(height, self.height) + 1
+            self.built(max(height, self.height) + 1)
         return node
 
     def conj(self) -> Formula:
@@ -150,23 +143,23 @@ class _Parser:
             self.take()
             height = self.height
             node = And(node, self.unary())
-            self.height = max(height, self.height) + 1
+            self.built(max(height, self.height) + 1)
         return node
 
     def unary(self) -> Formula:
-        kind, text, pos = self.tokens[self.i]
+        text = self.tokens[self.i][1]
         if text == "~":
             self.take()
-            node = negation(self.nested(self.unary, pos), self.ctx)
-            self.height += 1
+            node = negation(self.unary(), self.ctx)
+            self.built(self.height + 1)
             return node
         if text == "[" or text == "<":
             self.take()
-            prog = self.nested(self.program, pos)
+            prog = self.program()
             height = self.height
             self.expect("]" if text == "[" else ">")
-            body = self.nested(self.unary, pos)
-            self.height = max(height, self.height) + 1
+            body = self.unary()
+            self.built(max(height, self.height) + 1)
             return Box(prog, body) if text == "[" else Diamond(prog, body)
         return self.atom()
 
@@ -190,7 +183,7 @@ class _Parser:
             except NotAChainElement as exc:
                 raise NotAChainElement(f"{exc} (at position {pos})") from None
         if text == "(":
-            node = self.nested(self.formula, pos, bracket=True)
+            node = self.formula()
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -204,7 +197,7 @@ class _Parser:
             self.take()
             height = self.height
             node = Union(node, self.par())
-            self.height = max(height, self.height) + 1
+            self.built(max(height, self.height) + 1)
         return node
 
     def par(self) -> Program:
@@ -213,7 +206,7 @@ class _Parser:
             self.take()
             height = self.height
             node = Inter(node, self.seq())
-            self.height = max(height, self.height) + 1
+            self.built(max(height, self.height) + 1)
         return node
 
     def seq(self) -> Program:
@@ -222,7 +215,7 @@ class _Parser:
             self.take()
             height = self.height
             node = Seq(node, self.post())
-            self.height = max(height, self.height) + 1
+            self.built(max(height, self.height) + 1)
         return node
 
     def post(self) -> Program:
@@ -230,7 +223,7 @@ class _Parser:
         while self.at("*"):
             self.take()
             node = Star(node)
-            self.height += 1
+            self.built(self.height + 1, back=1)
         return node
 
     def prim(self) -> Program:
@@ -240,12 +233,12 @@ class _Parser:
             return Atomic(text)
         if text == "?":
             self.expect("(")
-            cond = self.nested(self.formula, pos)
+            cond = self.formula()
             self.expect(")")
-            self.height += 1
+            self.built(self.height + 1, back=1)
             return Test(cond)
         if text == "(":
-            node = self.nested(self.program, pos, bracket=True)
+            node = self.program()
             self.expect(")")
             return node
         shown = text if kind != "eof" else "end of input"
@@ -256,8 +249,6 @@ def _parse(text: str, ctx: ChainContext, rule):
     parser = _Parser(text, ctx)
     node = rule(parser)
     parser.done()
-    if parser.height > MAX_DEPTH:
-        raise ParseError(f"formula or program deeper than {MAX_DEPTH} levels", 0)
     # Without a shared subtree each token adds at most two nodes ("~p" is
     # p -> #0), so short input needs no count.
     if (parser.shared or 2 * len(parser.tokens) > MAX_NODES) and ast_size(node) > MAX_NODES:

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -418,7 +419,7 @@ def _run_cli(*argv):
     "formula,codes",
     [
         ("~" * 700 + "p", {2}),
-        ("(" * 400 + "p" + ")" * 400, {2}),
+        ("(" * 400 + "p" + ")" * 400, {1}),
         ("p" + " & p" * 5000, {2}),
         ("~" * (MAX_DEPTH - 1) + "p", {0, 1}),
         ("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, {0, 1}),
@@ -435,6 +436,52 @@ def test_deep_formula_never_crashes(formula, codes):
     assert "Traceback" not in done.stderr
     if done.returncode == 2:
         assert done.stderr.startswith("error:")
+
+
+# Each subcommand that reads a formula, as (argv, formula, derivation)
+# with "{f}" where the formula goes; the derivation, if any, is written to
+# the file that "{proof}" names.
+_FORMULA_COMMANDS = {
+    "eval": (["eval", "{model}", "{f}"], "[a]p -> p & ~q", None),
+    "valid": (["valid", "{f}", "--samples", "20"], "[a*]p -> p", None),
+    "equiv": (["equiv", "{f}", "<a>p", "--n", "2", "--samples", "50"], "~[a]~p", None),
+    "closure": (["closure", "{f}"], "[(a + b)*]p", None),
+    "filtrate": (["filtrate", "{model}", "{f}"], "[a]p & <a>p", None),
+    "check-proof": (["check-proof", "{proof}"], "p -> (q -> p)", "n: 3\n1 axiom A1 {f}\n"),
+}
+
+
+@pytest.mark.parametrize("command", _FORMULA_COMMANDS)
+def test_redundant_parentheses_change_nothing(command, model_path, tmp_path):
+    # parentheses add no level, so 10 000 of them around a formula give
+    # the bare formula's output and exit code, at the default recursion
+    # limit of a fresh interpreter
+    argv, formula, proof = _FORMULA_COMMANDS[command]
+    outcomes = []
+    for f in (formula, "(" * 10_000 + formula + ")" * 10_000):
+        path = tmp_path / "step.proof"
+        if proof is not None:
+            path.write_text(proof.format(f=f))
+        done = _run_cli(*(arg.format(f=f, model=model_path, proof=path) for arg in argv))
+        assert "Traceback" not in done.stderr
+        outcomes.append((done.returncode, done.stdout))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 1)
+
+
+def test_long_chain_is_refused_before_it_is_built(tmp_path):
+    # p & p & ... groups to the left, so the tree grows one level per "&";
+    # the parser refuses it at the "&" that would build level 65, not after
+    # building all 10**6 conjunctions
+    path = tmp_path / "chain.proof"
+    path.write_text("n: 3\n1 axiom A1 p" + " & p" * 10**6 + "\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = _run_cli("check-proof", str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert f"deeper than {MAX_DEPTH} levels (at position " in done.stderr
+    assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 2.0
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -169,7 +169,7 @@ def test_depth_limit_is_exact():
             assert parse_formula("p -> " * room + text, C3) is not None
             with pytest.raises(ParseError):
                 parse_formula("p -> " * (room + 1) + text, C3)
-    # the bracket under each box shares the body's level: [a](q -> [a](q -> ...))
+    # the bracket under each box adds no level: [a](q -> [a](q -> ...))
     deep = PropVar("p")
     for _ in range((MAX_DEPTH - 1) // 2):
         deep = Box(Atomic("a"), Implies(PropVar("q"), deep))
@@ -184,32 +184,43 @@ def test_depth_limit_is_exact():
     assert parse_formula("~" * (MAX_DEPTH - 1) + "p", C3) is not None
     with pytest.raises(ParseError):
         parse_formula("~" * MAX_DEPTH + "p", C3)
-    # parentheses nest the parser without deepening the tree
-    assert parse_formula("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, C3) == PropVar("p")
-    with pytest.raises(ParseError):
-        parse_formula("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), C3)
-    with pytest.raises(ParseError):
-        parse_program("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), C3)
+    # parentheses add no level, however many there are
+    k = 10 * MAX_DEPTH
+    assert parse_formula("(" * k + "p" + ")" * k, C3) == PropVar("p")
+    assert parse_program("(" * k + "a" + ")" * k, C3) == Atomic("a")
+    assert parse_formula("~" * (MAX_DEPTH - 1) + "(" * k + "p" + ")" * k, C3) is not None
+    # a star and a test each add one
+    assert parse_program("a" + "*" * (MAX_DEPTH - 1), C3) is not None
+    with pytest.raises(ParseError, match="deeper"):
+        parse_program("a" + "*" * MAX_DEPTH, C3)
+    assert parse_program("?(" + "~" * (MAX_DEPTH - 2) + "p)", C3) is not None
+    with pytest.raises(ParseError, match="deeper"):
+        parse_program("?(" + "~" * (MAX_DEPTH - 1) + "p)", C3)
 
 
 # -- the deepest inputs: parser frames ---------------------------------------------
 
-# The deepest accepted input of each shape, as (text of k levels, k). The
-# parser keeps its levels on its own stacks, so every shape parses under
-# one recursion limit whatever its depth, and at 100 000 levels each
-# raises the nesting error under the same limit. PARSE_FRAME_LIMIT is the
+# The deepest accepted input of each shape, as (text of k levels, k), and
+# the shapes that parentheses alone make deep, which parse at any k. The
+# parser keeps its operands and operators on its own stacks, so every
+# shape parses under one recursion limit whatever its depth, and at
+# 100 000 levels each deep shape raises the height error, and each
+# bracketed one parses, under the same limit. PARSE_FRAME_LIMIT is the
 # least limit under which all of them run in a fresh interpreter,
-# measured on Python 3.11.7 (the negations need the most, for the frames
-# of negation() and the chain value it builds). The recursive parser
+# measured on Python 3.11.7 (the bracketed box at 100 000 needs the most:
+# a text that long has its nodes counted, by a walk that recurses once
+# per level of the two-level tree). The recursive parser
 # before the one loop needed 135 to 334, depending on the shape, and a
 # limit that grew with k.
 DEEPEST_SHAPES = {
-    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH),
     "negations": (lambda k: "~" * k + "p", MAX_DEPTH - 1),
     "implications": (lambda k: "p -> " * k + "p", MAX_DEPTH - 1),
     "box-implications": (lambda k: "[a](q -> " * k + "p" + ")" * k, (MAX_DEPTH - 1) // 2),
     "tests": (lambda k: "[?(" * k + "p" + ")]p" * k, (MAX_DEPTH - 1) // 2),
-    "program-parentheses": (lambda k: "[" + "(" * k + "a" + ")" * k + "]p", MAX_DEPTH),
+}
+BRACKETED_SHAPES = {
+    "parentheses": lambda k: "(" * k + "p" + ")" * k,
+    "program-parentheses": lambda k: "[" + "(" * k + "a" + ")" * k + "]p",
 }
 PARSE_FRAME_LIMIT = 9
 FAR_TOO_DEEP = 100_000
@@ -247,6 +258,8 @@ def test_deepest_inputs_parse_within_a_frame_budget():
         with pytest.raises(ParseError):
             parse_formula(make(k + 1), C3)
         texts += [[name, make(k)], [f"{name} x{FAR_TOO_DEEP}", make(FAR_TOO_DEEP)]]
+    for name, make in BRACKETED_SHAPES.items():
+        texts.append([f"{name} x{FAR_TOO_DEEP}", make(FAR_TOO_DEEP)])
     src = str(Path(gradedpdl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
@@ -256,10 +269,12 @@ def test_deepest_inputs_parse_within_a_frame_budget():
     )
     assert run.returncode == 0, run.stderr
     outcomes = json.loads(run.stdout)
-    too_deep = f"nesting deeper than {MAX_DEPTH} levels"
+    too_deep = f"formula or program deeper than {MAX_DEPTH} levels"
     for name in DEEPEST_SHAPES:
         assert outcomes[name] == "parsed"
         assert outcomes[f"{name} x{FAR_TOO_DEEP}"].startswith(too_deep)
+    for name in BRACKETED_SHAPES:
+        assert outcomes[f"{name} x{FAR_TOO_DEEP}"] == "parsed"
 
 
 # -- differential: the parser and printer against tests/oracle_syntax.py -------------
@@ -342,11 +357,11 @@ POSITIONED_ERRORS = {
     "constant too long": (parse_formula, f"p{_GAP}&{_GAP}#{'9' * 5000}"),
     "#5 at n=3": (parse_formula, f"p{_GAP}&{_GAP}#5"),
     "#1/0 at n=3": (parse_formula, f"[{_GAP}?({_GAP}#1/0{_GAP})]{_GAP}p"),
-    "nesting under ~": (parse_formula, f"~{_GAP}" * (MAX_DEPTH + 1) + "p"),
-    "nesting under (": (parse_formula, f"({_GAP}" * (MAX_DEPTH + 1) + "p" + f"{_GAP})" * (MAX_DEPTH + 1)),
-    "nesting under ->": (parse_formula, f"p{_GAP}->{_GAP}" * (MAX_DEPTH + 1) + "p"),
-    "nesting under [": (parse_formula, f"[{_GAP}a{_GAP}]{_GAP}" * (MAX_DEPTH + 1) + "p"),
-    "nesting in programs": (parse_program, f"({_GAP}" * (MAX_DEPTH + 1) + "a" + f"{_GAP})" * (MAX_DEPTH + 1)),
+    "nesting under ~": (parse_formula, f"({_GAP}" + f"~{_GAP}" * MAX_DEPTH + f"p{_GAP}){_GAP}&{_GAP}q"),
+    "nesting under ->": (parse_formula, f"({_GAP}" + f"p{_GAP}->{_GAP}" * MAX_DEPTH + f"p{_GAP}){_GAP}|{_GAP}q"),
+    "nesting under [": (parse_formula, f"[{_GAP}a{_GAP}]{_GAP}" * MAX_DEPTH + f"p{_GAP}&{_GAP}q"),
+    "program tree too deep": (parse_program, f"a{_GAP};{_GAP}" * (MAX_DEPTH + 1) + "a"),
+    "nesting under *": (parse_program, "a" + f"{_GAP}*" * (MAX_DEPTH + 1)),
     "tree too deep": (parse_formula, f"p{_GAP}&{_GAP}" * (MAX_DEPTH + 1) + "p"),
 }
 
