@@ -10,9 +10,13 @@ with a stable hash, so a batch run can be split or reordered and still
 produce the identical report.
 
 All four sampled searches (schema audits, rule audits, the validity
-search and the difference search) run on one driver, ``_trials``: it
-owns the seeded stream and the sample budget, and each trial draws its
-model first and the search's own draws after it.
+search and the difference search) run on one loop, ``_search``: it owns
+the seeded stream and the sample budget, and each trial draws its model
+first and then asks the search's predicate ``fails(rng, model)``, which
+makes the search's own draws and returns what the trial found, or None.
+The schema, rule and validity predicates decide below top with
+``semantics.valid_in_model``; the schema and rule searches share
+``_witness``, the one place that builds an instance.
 
 Also here: the valuation-enumeration decision procedure for
 modality-free consequence.
@@ -25,7 +29,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .chain import ChainContext, ChainValue, InputError
 from .modelio import model_to_dict
@@ -39,7 +43,7 @@ from .schemas import (
     instantiate_schema,
     schema_label,
 )
-from .semantics import Model, Refutation, compile_plan, eval_formula, valid_in_model
+from .semantics import Model, Plan, Refutation, compile_plan, eval_formula, valid_in_model
 from .syntax import (
     And,
     Atomic,
@@ -396,15 +400,24 @@ class AuditReport:
 # -- the searches --------------------------------------------------------------------
 
 
-def _trials(cfg: SamplerConfig, seed: int, *formulas: Formula):
-    """The sampled-search loop: yields (trial, rng, model) up to the
-    sample budget. Each trial draws its model first, over the names that
-    ``_sample_names`` gives for the formulas; the search's own draws
-    follow from the same stream."""
+def _search(cfg: SamplerConfig, seed: int, fails: Callable, *formulas: Formula) -> tuple:
+    """The sampled-search loop, the one owner of the seeded stream and the
+    sample budget. Each trial draws its model, over the names that
+    ``_sample_names`` gives for the formulas, and then asks
+    ``fails(rng, model)``, which makes the search's own draws from the
+    same stream and returns what it found, or None when the trial passes.
+
+    Returns (trial, model, found) for the first trial that fails, with no
+    draw after it; (samples, None, None) when the budget runs out first.
+    """
     rng = random.Random(seed)
     names = _sample_names(*formulas)
     for trial in range(1, cfg.samples + 1):
-        yield trial, rng, sample_model(cfg, rng, *names)
+        model = sample_model(cfg, rng, *names)
+        found = fails(rng, model)
+        if found is not None:
+            return trial, model, found
+    return cfg.samples, None, None
 
 
 def _sample_names(*formulas: Formula) -> tuple[list[str], list[str]]:
@@ -448,6 +461,19 @@ def _bound_model(
     return Model._unchecked(model.context, model.space, atomics, valuation)
 
 
+def _witness(
+    schema: AxiomSchema, bindings: Mapping[str, Binding], model: Model, bound: Model, plan: Plan
+) -> Optional[Witness]:
+    """The witness of a schema or rule trial whose template ``plan``,
+    run in ``bound`` (``model`` extended by ``bindings``), falls below
+    top at a state, else None. The instance is built here, and only here."""
+    refutation = valid_in_model(bound, plan)[1]
+    if refutation is None:
+        return None
+    instance = instantiate_schema(schema, bindings, model.context)
+    return Witness(model, bindings, instance, refutation.state, refutation.value)
+
+
 def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
     """Random (model, bindings) trials until a state falls below top.
 
@@ -456,22 +482,16 @@ def find_counterexample(schema: AxiomSchema, cfg: SamplerConfig) -> SchemaAudit:
     semantics is compositional, so that is the instance's value. The
     instance itself is built only for a witness.
     """
-    ctx = cfg.context
-    plan = compile_plan(schema.template(ctx))
+    plan = compile_plan(schema.template(cfg.context))
     seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
-    for trial, rng, model in _trials(cfg, seed):
+
+    def fails(rng: random.Random, model: Model) -> Optional[Witness]:
         bindings = sample_bindings(schema, rng, cfg)
-        (vector,) = plan.root_values(_bound_model(schema, bindings, model))
-        for state, num in enumerate(vector):
-            if num < ctx.top:
-                instance = instantiate_schema(schema, bindings, ctx)
-                witness = Witness(model, bindings, instance, state, ChainValue(num, ctx))
-                return SchemaAudit(
-                    schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
-                )
-    return SchemaAudit(
-        schema.id, schema.variant, cfg.n, cfg.samples, "no-counterexample-found", seed
-    )
+        return _witness(schema, bindings, model, _bound_model(schema, bindings, model), plan)
+
+    trial, _model, witness = _search(cfg, seed, fails)
+    verdict = "no-counterexample-found" if witness is None else "counterexample"
+    return SchemaAudit(schema.id, schema.variant, cfg.n, trial, verdict, seed, witness)
 
 
 def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
@@ -488,26 +508,23 @@ def audit_rule(rule_id: str, cfg: SamplerConfig) -> RuleAudit:
     premise_plan = compile_plan(premise.template(ctx))
     conclusion_plan = compile_plan(conclusion.template(ctx))
     premises_valid = 0
-    for trial, rng, model in _trials(cfg, seed):
+
+    def fails(rng: random.Random, model: Model) -> Optional[Witness]:
+        nonlocal premises_valid
         bindings = {
             "phi": random_formula(rng, ctx, 2),
             "psi": random_formula(rng, ctx, 2),
             "pi": random_program(rng, ctx, 2),
         }
         bound = _bound_model(conclusion, bindings, model)
-        if min(premise_plan.root_values(bound)[0]) < ctx.top:
-            continue
+        if not valid_in_model(bound, premise_plan)[0]:
+            return None
         premises_valid += 1
-        for state, num in enumerate(conclusion_plan.root_values(bound)[0]):
-            if num < ctx.top:
-                instance = instantiate_schema(conclusion, bindings, ctx)
-                witness = Witness(model, bindings, instance, state, ChainValue(num, ctx))
-                return RuleAudit(
-                    rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
-                )
-    return RuleAudit(
-        rule_id, cfg.n, cfg.samples, premises_valid, "no-counterexample-found", seed
-    )
+        return _witness(conclusion, bindings, model, bound, conclusion_plan)
+
+    trial, _model, witness = _search(cfg, seed, fails)
+    verdict = "no-counterexample-found" if witness is None else "counterexample"
+    return RuleAudit(rule_id, cfg.n, trial, premises_valid, verdict, seed, witness)
 
 
 def valid_check(
@@ -520,11 +537,11 @@ def valid_check(
     """
     seed = derive_seed(cfg.seed, "valid", format_formula(formula), cfg.n)
     plan = compile_plan(formula)
-    for trial, _rng, model in _trials(cfg, seed, formula):
-        ok, refutation = valid_in_model(model, plan)
-        if not ok:
-            return trial, model, refutation
-    return cfg.samples, None, None
+
+    def fails(_rng: random.Random, model: Model) -> Optional[Refutation]:
+        return valid_in_model(model, plan)[1]
+
+    return _search(cfg, seed, fails, formula)
 
 
 def audit_all(
@@ -656,12 +673,15 @@ def equiv_check(left: Formula, right: Formula, cfg: SamplerConfig) -> EquivRepor
     """Search sampled models for a state where the two formulas differ."""
     seed = derive_seed(cfg.seed, "equiv", format_formula(left), format_formula(right), cfg.n)
     plan = compile_plan(left, right)
-    for trial, _rng, model in _trials(cfg, seed, left, right):
+
+    def fails(_rng: random.Random, model: Model) -> Optional[tuple]:
         lefts, rights = plan.root_values(model)
         for s, (lv, rv) in enumerate(zip(lefts, rights)):
             if lv != rv:
-                return EquivReport(
-                    left, right, True, trial, seed, model, s,
-                    ChainValue(lv, model.context), ChainValue(rv, model.context),
-                )
-    return EquivReport(left, right, False, cfg.samples, seed)
+                return s, ChainValue(lv, model.context), ChainValue(rv, model.context)
+        return None
+
+    trial, model, found = _search(cfg, seed, fails, left, right)
+    if found is None:
+        return EquivReport(left, right, False, trial, seed)
+    return EquivReport(left, right, True, trial, seed, model, *found)

@@ -547,18 +547,19 @@ def ast_size(node: Formula | Program) -> int:
 
     A subtree held once and used twice, as both sides of a desugared
     ``<->`` are, counts twice but is walked once, so the time is linear
-    in the distinct objects, not in the tree.
+    in the distinct objects, not in the tree. The walk keeps its own
+    stack, so a tree of any height is counted.
     """
     sizes: dict[int, int] = {}
-
-    def size(cur) -> int:
-        found = sizes.get(id(cur))
-        if found is None:
-            found = 1 + sum(map(size, children(cur)))
-            sizes[id(cur)] = found
-        return found
-
-    return size(node)
+    stack: list[Formula | Program] = [node]
+    while stack:
+        # a node is sized, and popped, once all its children are
+        pending = [child for child in children(stack[-1]) if id(child) not in sizes]
+        stack.extend(pending)
+        if not pending:
+            cur = stack.pop()
+            sizes[id(cur)] = 1 + sum(sizes[id(child)] for child in children(cur))
+    return sizes[id(node)]
 
 
 def collect_names(node: Formula | Program) -> tuple[set[str], set[str]]:

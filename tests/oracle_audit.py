@@ -11,7 +11,8 @@ monotonicity rules' templates: it builds the premise and the conclusion
 in Python and checks each with ``valid_in_model``, two evaluators per
 trial whose premise is valid.
 
-Both share the trial driver, the draws and the report classes with the
+Both run their own failing-trial predicates on the package's search
+loop, ``_search``, and share the draws and the report classes with the
 package, so the differential tests compare the evaluation step only.
 """
 
@@ -19,7 +20,7 @@ from gradedpdl.audit import (
     RuleAudit,
     SchemaAudit,
     Witness,
-    _trials,
+    _search,
     derive_seed,
     random_formula,
     random_program,
@@ -32,15 +33,20 @@ from gradedpdl.syntax import Box, Diamond, Implies
 
 def reference_find_counterexample(schema, cfg):
     seed = derive_seed(cfg.seed, "schema", schema.label, cfg.n)
-    for trial, rng, model in _trials(cfg, seed):
+
+    def fails(rng, model):
         bindings = sample_bindings(schema, rng, cfg)
         instance = instantiate_schema(schema, bindings, cfg.context)
         ok, refutation = valid_in_model(model, instance)
         if not ok:
-            witness = Witness(model, bindings, instance, refutation.state, refutation.value)
-            return SchemaAudit(
-                schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
-            )
+            return Witness(model, bindings, instance, refutation.state, refutation.value)
+        return None
+
+    trial, _model, witness = _search(cfg, seed, fails)
+    if witness is not None:
+        return SchemaAudit(
+            schema.id, schema.variant, cfg.n, trial, "counterexample", seed, witness
+        )
     return SchemaAudit(
         schema.id, schema.variant, cfg.n, cfg.samples, "no-counterexample-found", seed
     )
@@ -53,22 +59,28 @@ def reference_audit_rule(rule_id, cfg):
     ctx = cfg.context
     node = Box if rule_id == "Mon-box" else Diamond
     premises_valid = 0
-    for trial, rng, model in _trials(cfg, seed):
+
+    def fails(rng, model):
+        nonlocal premises_valid
         phi = random_formula(rng, ctx, 2)
         psi = random_formula(rng, ctx, 2)
         program = random_program(rng, ctx, 2)
         ok, _ = valid_in_model(model, Implies(phi, psi))
         if not ok:
-            continue
+            return None
         premises_valid += 1
         conclusion = Implies(node(program, phi), node(program, psi))
         ok, refutation = valid_in_model(model, conclusion)
         if not ok:
             bindings = {"phi": phi, "psi": psi, "pi": program}
-            witness = Witness(model, bindings, conclusion, refutation.state, refutation.value)
-            return RuleAudit(
-                rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
-            )
+            return Witness(model, bindings, conclusion, refutation.state, refutation.value)
+        return None
+
+    trial, _model, witness = _search(cfg, seed, fails)
+    if witness is not None:
+        return RuleAudit(
+            rule_id, cfg.n, trial, premises_valid, "counterexample", seed, witness
+        )
     return RuleAudit(
         rule_id, cfg.n, cfg.samples, premises_valid, "no-counterexample-found", seed
     )

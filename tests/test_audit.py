@@ -11,6 +11,7 @@ from gradedpdl.audit import (
     SamplerConfigError,
     VALUATION_LIMIT,
     _bound_model,
+    _search,
     audit_all,
     audit_rule,
     check_consequence_prop,
@@ -110,6 +111,47 @@ def test_bindings_match_reference_stream():
                     got = sample_bindings(schema, rng, cfg)
                     assert got == reference_sample_bindings(schema, ref_rng, cfg)
                     assert rng.getstate() == ref_rng.getstate(), (n, schema.label)
+
+
+def test_search_asks_the_predicate_once_per_reference_model():
+    # a predicate that never fails sees every trial's model, drawn over
+    # the configured names and those of the formulas, and the budget runs out
+    cfg = SamplerConfig(n=3, max_states=3, samples=25)
+    seen = []
+
+    def never(rng, model):
+        seen.append((rng, model))
+        return None
+
+    formula = parse_formula("[c]r -> p", cfg.context)
+    assert _search(cfg, 17, never, formula) == (cfg.samples, None, None)
+    assert len(seen) == cfg.samples
+    ref_rng = random.Random(17)
+    for _rng, model in seen:
+        _same_model(model, reference_sample_model(cfg, ref_rng, "pqr", "abc"))
+    assert seen[-1][0].getstate() == ref_rng.getstate()
+
+
+def test_search_stops_at_the_failing_trial():
+    # the predicate's own draws follow the model from the same stream; a
+    # trial that fails ends the search with no draw after it
+    cfg = SamplerConfig(n=4, max_states=3, samples=50)
+    for k in (1, 7, 50):
+        seen = []
+
+        def fails_at_k(rng, model):
+            seen.append((rng, model))
+            found = rng.random()
+            return found if len(seen) == k else None
+
+        trial, model, found = _search(cfg, 3, fails_at_k)
+        ref_rng = random.Random(3)
+        for _rng, got in seen:
+            _same_model(got, reference_sample_model(cfg, ref_rng))
+            want = ref_rng.random()
+        assert (trial, model, found) == (k, seen[-1][1], want)
+        assert len(seen) == k
+        assert seen[-1][0].getstate() == ref_rng.getstate()
 
 
 def test_derive_seed_is_stable():

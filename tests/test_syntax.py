@@ -577,3 +577,11 @@ def test_ast_size_and_names():
     props, progs = collect_names(f)
     assert props == {"p", "q", "r"}
     assert progs == {"a", "b"}
+    # a tree built in code is not bound by the parser's depth limit:
+    # 10 000 boxes [a][a]...p, alone and on both sides of a "<->"
+    deep = PropVar("p")
+    for _ in range(10_000):
+        deep = Box(Atomic("a"), deep)
+    assert ast_size(deep) == 20_001
+    assert ast_size(biconditional(deep, PropVar("q"))) == 3 + 2 * 20_001 + 2
+    assert collect_names(deep) == ({"p"}, {"a"})
