@@ -229,17 +229,22 @@ def _number(digits: str, lineno: int) -> int:
         raise DerivationFormatError(f"line {lineno}: number {digits[:20]}... is too long") from None
 
 
-def _formula(text: str, ctx: ChainContext, lineno: int) -> Formula:
+def _formula(text: str, ctx: ChainContext, lineno: int, groups: dict) -> Formula:
     try:
-        return parse_formula(text, ctx)
+        return parse_formula(text, ctx, groups)
     except InputError as exc:
         raise DerivationFormatError(f"line {lineno}: {exc}") from exc
 
 
 def parse_derivation(text: str) -> Derivation:
+    """The derivation ``text`` states. Its lines restate the same
+    subformulas, every premise of a detachment and every metavariable an
+    axiom instance repeats, so they are parsed with one map of bracketed
+    groups: a group already read in the file is the node read then."""
     ctx: Optional[ChainContext] = None
     premises: list[Formula] = []
     steps: list[Step] = []
+    groups: dict = {}
     for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
         line = raw.strip()
         # whole-line comments only: constants also use '#'
@@ -261,7 +266,7 @@ def parse_derivation(text: str) -> Derivation:
                 raise DerivationFormatError(
                     f"line {lineno}: premises must precede the numbered steps"
                 )
-            premises.append(_formula(line[len("premise:"):], ctx, lineno))
+            premises.append(_formula(line[len("premise:"):], ctx, lineno, groups))
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -279,7 +284,7 @@ def parse_derivation(text: str) -> Derivation:
             _number(value, lineno) if name in ("i", "j") else value
             for name, value in head.groupdict().items()
         )
-        steps.append(step(*fields, _formula(formula, ctx, lineno)))
+        steps.append(step(*fields, _formula(formula, ctx, lineno, groups)))
     if ctx is None:
         raise DerivationFormatError("empty derivation: missing the 'n: <int>' header")
     return Derivation(ctx, premises, steps)

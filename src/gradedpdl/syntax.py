@@ -27,6 +27,10 @@ token indices: an error's character position is worked out from the same
 pattern when the error is raised, so input that parses pays for no
 positions.
 
+Texts parsed with one map of groups, as the lines of a derivation are,
+share the node of each parenthesized group they have in common: a group
+whose tokens were read before is one lookup, not a parse.
+
 ``~f`` is notation for ``f -> #0`` and ``f <-> g`` for the conjunction of
 the two implications; the parser removes both, so the ASTs below have no
 negation or biconditional nodes.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from operator import attrgetter
 
 from .chain import (
@@ -335,9 +339,27 @@ _OPEN_BOX = (-1, "]", (_PREFIX_KEY, Box, 1))
 _OPEN_DIAMOND = (-1, ">", (_PREFIX_KEY, Diamond, 1))
 _OPEN_TEST = (-1, ")", Test)
 _BOTTOM = (-1, "", None)
+_PAREN_STEP = {"(": 1, ")": -1}
 
 
-def _parse(text: str, ctx: ChainContext, in_program: bool):
+def _depths(tokens: list[str]) -> bytes | None:
+    """How many parentheses are open before each of ``tokens`` and after
+    the last, or None when they do not balance, so that the text cannot
+    parse, or nest deeper than MAX_DEPTH.
+
+    Only a text whose parentheses nest at most MAX_DEPTH deep is read
+    with a map of groups, so that each token lies in at most MAX_DEPTH
+    keys. A text that nests them deeper parses only if some of them are
+    redundant, "((...))", as each group that is not adds a level.
+    """
+    try:
+        depths = bytes(accumulate(map(_PAREN_STEP.get, tokens, repeat(0)), initial=0))
+    except ValueError:  # a depth below 0 or above 255
+        return None
+    return depths if depths[-1] == 0 and max(depths) <= MAX_DEPTH else None
+
+
+def _parse(text: str, ctx: ChainContext, in_program: bool, groups: dict | None = None):
     """The tree of ``text``, a program when ``in_program`` and otherwise a
     formula, or the ParseError at the first token where it goes wrong.
 
@@ -345,24 +367,51 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
     at the first token after its right operand, a star at "*" and a test
     at its closing ")". The height of the node is checked there, before
     the node is built, so no tree taller than MAX_DEPTH levels exists.
+
+    ``groups``, when given, holds the parenthesized groups already parsed
+    with it: (whether a program, the index of the ")" less that of the
+    "(") -> {the tokens inside, joined by spaces -> (node, height, whether
+    a "<->" in it shares a subtree)}. A "(" whose group is there stands
+    for that node: the parser takes it and goes on after the matching
+    ")". A group's tokens are joined only when a group of its sort and
+    length is there. Each group that closes cleanly is added. A group
+    parses to the same node wherever it stands, so the tree, and any
+    error and its position, are those of a parse without the map.
     """
     tokens = _tokenize(text)
     operands = []
     heights = []  # the tree height of each operand
     ops = [_BOTTOM]
-    shared = False  # whether a "<->" put one subtree into the tree twice
+    iffs = 0  # how many "<->" put one subtree into the tree twice
     infix = _PROGRAM_OPS if in_program else _FORMULA_OPS
+    depths = _depths(tokens) if groups is not None else None
+    pending = []  # ("(" index, iffs so far) of each open group to add
     i = 0
     while True:
         # Before an operand: prefix forms and opening brackets, then a
         # name, a constant, or a test's condition.
         token = tokens[i]
         if token == "(":
-            ops.append(_OPEN)
-            i += 1
-            continue
-        if token.isidentifier():  # names are the only tokens that are identifiers
+            if depths is None:
+                ops.append(_OPEN)
+                i += 1
+                continue
+            close = depths.index(depths[i], i + 2) - 1
+            same = groups.get((in_program, close - i))
+            hit = same and same.get(" ".join(tokens[i + 1 : close]))
+            if not hit:
+                pending.append((i, iffs))
+                ops.append(_OPEN)
+                i += 1
+                continue
+            # the group read before: its node, then on after its ")"
+            node, height, shared = hit
+            operands.append(node)
+            iffs += shared
+            i = close
+        elif token.isidentifier():  # names are the only tokens that are identifiers
             operands.append(Atomic(token) if in_program else PropVar(token))
+            height = 1
         elif in_program:
             if token != "?":
                 raise _error(text, f"expected a program, found {_shown(token)}", i)
@@ -384,9 +433,10 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
             continue
         elif token[:1] == "#":
             operands.append(_constant(text, i, token, ctx))
+            height = 1
         else:
             raise _error(text, f"expected a formula, found {_shown(token)}", i)
-        heights.append(1)
+        heights.append(height)
         i += 1
         # After an operand: stars, binary operators and closing brackets.
         while True:
@@ -419,7 +469,7 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
                 heights[-1] = height
             if op is not None:
                 if row is _IFF:
-                    shared = True
+                    iffs += 1
                 ops.append(row)
                 i += 1
                 break
@@ -429,7 +479,7 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
                     raise _error(text, f"unexpected trailing input {token!r}", i)
                 raise _error(text, f"expected {closer!r}, found {_shown(token)}", i)
             if bracket is _BOTTOM:
-                return _checked(operands[0], shared, len(tokens))
+                return _checked(operands[0], iffs > 0, len(tokens))
             if then is Test:
                 if heights[-1] >= MAX_DEPTH:
                     raise _too_tall(text, i)
@@ -444,6 +494,10 @@ def _parse(text: str, ctx: ChainContext, in_program: bool):
                 infix = _FORMULA_OPS
                 i += 1
                 break
+            elif pending:  # each "(" read with the map and not in it
+                start, before = pending.pop()
+                same = groups.setdefault((in_program, i - start), {})
+                same[" ".join(tokens[start + 1 : i])] = (operands[-1], heights[-1], iffs > before)
             ops.pop()
             i += 1
 
@@ -460,8 +514,11 @@ def _checked(node, shared: bool, tokens: int):
     return node
 
 
-def parse_formula(text: str, ctx: ChainContext) -> Formula:
-    return _parse(text, ctx, False)
+def parse_formula(text: str, ctx: ChainContext, groups: dict | None = None) -> Formula:
+    """The formula ``text`` denotes. Texts parsed with one map of
+    ``groups`` (see ``_parse``), all in the chain ``ctx``, share the node
+    of each bracketed group they have in common."""
+    return _parse(text, ctx, False, groups)
 
 
 def parse_program(text: str, ctx: ChainContext) -> Program:

@@ -9,7 +9,10 @@ error block, and reads the step numbers and the formula per kind. Its
 cited names are ``[A-Za-z]\\w*``, so a name with a hyphen is a
 malformed line here and an unknown schema in the package.
 
-The differential test asserts that both readers return equal
+It parses each line on its own, where the package parses the lines
+with one map of the groups read so far and shares their nodes.
+
+The differential tests assert that both readers return equal
 derivations, or raise the same exception type with the same message.
 """
 

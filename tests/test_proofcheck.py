@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,10 @@ from gradedpdl.proofcheck import (
     parse_derivation,
 )
 from gradedpdl.schemas import all_schemata
-from gradedpdl.syntax import And, Box, Diamond, Implies, PropVar, format_formula, parse_formula
+from gradedpdl.syntax import (
+    MAX_DEPTH, MAX_NODES, And, Atomic, Box, Diamond, Implies, ParseError, PropVar, children,
+    format_formula, format_program, parse_formula,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C3 = ChainContext(3)
@@ -458,3 +462,149 @@ def test_reader_agrees_with_the_reference():
     heads = [usage for kind, (_, _, usage) in proofcheck._STEP_FORMS.items() if kind != "premise"]
     assert outcomes["read"] >= 200 and all(outcomes[usage] >= 5 for usage in heads)
     assert outcomes["hyphen"] <= 100
+
+
+# -- one shared graph per derivation: against the unshared reference ---------------
+
+
+def _restating(rng):
+    """A derivation whose lines restate bracketed groups: A1 weakenings
+    X -> (G -> X) and their detachments, boxes over program groups,
+    tests, "<->" groups and groups under enough "~" to near MAX_DEPTH."""
+    formula = lambda: format_formula(random_formula(rng, C3, rng.randint(0, 4)))  # noqa: E731
+    xs = [formula() for _ in range(3)]
+    programs = [format_program(random_program(rng, C3, rng.randint(1, 3))) for _ in range(2)]
+    lines = ["n: 3"] + [f"premise: ({x})" for x in xs if rng.random() < 0.3]
+    for k in range(1, rng.randint(3, 10)):
+        x, y, g, pi = rng.choice(xs), rng.choice(xs), formula(), rng.choice(programs)
+        shape = rng.choice([
+            f"({x}) -> ({g} -> ({x}))",
+            f"{g} -> ({x})",
+            f"[({pi})]({x}) -> <({pi})*>({y})",
+            f"[?(({x}))]({y}) -> <?({x}) ; ({pi})>({y})",
+            f"(({x}) <-> ({y})) & ({x})",
+            "~" * rng.randint(MAX_DEPTH - 12, MAX_DEPTH) + f"({x})",
+        ])
+        head = rng.choice(["axiom A1", "premise", f"mp {rng.randint(1, k)} {rng.randint(1, k)}"])
+        lines.append(f"{k} {head} {shape}")
+    return "\n".join(lines) + "\n"
+
+
+def _shares_across_lines(derivation):
+    """Whether some node object stands in two of the derivation's lines."""
+    seen = {}
+    for line, formula in enumerate(derivation.premises + [s.formula for s in derivation.steps]):
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if seen.setdefault(id(node), line) != line:
+                return True
+            stack.extend(children(node))
+    return False
+
+
+def test_shared_reader_agrees_with_the_unshared_reference():
+    rng = random.Random(27)
+    outcomes = Counter()
+    for _ in range(600):
+        text = _restating(rng)
+        if rng.random() < 0.6:
+            text = _mutated(rng, text)
+        if _HYPHENATED_NAME.search(text):
+            continue
+        got = _read(parse_derivation, text)
+        assert got == _read(oracle_proofcheck.reference_parse_derivation, text), text
+        if isinstance(got, Derivation):
+            outcomes["shared" if _shares_across_lines(got) else "read"] += 1
+        else:
+            outcomes["deeper" if "deeper than" in got[1] else "error"] += 1
+    # most derivations that read share a node between lines, and errors,
+    # the height error among them, are reached as well
+    assert outcomes["shared"] >= 100 and outcomes["shared"] > outcomes["read"]
+    assert outcomes["deeper"] >= 20 and outcomes["error"] >= 50
+
+
+_IFF_CHAIN = "p" + " <-> p" * 15  # 196 603 nodes, under MAX_NODES
+_TALL = "~" * (MAX_DEPTH - 1) + "p"  # MAX_DEPTH levels
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # no "<->" outside the two groups: only the flag the first line
+        # left with the group makes the second line count its nodes
+        (f"n: 3\npremise: ({_IFF_CHAIN})\npremise: ({_IFF_CHAIN}) & ({_IFF_CHAIN})\n",
+         f"line 3: formula or program has more than {MAX_NODES} nodes"),
+        # the error at the token after a group read before
+        ("n: 3\npremise: (p & q) -> r\npremise: (p & q) (r)\n",
+         "line 3: unexpected trailing input '(' (at position 9)"),
+        # a group read before, MAX_DEPTH levels high, joined by "&" at "|"
+        (f"n: 3\npremise: ({_TALL})\n1 premise ({_TALL}) & p | q\n",
+         f"line 3: formula or program deeper than {MAX_DEPTH} levels (at position "
+         f"{len(_TALL) + 7})"),
+    ],
+    ids=["node-cap-through-a-group", "error-after-a-group", "height-where-a-group-joins"],
+)
+def test_shared_reader_keeps_the_unshared_outcome(text, message):
+    got = _read(parse_derivation, text)
+    assert got == _read(oracle_proofcheck.reference_parse_derivation, text)
+    assert got[0] is DerivationFormatError and got[1].startswith(message)
+
+
+def test_restated_groups_are_one_node():
+    # step 2 weakens step 1, X = p -> (q -> p), and step 3 detaches it
+    text = (
+        "n: 3\n1 axiom A1 p -> (q -> p)\n"
+        "2 axiom A1 (p -> (q -> p)) -> (r -> (p -> (q -> p)))\n"
+        "3 mp 1 2 r -> (p -> (q -> p))\n"
+    )
+    derivation = parse_derivation(text)
+    first, second, third = (step.formula for step in derivation.steps)
+    x = second.left
+    assert x == first and second.right.right is x and third.right is x
+    assert x.right is first.right  # (q -> p), a group of step 1
+    assert check_derivation(derivation).accepted
+
+
+def test_a_group_is_keyed_by_its_sort():
+    # "(a)" is a proposition in a formula and a program in a box
+    text = "n: 3\npremise: (a) -> p\n1 premise [(a)]p -> (a)\n"
+    derivation = parse_derivation(text)
+    assert derivation == oracle_proofcheck.reference_parse_derivation(text)
+    box = derivation.steps[0].formula.left
+    assert box.program == Atomic("a") and derivation.premises[0].left == PropVar("a")
+
+
+def _best_of_three(parse, text):
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        outcome = _read(parse, text)
+        best = min(best, time.process_time() - start)
+    return outcome, best
+
+
+_WRAPPED = 20_000
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(" * _WRAPPED + "p -> (q -> p)" + ")" * _WRAPPED,
+        "(" * _WRAPPED + "p" + " & p)" * _WRAPPED,
+        "(" * MAX_DEPTH + "p" + " & p" * _WRAPPED + ")" * MAX_DEPTH,
+    ],
+    ids=["redundant", "nested", "flat-under-max-depth-groups"],
+)
+def test_shared_reader_costs_what_an_unshared_parse_does(line):
+    # A key copied from the tokens of every group would take time and
+    # memory quadratic in these lines: 13 s for the first one, against
+    # about 10 ms for a plain parse.
+    shared, shared_s = _best_of_three(parse_derivation, f"n: 3\n1 axiom A1 {line}\n")
+    plain, plain_s = _best_of_three(lambda text: parse_formula(text, C3), line)
+    if isinstance(plain, tuple):
+        assert plain[0] is ParseError and "deeper than" in plain[1]
+        assert shared == (DerivationFormatError, f"line 2: {plain[1]}")
+    else:
+        assert shared.steps[0].formula == plain
+    assert shared_s <= 10 * plain_s + 0.1
