@@ -6,11 +6,14 @@ pairs that are not stored sit at bottom. State sets are bitmasks over
 index its tables of partial unions by intermediate-set masks.
 
 One kernel, ``_product_table``, builds those tables. They depend on the
-right operand alone, so they live on it: ``compose`` fills them in the
-right operand's ``_tables`` slot on first use, and every later
-composition with that operand, whatever its left operand, reads them
-there. This is exact because relations are immutable values. The slot
-is a cache, so it takes no part in equality, printing, pickles or copies.
+right operand alone, so they live on it: ``_subset_tables`` makes the
+right operand's rows and table memo in its ``_tables`` slot on first
+use, and every later reader, whatever its left operand, reads them
+there. The readers are ``compose`` and the level tables of a modality
+over a left-nested ';' chain in ``semantics``, which fold the chain
+against each inner program's product tables instead of composing it.
+This is exact because relations are immutable values. The slot is a
+cache, so it takes no part in equality, printing, pickles or copies.
 ``compose`` folds its products into one dense row per source, a list of
 2^size numerators indexed by target mask, and turns the rows into
 entries once, at the end.
@@ -96,8 +99,9 @@ class ReachRelation:
     construction and are wrapped by ``_unchecked`` instead.
 
     ``_tables`` is None until the relation is the right operand of a
-    ``compose``, which then keeps its subset tables there (see
-    ``compose``).
+    ``compose`` or an inner program of a ';' chain under a modality;
+    ``_subset_tables`` then keeps its rows and product tables there for
+    both (see ``compose`` and ``semantics``).
     """
 
     __slots__ = ("space", "context", "entries", "_tables")
@@ -264,6 +268,21 @@ def _product_table(
     return ext
 
 
+def _subset_tables(
+    q: ReachRelation,
+) -> tuple[dict[int, list[tuple[int, int]]], dict[int, dict[int, int]]]:
+    """q's rows by member bit and its memo of product tables, the two
+    arguments ``_product_table`` reads, made on first use and kept on q
+    (``q._tables``) for every later reader."""
+    tables = q._tables
+    if tables is None:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (u, mask), val in q.entries.items():
+            rows.setdefault(1 << u, []).append((mask, val))
+        tables = q._tables = (rows, {0: {0: q.context.top}})
+    return tables
+
+
 def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     """Concurrent composition.
 
@@ -295,8 +314,9 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     the result's entries once, at the end.
 
     q's rows and best[U] are functions of q and U alone, and q is an
-    immutable value, so they are kept on q (``q._tables``) and serve
-    every later composition with q on the right. Tables are built on
+    immutable value, so they are kept on q (``q._tables``, through
+    ``_subset_tables``) and serve every later composition with q on the
+    right, and every level table that reads q. Tables are built on
     demand, for the intermediate sets that some left operand asks for.
 
     Composition is not associative: ((a o b) o c) and (a o (b o c)) can
@@ -307,13 +327,7 @@ def compose(r: ReachRelation, q: ReachRelation) -> ReachRelation:
     """
     _check_same(r, q)
     top = r.context.top
-    tables = q._tables
-    if tables is None:
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (u, mask), val in q.entries.items():
-            rows.setdefault(1 << u, []).append((mask, val))
-        tables = q._tables = (rows, {0: {0: top}})
-    rows, best = tables
+    rows, best = _subset_tables(q)
 
     size = r.space.size
     acc: list[list[int] | None] = [None] * size

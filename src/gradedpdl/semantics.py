@@ -22,8 +22,9 @@ relation's entries against a table slot indexed by target mask, so each
 entry costs one lookup: ``subset_meets``, the meets of the body, for a
 plain modality; filtration reads the same table.
 
-Two exact rewrites keep a modality from composing its outer step, since
-the clauses read a relation only through its meets over target sets.
+Exact rewrites keep a modality from composing the ';' steps of its
+program, since the clauses read a relation only through its meets over
+target sets.
 
 * ``[l;q]phi`` and ``<l;q>phi`` fold ``l``'s entries against a table
   made from ``q``'s rows and the meets ``m`` of the body, so ``l;q`` is
@@ -39,6 +40,23 @@ the clauses read a relation only through its meets over target sets.
   Products are summed unclipped: a family whose product reaches bottom
   gives a box term at or above top and a diamond term at or below bottom,
   which neither fold keeps.
+* The rewrite covers the whole left spine of a chain: under a box or
+  diamond, ``((l1;l2);...;lk);q`` folds ``l1``'s entries against one
+  table per level, and ``l1;...;lk`` is never built either. ``q``'s table
+  is G or H above; each inner level l_j adds
+  ``G'[U] = min_T (top - best_U[T] + G[T])`` for box and
+  ``H'[U] = max_T (best_U[T] + H[T] - top)`` for diamond, with G or H
+  the table of the level outside it and best_U l_j's product tables
+  (``relations._product_table``). This is exact because composition is
+  a join over intermediate sets, and then over families of rows, so the
+  join over the sets U of one level moves into the next level's table.
+  The tables follow the chain's own grouping, as ';' is not associative.
+  An inner level cannot use the closed form of the outer one: that form
+  rests on the body's meet of a union being the least of the parts'
+  meets, and G is not a meet over unions (G[T1 | T2] need not be the
+  least of G[T1] and G[T2]), so a level joins over the unions T that
+  best_U reaches. A level's table is filled per U on first
+  read, so it builds product tables only for the sets the fold reaches.
 * ``[a+b]phi`` is the meet of ``[a]phi`` and ``[b]phi``, and ``<a+b>phi``
   the join of ``<a>phi`` and ``<b>phi``: implication is antitone in its
   first argument and strong conjunction monotone, and a union's entries
@@ -63,6 +81,8 @@ from .relations import (
     ReachRelation,
     StateSpace,
     StateSetLike,
+    _product_table,
+    _subset_tables,
     compose,
     parallel,
     star,
@@ -151,6 +171,78 @@ def _diamond_table(q: ReachRelation, meets: Sequence[int], top: int) -> list[int
         table = list(map(max, table, sums))
     table[0] = top
     return table
+
+
+class _Level(dict):
+    """The table of one inner level l_j of a modality over a left-nested
+    ';' chain ``((l1;l2);...;lk);q``, indexed by intermediate-set mask
+    and filled on first read, from l_j's product tables best_U
+    (``relations._product_table``) and ``outer``, the table of the level
+    outside it. The sets a fold reaches are all it builds tables for.
+    ``_fold`` gives one entry from best_U and ``outer``.
+    """
+
+    __slots__ = ("rows", "best", "outer", "top")
+
+    def __init__(self, rel: ReachRelation, outer, top: int):
+        self.rows, self.best = _subset_tables(rel)
+        self.outer = outer
+        self.top = top
+
+    def __missing__(self, umask: int) -> int:
+        # the entries of lazy outer levels that an entry reads are filled
+        # first, from a stack of their own, so a chain of any length fills
+        # under the default recursion limit; an entry is pushed only while
+        # missing, and is filled before the entry that pushed it is read
+        # again, so none is pushed twice
+        todo = [(self, umask)]
+        while todo:
+            level, umask = todo[-1]
+            best = level.best
+            table = best.get(umask)
+            if table is None:
+                table = _product_table(best, level.rows, level.top, umask)
+            outer = level.outer
+            if type(outer) is not list:
+                missing = [(outer, t) for t in table if t not in outer]
+                if missing:
+                    todo += missing
+                    continue
+            todo.pop()
+            level[umask] = level._fold(table, outer, level.top)
+        return self[umask]
+
+
+class _BoxLevel(_Level):
+    """G'[U] = min_T (top - best_U[T] + G[T]), clipped at top, G the outer
+    level's table; top where best_U is empty."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _fold(table: dict[int, int], outer, top: int) -> int:
+        low = 0
+        for tmask, val in table.items():
+            val = outer[tmask] - val
+            if val < low:
+                low = val
+        return top + low
+
+
+class _DiamondLevel(_Level):
+    """H'[U] = max_T (best_U[T] + H[T] - top), clipped at bottom, H the
+    outer level's table; bottom where best_U is empty."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _fold(table: dict[int, int], outer, top: int) -> int:
+        high = top
+        for tmask, val in table.items():
+            val += outer[tmask]
+            if val > high:
+                high = val
+        return high - top
 
 
 class Model:
@@ -254,8 +346,9 @@ class Model:
 # are the slots of its children in constructor order, b None for one
 # child, except that a box or diamond reads (program, table) and one over
 # a union (min or max, left modality, right modality). A table's opcode
-# is the function that builds it: subset_meets (body, None), _box_table
-# and _diamond_table (right operand of ';', meets of the body).
+# is the function or class that builds it: subset_meets (body, None),
+# _box_table and _diamond_table (right operand of ';', meets of the body),
+# _BoxLevel and _DiamondLevel (a level's program, the outer level's table).
 _OPCODES = frozenset(
     {PropVar, Constant, And, Or, Implies, Box, Diamond, Atomic, PUnion, Seq, Inter, Star, Test}
 )
@@ -267,11 +360,15 @@ class Plan:
     One slot per distinct step, in post-order, so every operand's slot
     comes before its reader's. Each distinct subterm has a slot, except a
     ``;`` or ``+`` that is only ever read as the program of a box or
-    diamond: ``[l;q]phi`` reads slots for ``l``, ``q`` and a table built
-    from ``q`` and the body's meets, and ``[a+b]phi`` the slots of
-    ``[a]phi`` and ``[b]phi`` (see the module docstring). ``steps`` holds
-    each slot's (opcode, operand, operand) step, and ``roots`` the slot
-    of each compiled term, in the order given.
+    diamond, and the ``;`` nodes on the left spine of such a ``;``:
+    ``[l;q]phi`` reads slots for ``l``, ``q`` and a table built from
+    ``q`` and the body's meets; ``[((l1;l2);l3);q]phi`` reads slots for
+    ``l1``, ``l2``, ``l3``, ``q``, that table, and one table per inner
+    level, built from ``l3`` and that table, then from ``l2`` and
+    ``l3``'s; and ``[a+b]phi`` reads the slots of ``[a]phi`` and
+    ``[b]phi`` (see the module docstring). ``steps`` holds each slot's
+    (opcode, operand, operand) step, and ``roots`` the slot of each
+    compiled term, in the order given.
     """
 
     __slots__ = ("steps", "roots")
@@ -320,14 +417,18 @@ class Plan:
                     if val > out[src]:
                         out[src] = val
                 value = tuple(out)
-            elif op is subset_meets:
-                value = subset_meets(values[a], states, top)
-            elif op is _box_table or op is _diamond_table:
-                value = op(values[a], values[b], top)
             elif op is And or op is min:
                 value = tuple(map(min, values[a], values[b]))
             elif op is Or or op is max:
                 value = tuple(map(max, values[a], values[b]))
+            # tables after the connectives, which most plans hold more of
+            elif op is subset_meets:
+                value = subset_meets(values[a], states, top)
+            elif (
+                op is _box_table or op is _diamond_table
+                or op is _BoxLevel or op is _DiamondLevel
+            ):
+                value = op(values[a], values[b], top)
             elif op is Constant:
                 if a.context != ctx:
                     raise ChainMismatchError(
@@ -356,31 +457,34 @@ class Plan:
 
 
 # The form of a box or diamond: its program's pieces, in post-order over
-# the '+' nodes at its top, each a plain program (False) or a ';' (True),
-# with None for each '+' that joins the last two.
-_PLAIN = (False,)
+# the '+' nodes at its top, each the number of relations it reads (1 for
+# a plain program, k+1 for a ';' chain l1;...;lk;q), with None for each
+# '+' that joins the last two.
+_PLAIN = (1,)
 
 
 def _modal_form(program: Program, body: Formula) -> tuple[list, list]:
     """The relations a modality over ``program`` reads, in order, then its
-    body; and its form. A ';' gives its two operands, a '+' its operands'
-    pieces."""
+    body; and its form. A '+' gives its operands' pieces, and any other
+    program the programs of its left spine of ';', its right operand
+    last: itself alone if it is no ';'."""
     kids: list = []
     form: list = []
     todo = [(program, False)]
     while todo:
         program, joined = todo.pop()
-        kind = type(program)
         if joined:
             form.append(None)
-        elif kind is PUnion:
+        elif type(program) is PUnion:
             todo += [(program, True), (program.right, False), (program.left, False)]
-        elif kind is Seq:
-            kids += (program.left, program.right)
-            form.append(True)
         else:
-            kids.append(program)
-            form.append(False)
+            spine = []
+            while type(program) is Seq:
+                spine.append(program.right)
+                program = program.left
+            spine.append(program)
+            kids += reversed(spine)
+            form.append(len(spine))
     kids.append(body)
     return kids, form
 
@@ -453,11 +557,16 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                             pending.append((join, slot(left), slot(right)))
                             continue
                         table = meets
-                        if piece:
+                        if piece > 1:
+                            # q's table, then one per level inward
+                            last = i + piece - 1
                             build = _box_table if op is Box else _diamond_table
-                            table = slot((build, slot_of_node[id(kids[i + 1])], meets))
+                            table = slot((build, slot_of_node[id(kids[last])], meets))
+                            level = _BoxLevel if op is Box else _DiamondLevel
+                            for j in range(last - 1, i, -1):
+                                table = slot((level, slot_of_node[id(kids[j])], table))
                         pending.append((op, slot_of_node[id(kids[i])], table))
-                        i += 2 if piece else 1
+                        i += piece
                     (step,) = pending
             slot_of_node[id(node)] = slot(step)
         roots.append(slot_of_node[id(term)])

@@ -518,39 +518,47 @@ def _terms(draw, sort, depth):
     return (Box, Diamond)[kind - 6](program, body)
 
 
+_BOX_TABLES = (semantics._box_table, semantics._BoxLevel)
+_SEQ_TABLES = _BOX_TABLES + (semantics._diamond_table, semantics._DiamondLevel)
+
+
 def _read_subterms(term):
     """The subterms a plan of ``term`` holds a slot for: all of them but a
     ``;`` or ``+`` met only as a modality's program (an operand of a ``+``
-    that is one is such a program too)."""
-    stack = [(term, False)]
+    that is one is such a program too), and the ``;`` nodes on the left
+    spine of such a ``;``."""
+    stack = [(term, None)]
     while stack:
         node, modal = stack.pop()
-        if modal and isinstance(node, Union):
-            stack += [(node.left, True), (node.right, True)]
-        elif modal and isinstance(node, Seq):
-            stack += [(node.left, False), (node.right, False)]
+        if modal == "program" and isinstance(node, Union):
+            stack += [(node.left, "program"), (node.right, "program")]
+        elif modal is not None and isinstance(node, Seq):
+            stack += [(node.left, "spine"), (node.right, None)]
         else:
             yield node
             if isinstance(node, (Box, Diamond)):
-                stack += [(node.program, True), (node.body, False)]
+                stack += [(node.program, "program"), (node.body, None)]
             else:
-                stack += [(kid, False) for kid in children(node)]
+                stack += [(kid, None) for kid in children(node)]
 
 
 def _slot_terms(plan):
     """Per slot, the term its step computes, rebuilt from the steps alone,
-    or None for a table; with the body and the right operand of ';' that
-    each table reads."""
+    or None for a table; with the programs l2, ..., q that each table
+    composes after the folded relation, in order, and the body it reads."""
     terms, tables = [], {}
     for op, a, b in plan.steps:
         term = None
         if op is subset_meets:
-            tables[len(terms)] = (None, terms[a])
-        elif op in (semantics._box_table, semantics._diamond_table):
-            tables[len(terms)] = (terms[a], tables[b][1])
+            tables[len(terms)] = ((), terms[a])
+        elif op in _SEQ_TABLES:
+            rights, body = tables[b]
+            tables[len(terms)] = ((terms[a],) + rights, body)
         elif op in (Box, Diamond):
-            right, body = tables[b]
-            term = op(terms[a] if right is None else Seq(terms[a], right), body)
+            term, (rights, body) = terms[a], tables[b]
+            for right in rights:
+                term = Seq(term, right)
+            term = op(term, body)
         elif op in (min, max):
             left, right = terms[a], terms[b]
             term = type(left)(Union(left.program, right.program), left.body)
@@ -565,8 +573,10 @@ def _slot_terms(plan):
 def _check_plan(plan, terms, model):
     """The plan's shape, and every slot's value against the pointwise
     evaluator: a term slot's value, and a table's by its definition on
-    each intermediate set U, as the box or diamond of the composition of
-    the one entry (0, U) at top with the table's right operand."""
+    each intermediate set U, as the box or diamond of
+    ``((iota_U ; l2) ; ...) ; q``, composed left to right, where iota_U is
+    the one entry (0, U) at top and l2, ..., q the programs the table
+    reads, the right operand of ';' at an outer table."""
     rebuilt, tables = _slot_terms(plan)
     # the roots rebuild the terms in order; distinct term slots rebuild
     # distinct terms, each read subterm has a slot, and operands come
@@ -587,24 +597,27 @@ def _check_plan(plan, terms, model):
         elif term is not None:
             vector = tuple(pointwise.value_num(term, s) for s in space.states())
             assert values[slot] == vector, term
-    for slot, (right, body) in tables.items():
+    for slot, (rights, body) in tables.items():
         meets = [
             min([top] + [pointwise.value_num(body, t) for t in mask_states(mask)])
             for mask in space.subset_masks()
         ]
-        if right is None:
+        if not rights:
             assert values[slot] == meets, body
             continue
-        box = plan.steps[slot][0] is semantics._box_table
+        box = plan.steps[slot][0] in _BOX_TABLES
+        relations = [pointwise.relation(right) for right in rights]
         for umask in space.subset_masks():
-            one = ReachRelation(space, ctx, {(0, umask): top})
-            entries = compose(one, pointwise.relation(right)).entries.items()
+            composed = ReachRelation(space, ctx, {(0, umask): top})
+            for rel in relations:
+                composed = compose(composed, rel)
+            entries = composed.entries.items()
             if box:
                 want = min([top] + [top - r + meets[t] for (_, t), r in entries])
-                assert min(top, values[slot][umask]) == want, (right, body, umask)
+                assert min(top, values[slot][umask]) == want, (rights, body, umask)
             else:
                 want = max([0] + [r + meets[t] - top for (_, t), r in entries])
-                assert max(0, values[slot][umask]) == want, (right, body, umask)
+                assert max(0, values[slot][umask]) == want, (rights, body, umask)
 
 
 @settings(max_examples=300, deadline=None)
@@ -665,11 +678,24 @@ def _seq_terms(draw, ctx, sort, depth):
 
 
 @st.composite
+def _compound_programs(draw, ctx):
+    """A '+', '^', '*' or '?' over small programs or formulas of ``ctx``."""
+    kind = draw(st.integers(0, 3))
+    if kind == 3:
+        return Test(draw(_seq_terms(ctx, "formula", 1)))
+    left = draw(_seq_terms(ctx, "program", 1))
+    if kind == 2:
+        return Star(left)
+    return (Union, Inter)[kind](left, draw(_seq_terms(ctx, "program", 1)))
+
+
+@st.composite
 def _seq_cases(draw):
     """A chain, a model of 1-6 states whose atomic programs have rows at
     only some states and may hold entries on the empty target set, and
-    terms: a few formulas, a ';' read both as a relation and under a
-    modality, and that ';' itself."""
+    terms: a few formulas, a left-nested ';' chain of 3-4 programs, the
+    middle ones compound, under a modality, and its prefix without the
+    last program read both under that modality and as a relation."""
     ctx = ChainContext(draw(st.sampled_from((2, 3, 4, 5, 7))))
     size = draw(st.integers(1, 6))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -688,10 +714,14 @@ def _seq_cases(draw):
     valuation = {name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in "pq"}
     model = Model(ctx, space, atomics, valuation)
     formulas = draw(st.lists(_seq_terms(ctx, "formula", 3), min_size=1, max_size=3))
-    shared = Seq(draw(_seq_terms(ctx, "program", 1)), draw(_seq_terms(ctx, "program", 1)))
+    middle = draw(st.lists(_compound_programs(ctx), min_size=1, max_size=2))
+    shared = draw(_seq_terms(ctx, "program", 1))
+    for program in middle:
+        shared = Seq(shared, program)
+    chain = Seq(shared, draw(_seq_terms(ctx, "program", 1)))
     body = draw(_seq_terms(ctx, "formula", 1))
     modal = draw(st.sampled_from((Box, Diamond)))
-    both = And(modal(Seq(shared, Atomic("a")), body), modal(shared, body))
+    both = And(modal(chain, body), modal(shared, body))
     return model, formulas + [both, shared]
 
 
@@ -702,7 +732,9 @@ def test_modalities_over_seq_and_union_match_pointwise_evaluator(case):
     _check_plan(compile_plan(*terms), terms, model)
 
 
-def test_a_union_of_compositions_composes_only_its_left_operands(monkeypatch):
+def test_a_union_of_compositions_composes_nothing(monkeypatch):
+    # a modality over a ';' chain folds its first program against one table
+    # per level, so not even the chain's left operand a;b is composed
     model = _random_model(random.Random(4), C3, 4, 0.3)
     formula = parse_formula("[((a;b);a)+b]p -> [(a;b);a]p", C3)
     calls = []
@@ -713,10 +745,33 @@ def test_a_union_of_compositions_composes_only_its_left_operands(monkeypatch):
 
     monkeypatch.setattr(semantics, "compose", counting)
     got = compile_plan(formula).root_values(model)[0]
-    a, b = model.atomics["a"], model.atomics["b"]
-    assert len(calls) == 1 and calls[0][0] is a and calls[0][1] is b
+    assert calls == []
     pointwise = PointwiseEvaluator(model)
     assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states())
+
+
+def test_an_inner_level_builds_product_tables_only_for_the_sets_its_fold_reads():
+    # a's entries reach two intermediate sets; b's product tables then hold
+    # those two, the sets left as each drops its lowest member, and the
+    # empty set; a, which is read only entry by entry, gets none
+    ctx, space = C3, StateSpace(6)
+    reached = (0b101101, 0b110010)
+    a = ReachRelation(space, ctx, {(0, reached[0]): 2, (3, reached[0]): 1, (5, reached[1]): 2})
+    b = ReachRelation(space, ctx, {(u, (1 << u) | 1): 1 + u % 2 for u in space.states()})
+    model = Model(ctx, space, {"a": a, "b": b}, {"p": {0: 1, 4: 2}})
+    for text in ("[(a;b);a]p", "<(a;b);a>p"):
+        a._tables = b._tables = None
+        formula = parse_formula(text, ctx)
+        got = compile_plan(formula).root_values(model)[0]
+        prefixes = {0}
+        for umask in reached:
+            while umask:
+                prefixes.add(umask)
+                umask &= umask - 1
+        assert set(b._tables[1]) == prefixes
+        assert a._tables is None
+        pointwise = PointwiseEvaluator(model)
+        assert got == tuple(pointwise.value_num(formula, s) for s in space.states())
 
 
 def test_evaluator_answers_after_rewritten_modalities():
@@ -759,7 +814,7 @@ import sys
 from gradedpdl.chain import ChainContext
 from gradedpdl.relations import ReachRelation, StateSpace
 from gradedpdl.semantics import Model, compile_plan, valid_in_model
-from gradedpdl.syntax import Atomic, Box, Implies, PropVar
+from gradedpdl.syntax import Atomic, Box, Diamond, Implies, PropVar, Seq
 
 assert sys.getrecursionlimit() == 1000
 ctx, space = ChainContext(3), StateSpace(2)
@@ -777,6 +832,18 @@ def deep():
 # two equal trees that share no node, and a third, each never hashed before
 assert valid_in_model(model, Implies(deep(), deep())) == (True, None)
 assert compile_plan(deep()).root_values(model)[0] == (2, 2)
+
+
+def chain():
+    program = Atomic("a")
+    for _ in range(10_000):
+        program = Seq(program, Atomic("a"))
+    return program
+
+
+# a modality over a left-nested ';' chain fills one table per level
+plan = compile_plan(Box(chain(), PropVar("p")), Diamond(chain(), PropVar("p")))
+assert plan.root_values(model) == [(2, 2), (0, 0)]
 """
 
 
