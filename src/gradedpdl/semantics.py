@@ -23,8 +23,8 @@ entry costs one lookup: ``subset_meets``, the meets of the body, for a
 plain modality; filtration reads the same table.
 
 Exact rewrites keep a modality from composing the ';' steps of its
-program, since the clauses read a relation only through its meets over
-target sets.
+program or building the relation of a '^' in it, since the clauses read
+a relation only through its meets over target sets.
 
 * ``[l;q]phi`` and ``<l;q>phi`` fold ``l``'s entries against a table
   made from ``q``'s rows and the meets ``m`` of the body, so ``l;q`` is
@@ -61,6 +61,38 @@ target sets.
   the join of ``<a>phi`` and ``<b>phi``: implication is antitone in its
   first argument and strong conjunction monotone, and a union's entries
   are the larger of its operands'.
+* A box or diamond over a '^' among the '+' nodes at the top of its
+  program folds summaries of the '^''s operands, so the parallel
+  relation is never built. A '^' joins one row of each operand into the
+  union of their targets, and the body's meet over a union is the least
+  of the parts' meets. Below the '^', a '+' is the pointwise max of its
+  operands' summaries, a '^' combines them as follows, and any other
+  program is a leaf whose relation is summarised.
+
+  The box keeps per source the shortfall ``top - [pi]phi``, the largest
+  ``pi(s,T) - m(T)``, and ``<pi>#1``, the largest entry. The shortfall of
+  ``r ^ q`` is the larger of ``short_r (*) <q>#1`` and
+  ``<r>#1 (*) short_q``, which is README's D7/corrected,
+  ``[r ^ q]phi = (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi)``: the meet of a
+  union is the lesser of two meets, so the box splits into one
+  implication per operand. (Per threshold theta, the box is the least
+  ``top - dn_theta + theta``, with dn_theta the largest entry whose meet
+  is at most theta; that least is top less the shortfall, so the box
+  needs no thresholds.)
+
+  The diamond does not split: D13, ``<r ^ q>phi <-> <r>phi & <q>phi``,
+  is refuted at n = 3, as the operands' best rows may lie at different
+  meets and a pair is read at the lesser. So it keeps, per threshold
+  theta and source, ``up_theta``, the largest entry whose meet is at
+  least theta; ``up_theta(r ^ q) = up_theta(r) (*) up_theta(q)``, and the
+  diamond is the largest ``up_theta (*) theta``. The thresholds V are the
+  body's distinct values and top, read per run: every meet is one of
+  them, so there are at most one more than the states, whatever the
+  chain's order.
+
+  Both summaries keep the values that (*) combines less top, so that
+  (*) is a sum, which the fold clips. The fold reads the summaries of
+  the operands of the '^' at the root.
 
 ``eval_formula`` and ``eval_program`` answer one question of one model
 each, through ``Evaluator``, by compiling the term and running its plan
@@ -245,6 +277,123 @@ class _DiamondLevel(_Level):
         return high - top
 
 
+def _box_summary(rel: ReachRelation, meets: Sequence[int], top: int) -> list[int]:
+    """The summary of ``rel`` under a box over a '^', per source s: first
+    the shortfall top - [rel]phi(s), the largest rel(s,T) - m(T), then
+    <rel>#1(s) - top, the largest entry less top; -top where s has no
+    entry. ``meets`` are the body's ``subset_meets``."""
+    size = rel.space.size
+    out = [-top] * (2 * size)
+    for (s, mask), val in rel.entries.items():
+        short = val - meets[mask]
+        if short > out[s]:
+            out[s] = short
+        val -= top
+        if val > out[size + s]:
+            out[size + s] = val
+    return out
+
+
+def _box_fuse(left: Sequence[int], right: Sequence[int], top: int) -> list[int]:
+    """The box summary of r ^ q from those of r and q: the shortfall is
+    the larger of short_r (*) <q>#1 and <r>#1 (*) short_q (D7/corrected),
+    and <r ^ q>#1 = <r>#1 (*) <q>#1. As the reaches are kept less top,
+    (*) is a sum, which the fold clips."""
+    size = len(left) // 2
+    shorts, reaches = [], []
+    for short_r, reach_r, short_q, reach_q in zip(
+        left[:size], left[size:], right[:size], right[size:]
+    ):
+        short = short_r + reach_q
+        if reach_r + short_q > short:
+            short = reach_r + short_q
+        shorts.append(short)
+        reaches.append(reach_r + reach_q)
+    return shorts + reaches
+
+
+def _box_fold(left: Sequence[int], right: Sequence[int], top: int) -> tuple[int, ...]:
+    """[r ^ q]phi from the box summaries of r and q: top less the
+    shortfall of ``_box_fuse``, at most top; that is D7/corrected,
+    (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi)."""
+    size = len(left) // 2
+    out = []
+    for short_r, reach_r, short_q, reach_q in zip(
+        left[:size], left[size:], right[:size], right[size:]
+    ):
+        short = short_r + reach_q
+        if reach_r + short_q > short:
+            short = reach_r + short_q
+        out.append(top - short if short > 0 else top)
+    return tuple(out)
+
+
+def _thresholds(body: Sequence[int], states: range, top: int) -> tuple[list[int], list[int]]:
+    """The thresholds V of a diamond over a '^', the body's distinct
+    values and top, ascending; and per target mask T the offset size * k
+    of the place k of the body's meet m(T) in V, where a diamond summary
+    keeps T's entries (``subset_meets`` of the offsets, which rise with
+    the values)."""
+    values = sorted({top, *body})
+    size = len(states)
+    offsets = [size * len(values) - size]
+    for val in body:
+        val = size * values.index(val)
+        offsets += [offset if offset < val else val for offset in offsets]
+    return values, offsets
+
+
+def _diamond_summary(
+    rel: ReachRelation, thresholds: tuple[list[int], list[int]], top: int
+) -> tuple[list[int], list[int]]:
+    """The summary of ``rel`` under a diamond over a '^': V, and per
+    threshold theta in V and source s, at size * k + s for theta's place
+    k, up_theta(s) - top, where up_theta(s) is the largest rel(s,T) whose
+    meet m(T) is at least theta; -top where there is none."""
+    values, offsets = thresholds
+    size = rel.space.size
+    ups = [-top] * (len(values) * size)
+    for (s, mask), val in rel.entries.items():
+        i = offsets[mask] + s
+        val -= top
+        if val > ups[i]:
+            ups[i] = val
+    # a row also holds every row above its threshold
+    for i in range(len(ups) - size - 1, -1, -1):
+        if ups[i + size] > ups[i]:
+            ups[i] = ups[i + size]
+    return values, ups
+
+
+def _diamond_fuse(left: tuple, right: tuple, top: int) -> tuple[list[int], list[int]]:
+    """The diamond summary of r ^ q: up_theta(r) (*) up_theta(q), a sum,
+    as the rows are kept less top; the fold clips it."""
+    return left[0], list(map(add, left[1], right[1]))
+
+
+def _diamond_join(left: tuple, right: tuple, top: int) -> tuple[list[int], list[int]]:
+    """The diamond summary of r + q: the larger row of the two."""
+    return left[0], list(map(max, left[1], right[1]))
+
+
+def _diamond_fold(left: tuple, right: tuple, top: int) -> tuple[int, ...]:
+    """<r ^ q>phi from the diamond summaries of r and q: the largest
+    up_theta(r) (*) up_theta(q) (*) theta over the thresholds theta, at
+    least bottom."""
+    values, ups = left
+    ups_q = right[1]
+    size = len(ups) // len(values)
+    out = [0] * size
+    i = 0
+    for theta in values:
+        for s in range(size):
+            val = ups[i] + ups_q[i] + theta
+            if val > out[s]:
+                out[s] = val
+            i += 1
+    return tuple(out)
+
+
 class Model:
     """A finite graded model.
 
@@ -345,13 +494,25 @@ class Model:
 # leaf's a is its name or constant and b None; a compound node's a and b
 # are the slots of its children in constructor order, b None for one
 # child, except that a box or diamond reads (program, table) and one over
-# a union (min or max, left modality, right modality). A table's opcode
-# is the function or class that builds it: subset_meets (body, None),
-# _box_table and _diamond_table (right operand of ';', meets of the body),
-# _BoxLevel and _DiamondLevel (a level's program, the outer level's table).
+# a union (min or max, left modality, right modality). A table's or a
+# summary's opcode is the function or class that builds it:
+# subset_meets and _thresholds (body, None), _box_table and
+# _diamond_table (right operand of ';', meets of the body), _BoxLevel
+# and _DiamondLevel (a level's program, the outer level's table),
+# _box_summary and _diamond_summary (a relation below a '^', meets or
+# thresholds), _box_fuse and _diamond_fuse (the summaries of a '^''s
+# operands), and max and _diamond_join (those of a '+' below a '^'). A
+# box or diamond over a '^' is (_box_fold or _diamond_fold, the
+# summaries of the operands of the '^' at its root).
 _OPCODES = frozenset(
     {PropVar, Constant, And, Or, Implies, Box, Diamond, Atomic, PUnion, Seq, Inter, Star, Test}
 )
+# the steps Plan.run calls as op(a's value, b's value, top)
+_TABLES = frozenset({
+    _box_table, _diamond_table, _BoxLevel, _DiamondLevel,
+    _box_summary, _box_fuse, _box_fold,
+    _diamond_summary, _diamond_fuse, _diamond_join, _diamond_fold,
+})
 
 
 class Plan:
@@ -359,16 +520,19 @@ class Plan:
 
     One slot per distinct step, in post-order, so every operand's slot
     comes before its reader's. Each distinct subterm has a slot, except a
-    ``;`` or ``+`` that is only ever read as the program of a box or
-    diamond, and the ``;`` nodes on the left spine of such a ``;``:
-    ``[l;q]phi`` reads slots for ``l``, ``q`` and a table built from
-    ``q`` and the body's meets; ``[((l1;l2);l3);q]phi`` reads slots for
-    ``l1``, ``l2``, ``l3``, ``q``, that table, and one table per inner
-    level, built from ``l3`` and that table, then from ``l2`` and
-    ``l3``'s; and ``[a+b]phi`` reads the slots of ``[a]phi`` and
-    ``[b]phi`` (see the module docstring). ``steps`` holds each slot's
-    (opcode, operand, operand) step, and ``roots`` the slot of each
-    compiled term, in the order given.
+    ``;``, ``+`` or ``^`` that is only ever read as the program of a box
+    or diamond, the ``;`` nodes on the left spine of such a ``;``, and
+    the ``^`` and ``+`` nodes below such a ``^``: ``[l;q]phi`` reads slots
+    for ``l``, ``q`` and a table built from ``q`` and the body's meets;
+    ``[((l1;l2);l3);q]phi`` reads slots for ``l1``, ``l2``, ``l3``, ``q``,
+    that table, and one table per inner level, built from ``l3`` and that
+    table, then from ``l2`` and ``l3``'s; ``[a+b]phi`` reads the slots of
+    ``[a]phi`` and ``[b]phi``; and ``[a ^ (b+c)]phi`` reads slots for
+    ``a``, ``b``, ``c``, the body's meets (for a diamond, its thresholds),
+    a summary of each of ``a``, ``b`` and ``c``, and one of ``b+c`` (see
+    the module docstring). ``steps`` holds each slot's (opcode, operand,
+    operand) step, and ``roots`` the slot of each compiled term, in the
+    order given.
     """
 
     __slots__ = ("steps", "roots")
@@ -422,12 +586,9 @@ class Plan:
             elif op is Or or op is max:
                 value = tuple(map(max, values[a], values[b]))
             # tables after the connectives, which most plans hold more of
-            elif op is subset_meets:
-                value = subset_meets(values[a], states, top)
-            elif (
-                op is _box_table or op is _diamond_table
-                or op is _BoxLevel or op is _DiamondLevel
-            ):
+            elif op is subset_meets or op is _thresholds:
+                value = op(values[a], states, top)
+            elif op in _TABLES:
                 value = op(values[a], values[b], top)
             elif op is Constant:
                 if a.context != ctx:
@@ -457,26 +618,37 @@ class Plan:
 
 
 # The form of a box or diamond: its program's pieces, in post-order over
-# the '+' nodes at its top, each the number of relations it reads (1 for
-# a plain program, k+1 for a ';' chain l1;...;lk;q), with None for each
-# '+' that joins the last two.
+# the '+' nodes at its top, with None for each '+' that joins the last
+# two. A '^' piece is a list: the post-order of its '^' and '+' nodes,
+# each as its class, and of its other nodes, its leaves, each None. Any
+# other piece is the number of relations it reads (1 for a plain
+# program, k+1 for a ';' chain l1;...;lk;q).
 _PLAIN = (1,)
 
 
 def _modal_form(program: Program, body: Formula) -> tuple[list, list]:
     """The relations a modality over ``program`` reads, in order, then its
-    body; and its form. A '+' gives its operands' pieces, and any other
-    program the programs of its left spine of ';', its right operand
-    last: itself alone if it is no ';'."""
+    body; and its form. A '+' gives its operands' pieces, a '^' the leaves
+    below its '^' and '+' nodes, and any other program the programs of
+    its left spine of ';', its right operand last: itself alone if it is
+    no ';'."""
     kids: list = []
     form: list = []
-    todo = [(program, False)]
+    todo = [(program, form, False)]  # (node, the form or '^' piece it adds to, visited)
     while todo:
-        program, joined = todo.pop()
+        program, out, joined = todo.pop()
+        kind = type(program)
         if joined:
-            form.append(None)
-        elif type(program) is PUnion:
-            todo += [(program, True), (program.right, False), (program.left, False)]
+            out.append(None if out is form else kind)
+        elif kind is PUnion or kind is Inter and out is not form:
+            todo += [(program, out, True), (program.right, out, False), (program.left, out, False)]
+        elif kind is Inter:
+            piece: list = []
+            form.append(piece)
+            todo.append((program, piece, False))
+        elif out is not form:
+            kids.append(program)
+            out.append(None)
         else:
             spine = []
             while type(program) is Seq:
@@ -526,7 +698,7 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                 if kids:
                     if op is Box or op is Diamond:
                         kind = type(kids[0])
-                        if kind is Seq or kind is PUnion:
+                        if kind is Seq or kind is PUnion or kind is Inter:
                             kids, form = _modal_form(*kids)
                         else:
                             form = _PLAIN
@@ -544,9 +716,10 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                     step = (op, slot_of_node[id(kids[0])], slot_of_node[id(kids[1])])
             else:
                 op = type(node)
-                meets = slot((subset_meets, slot_of_node[id(kids[-1])], None))
+                body = slot_of_node[id(kids[-1])]
+                meets = (subset_meets, body, None)
                 if form is _PLAIN:
-                    step = (op, slot_of_node[id(kids[0])], meets)
+                    step = (op, slot_of_node[id(kids[0])], slot(meets))
                 else:
                     pending = []
                     i = 0
@@ -556,12 +729,34 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                             join = min if op is Box else max
                             pending.append((join, slot(left), slot(right)))
                             continue
-                        table = meets
+                        if type(piece) is list:
+                            # a summary slot per node below the '^' at its
+                            # root, whose step becomes the fold
+                            if op is Box:
+                                table = slot(meets)
+                                leaf, fuse, join, fold = _box_summary, _box_fuse, max, _box_fold
+                            else:
+                                table = slot((_thresholds, body, None))
+                                leaf, fuse, join = _diamond_summary, _diamond_fuse, _diamond_join
+                                fold = _diamond_fold
+                            sums = []
+                            for kind in piece:
+                                if kind is None:
+                                    sums.append((leaf, slot_of_node[id(kids[i])], table))
+                                    i += 1
+                                else:
+                                    right, left = sums.pop(), sums.pop()
+                                    combine = join if kind is PUnion else fuse
+                                    sums.append((combine, slot(left), slot(right)))
+                            ((_, left, right),) = sums
+                            pending.append((fold, left, right))
+                            continue
+                        table = slot(meets)
                         if piece > 1:
                             # q's table, then one per level inward
                             last = i + piece - 1
                             build = _box_table if op is Box else _diamond_table
-                            table = slot((build, slot_of_node[id(kids[last])], meets))
+                            table = slot((build, slot_of_node[id(kids[last])], table))
                             level = _BoxLevel if op is Box else _DiamondLevel
                             for j in range(last - 1, i, -1):
                                 table = slot((level, slot_of_node[id(kids[j])], table))

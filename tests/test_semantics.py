@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -524,15 +525,18 @@ _SEQ_TABLES = _BOX_TABLES + (semantics._diamond_table, semantics._DiamondLevel)
 
 def _read_subterms(term):
     """The subterms a plan of ``term`` holds a slot for: all of them but a
-    ``;`` or ``+`` met only as a modality's program (an operand of a ``+``
-    that is one is such a program too), and the ``;`` nodes on the left
-    spine of such a ``;``."""
+    ``;``, ``+`` or ``^`` met only as a modality's program (an operand of a
+    ``+`` that is one is such a program too), the ``;`` nodes on the left
+    spine of such a ``;``, and the ``^`` and ``+`` nodes below such a
+    ``^``, whose other nodes are read as relations."""
     stack = [(term, None)]
     while stack:
         node, modal = stack.pop()
         if modal == "program" and isinstance(node, Union):
             stack += [(node.left, "program"), (node.right, "program")]
-        elif modal is not None and isinstance(node, Seq):
+        elif modal in ("program", "parallel") and isinstance(node, (Union, Inter)):
+            stack += [(node.left, "parallel"), (node.right, "parallel")]
+        elif modal in ("program", "spine") and isinstance(node, Seq):
             stack += [(node.left, "spine"), (node.right, None)]
         else:
             yield node
@@ -542,11 +546,21 @@ def _read_subterms(term):
                 stack += [(kid, None) for kid in children(node)]
 
 
+_SUMMARIES = {
+    semantics._box_summary: Box, semantics._diamond_summary: Diamond,
+    semantics._box_fuse: Inter, semantics._diamond_fuse: Inter,
+    max: Union, semantics._diamond_join: Union,
+    semantics._box_fold: Inter, semantics._diamond_fold: Inter,
+}
+
+
 def _slot_terms(plan):
     """Per slot, the term its step computes, rebuilt from the steps alone,
-    or None for a table; with the programs l2, ..., q that each table
-    composes after the folded relation, in order, and the body it reads."""
-    terms, tables = [], {}
+    or None for a table or a summary; with the programs l2, ..., q that
+    each table composes after the folded relation, in order, and the body
+    it reads; and per summary slot its modality, the program it
+    summarises, None for the thresholds, and the body."""
+    terms, tables, summaries = [], {}, {}
     for op, a, b in plan.steps:
         term = None
         if op is subset_meets:
@@ -554,6 +568,19 @@ def _slot_terms(plan):
         elif op in _SEQ_TABLES:
             rights, body = tables[b]
             tables[len(terms)] = ((terms[a],) + rights, body)
+        elif op is semantics._thresholds:
+            summaries[len(terms)] = (Diamond, None, terms[a])
+        elif op in (semantics._box_summary, semantics._diamond_summary):
+            body = tables[b][1] if op is semantics._box_summary else summaries[b][2]
+            summaries[len(terms)] = (_SUMMARIES[op], terms[a], body)
+        elif op in _SUMMARIES and a in summaries:
+            # a '^' or '+' of two summaries, or the fold of the '^' at a root
+            modal, left, body = summaries[a]
+            program = _SUMMARIES[op](left, summaries[b][1])
+            if op in (semantics._box_fold, semantics._diamond_fold):
+                term = modal(program, body)
+            else:
+                summaries[len(terms)] = (modal, program, body)
         elif op in (Box, Diamond):
             term, (rights, body) = terms[a], tables[b]
             for right in rights:
@@ -567,17 +594,18 @@ def _slot_terms(plan):
         else:
             term = op(*(terms[slot] for slot in (a, b) if slot is not None))
         terms.append(term)
-    return terms, tables
+    return terms, tables, summaries
 
 
 def _check_plan(plan, terms, model):
     """The plan's shape, and every slot's value against the pointwise
-    evaluator: a term slot's value, and a table's by its definition on
-    each intermediate set U, as the box or diamond of
+    evaluator: a term slot's value; a table's by its definition on each
+    intermediate set U, as the box or diamond of
     ``((iota_U ; l2) ; ...) ; q``, composed left to right, where iota_U is
     the one entry (0, U) at top and l2, ..., q the programs the table
-    reads, the right operand of ';' at an outer table."""
-    rebuilt, tables = _slot_terms(plan)
+    reads, the right operand of ';' at an outer table; and a summary's by
+    its definition from the relation of the program it summarises."""
+    rebuilt, tables, summaries = _slot_terms(plan)
     # the roots rebuild the terms in order; distinct term slots rebuild
     # distinct terms, each read subterm has a slot, and operands come
     # before their readers
@@ -586,7 +614,7 @@ def _check_plan(plan, terms, model):
     assert len(set(named)) == len(named)
     assert set(named) >= {node for term in terms for node in _read_subterms(term)}
     for slot, (_, a, b) in enumerate(plan.steps):
-        assert (rebuilt[slot] is None) == (slot in tables)
+        assert (rebuilt[slot] is None) == (slot in tables or slot in summaries)
         assert all(operand < slot for operand in (a, b) if type(operand) is int)
     pointwise = PointwiseEvaluator(model)
     ctx, space, top = model.context, model.space, model.context.top
@@ -597,11 +625,15 @@ def _check_plan(plan, terms, model):
         elif term is not None:
             vector = tuple(pointwise.value_num(term, s) for s in space.states())
             assert values[slot] == vector, term
-    for slot, (rights, body) in tables.items():
-        meets = [
+
+    def meets_of(body):
+        return [
             min([top] + [pointwise.value_num(body, t) for t in mask_states(mask)])
             for mask in space.subset_masks()
         ]
+
+    for slot, (rights, body) in tables.items():
+        meets = meets_of(body)
         if not rights:
             assert values[slot] == meets, body
             continue
@@ -618,6 +650,37 @@ def _check_plan(plan, terms, model):
             else:
                 want = max([0] + [r + meets[t] - top for (_, t), r in entries])
                 assert max(0, values[slot][umask]) == want, (rights, body, umask)
+    # a box summary is, per source s, the shortfall max_T pi(s,T) - m(T), then
+    # <pi>#1(s) - top; a diamond summary is V, the body's values and top,
+    # ascending, and up_theta(s) - top, where up_theta(s) is the largest
+    # pi(s,T) with m(T) >= theta, per theta in V and s. The thresholds are V
+    # and per T the offset size * (m(T)'s place in V). A summary of a '^'
+    # is summed unclipped, so it is checked clipped as the fold reads it:
+    # a shortfall at 0, the rest at -top, which is none
+    size = space.size
+    for slot, (modal, program, body) in summaries.items():
+        meets = meets_of(body)
+        thresholds = sorted({top, *(pointwise.value_num(body, s) for s in space.states())})
+        if program is None:
+            offsets = [size * thresholds.index(meet) for meet in meets]
+            assert values[slot] == (thresholds, offsets), body
+            continue
+        entries = pointwise.relation(program).entries.items()
+        rows = {s: [(r, meets[t]) for (u, t), r in entries if u == s] for s in space.states()}
+        if modal is Box:
+            shorts = [max([0] + [r - meet for r, meet in rows[s]]) for s in space.states()]
+            reaches = [max([0] + [r for r, _ in rows[s]]) - top for s in space.states()]
+            got = values[slot]
+            assert [max(0, short) for short in got[:size]] == shorts, (modal, program, body)
+            assert [max(-top, reach) for reach in got[size:]] == reaches, (modal, program, body)
+        else:
+            ups = [
+                max([0] + [r for r, meet in rows[s] if meet >= theta]) - top
+                for theta in thresholds for s in space.states()
+            ]
+            got_thresholds, got = values[slot]
+            assert got_thresholds == thresholds, (modal, program, body)
+            assert [max(-top, up) for up in got] == ups, (modal, program, body)
 
 
 @settings(max_examples=300, deadline=None)
@@ -660,7 +723,7 @@ def _seq_terms(draw, ctx, sort, depth):
         node = (Union, Inter, Seq, Seq)[kind - 3]
         left = draw(_seq_terms(ctx, "program", depth - 1))
         return node(left, draw(_seq_terms(ctx, "program", depth - 1)))
-    kind = draw(st.integers(0, 5 if depth > 0 else 1))
+    kind = draw(st.integers(0, 6 if depth > 0 else 1))
     if kind == 0:
         return PropVar(draw(st.sampled_from("pq")))
     if kind == 1:
@@ -674,7 +737,27 @@ def _seq_terms(draw, ctx, sort, depth):
     body = draw(_seq_terms(ctx, "formula", depth - 1))
     if kind in (3, 4):
         program = (Seq, Union)[kind - 3](program, draw(_seq_terms(ctx, "program", depth - 1)))
+    elif kind == 6:
+        program = Inter(program, draw(_parallel_trees(ctx, depth - 1)))
     return (Box, Diamond)[draw(st.integers(0, 1))](program, body)
+
+
+@st.composite
+def _parallel_trees(draw, ctx, depth):
+    """A tree of '^' and '+' nodes of ``ctx`` whose leaves are atomic
+    programs, or a ';', '*' or '?' over small programs or formulas."""
+    kind = draw(st.integers(0, 5 if depth > 0 else 3))
+    if kind == 0:
+        return Atomic(draw(st.sampled_from("aabz")))
+    if kind == 1:
+        left = draw(_seq_terms(ctx, "program", 1))
+        return Seq(left, draw(_seq_terms(ctx, "program", 1)))
+    if kind == 2:
+        return Star(draw(_seq_terms(ctx, "program", 1)))
+    if kind == 3:
+        return Test(draw(_seq_terms(ctx, "formula", 1)))
+    left = draw(_parallel_trees(ctx, depth - 1))
+    return (Inter, Union)[kind - 4](left, draw(_parallel_trees(ctx, depth - 1)))
 
 
 @st.composite
@@ -690,12 +773,10 @@ def _compound_programs(draw, ctx):
 
 
 @st.composite
-def _seq_cases(draw):
-    """A chain, a model of 1-6 states whose atomic programs have rows at
-    only some states and may hold entries on the empty target set, and
-    terms: a few formulas, a left-nested ';' chain of 3-4 programs, the
-    middle ones compound, under a modality, and its prefix without the
-    last program read both under that modality and as a relation."""
+def _sparse_models(draw):
+    """A model of 1-6 states, of a chain of order 2, 3, 4, 5 or 7, whose
+    atomic programs have rows at only some states and may hold entries on
+    the empty target set."""
     ctx = ChainContext(draw(st.sampled_from((2, 3, 4, 5, 7))))
     size = draw(st.integers(1, 6))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -712,7 +793,17 @@ def _seq_cases(draw):
         }
         atomics[name] = ReachRelation(space, ctx, entries)
     valuation = {name: {s: rng.randint(0, ctx.top) for s in space.states()} for name in "pq"}
-    model = Model(ctx, space, atomics, valuation)
+    return Model(ctx, space, atomics, valuation)
+
+
+@st.composite
+def _seq_cases(draw):
+    """A model (``_sparse_models``) and terms: a few formulas, a
+    left-nested ';' chain of 3-4 programs, the middle ones compound, under
+    a modality, and its prefix without the last program read both under
+    that modality and as a relation."""
+    model = draw(_sparse_models())
+    ctx = model.context
     formulas = draw(st.lists(_seq_terms(ctx, "formula", 3), min_size=1, max_size=3))
     middle = draw(st.lists(_compound_programs(ctx), min_size=1, max_size=2))
     shared = draw(_seq_terms(ctx, "program", 1))
@@ -725,9 +816,32 @@ def _seq_cases(draw):
     return model, formulas + [both, shared]
 
 
+@st.composite
+def _parallel_cases(draw):
+    """A model (``_sparse_models``) and terms: a few formulas, a '^' of two
+    nested '^'/'+' trees under a modality, that modality over a '+' of a
+    ';' and the '^', and the '^' read as a relation."""
+    model = draw(_sparse_models())
+    ctx = model.context
+    formulas = draw(st.lists(_seq_terms(ctx, "formula", 2), min_size=1, max_size=2))
+    program = Inter(draw(_parallel_trees(ctx, 2)), draw(_parallel_trees(ctx, 2)))
+    chain = Seq(draw(_seq_terms(ctx, "program", 1)), draw(_seq_terms(ctx, "program", 1)))
+    body = draw(_seq_terms(ctx, "formula", 1))
+    modal = draw(st.sampled_from((Box, Diamond)))
+    both = And(modal(program, body), modal(Union(chain, program), body))
+    return model, formulas + [both, program]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_seq_cases())
 def test_modalities_over_seq_and_union_match_pointwise_evaluator(case):
+    model, terms = case
+    _check_plan(compile_plan(*terms), terms, model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parallel_cases())
+def test_modalities_over_parallel_match_pointwise_evaluator(case):
     model, terms = case
     _check_plan(compile_plan(*terms), terms, model)
 
@@ -748,6 +862,62 @@ def test_a_union_of_compositions_composes_nothing(monkeypatch):
     assert calls == []
     pointwise = PointwiseEvaluator(model)
     assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states())
+
+
+def test_a_modality_over_parallel_builds_parallel_only_as_an_operand(monkeypatch):
+    # a box or diamond over '^' folds summaries of the '^''s leaves, so no
+    # parallel relation is built for it; a '^' read as the operand of ';'
+    # or '*' is still built, once
+    model = _random_model(random.Random(5), C3, 3, 0.3)
+    pointwise = PointwiseEvaluator(model)
+    calls = []
+
+    def counting(r, q):
+        calls.append((r, q))
+        return parallel(r, q)
+
+    monkeypatch.setattr(semantics, "parallel", counting)
+    cases = [
+        ("[(a ^ b) ^ (a + b)]p", 0), ("<a ^ (b + a)>p", 0),
+        ("[(a ^ b);a]p", 1), ("[(a ^ b)*]p", 1),
+    ]
+    for text, built in cases:
+        calls.clear()
+        formula = parse_formula(text, C3)
+        got = compile_plan(formula).root_values(model)[0]
+        assert len(calls) == built, text
+        assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states()), text
+
+
+def test_a_union_of_a_composition_and_a_parallel_composes_nothing(monkeypatch):
+    model = _random_model(random.Random(6), C3, 3, 0.3)
+    formula = parse_formula("[(a;b) + (a ^ b)]p", C3)
+    calls = []
+
+    def counting(r, q):
+        calls.append((r, q))
+        return compose(r, q)
+
+    monkeypatch.setattr(semantics, "compose", counting)
+    got = compile_plan(formula).root_values(model)[0]
+    assert calls == []
+    pointwise = PointwiseEvaluator(model)
+    assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states())
+
+
+def test_a_modality_over_parallel_takes_its_thresholds_from_the_body():
+    # the thresholds are the body's values and top, not the whole chain: at
+    # n = 10**6 a run reads three of them
+    ctx = ChainContext(10**6)
+    top = ctx.top
+    space = StateSpace(2)
+    a = ReachRelation(space, ctx, {(0, 0b01): top, (1, 0b10): top})
+    b = ReachRelation(space, ctx, {(0, 0b10): top, (1, 0b10): top})
+    model = Model(ctx, space, {"a": a, "b": b}, {"p": {1: top}})
+    start = time.perf_counter()
+    got = compile_plan(parse_formula("[a ^ b]p & <a ^ b>p", ctx)).root_values(model)[0]
+    assert time.perf_counter() - start < 0.05
+    assert got == (0, 999999)
 
 
 def test_an_inner_level_builds_product_tables_only_for_the_sets_its_fold_reads():
