@@ -170,7 +170,9 @@ def cmd_check_proof(args) -> int:
     if verdict.accepted:
         print(f"accepted: {len(derivation.steps)} steps")
         return 0
-    print(f"rejected at step {verdict.failed_step}: {verdict.message}")
+    step = verdict.failed_step
+    # the message names its step already; the line names it once
+    print(f"rejected at step {step}: {verdict.message.removeprefix(f'step {step}: ')}")
     return 1
 
 

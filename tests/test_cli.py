@@ -182,7 +182,7 @@ def test_check_proof_hyphenated_name_is_an_unknown_schema(tmp_path, capsys):
     path.write_text("n: 3\n1 axiom Mon-box [a]p -> [a]q\n")
     assert main(["check-proof", str(path)]) == 1
     out = capsys.readouterr().out
-    assert out == "rejected at step 1: step 1: no schema named 'Mon-box' in system DL\n"
+    assert out == "rejected at step 1: no schema named 'Mon-box' in system DL\n"
 
 
 @pytest.mark.parametrize(
@@ -617,7 +617,8 @@ def test_check_proof_rejection_line_is_bounded(tmp_path, capsys):
     path.write_text("n: 3\n1 axiom A2 p" + " <-> p" * 14 + "\n")
     assert main(["check-proof", str(path)]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("rejected at step 1: step 1: ")
+    # the step is named once, then the shown formula
+    assert out.startswith("rejected at step 1: '(")
     assert "characters left out" in out
     assert len(out) < SHOWN_FORMULA_CHARS + 200
 
