@@ -314,18 +314,10 @@ def _box_fuse(left: Sequence[int], right: Sequence[int], top: int) -> list[int]:
 
 def _box_fold(left: Sequence[int], right: Sequence[int], top: int) -> tuple[int, ...]:
     """[r ^ q]phi from the box summaries of r and q: top less the
-    shortfall of ``_box_fuse``, at most top; that is D7/corrected,
+    shortfall of r ^ q, at most top; that is D7/corrected,
     (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi)."""
-    size = len(left) // 2
-    out = []
-    for short_r, reach_r, short_q, reach_q in zip(
-        left[:size], left[size:], right[:size], right[size:]
-    ):
-        short = short_r + reach_q
-        if reach_r + short_q > short:
-            short = reach_r + short_q
-        out.append(top - short if short > 0 else top)
-    return tuple(out)
+    shorts = _box_fuse(left, right, top)[: len(left) // 2]
+    return tuple([top - short if short > 0 else top for short in shorts])
 
 
 def _thresholds(body: Sequence[int], states: range, top: int) -> tuple[list[int], list[int]]:

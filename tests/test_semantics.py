@@ -546,8 +546,8 @@ def _read_subterms(term):
                 stack += [(kid, None) for kid in children(node)]
 
 
-_SUMMARIES = {
-    semantics._box_summary: Box, semantics._diamond_summary: Diamond,
+# the program that a step over two summaries reads
+_COMBINED = {
     semantics._box_fuse: Inter, semantics._diamond_fuse: Inter,
     max: Union, semantics._diamond_join: Union,
     semantics._box_fold: Inter, semantics._diamond_fold: Inter,
@@ -570,13 +570,14 @@ def _slot_terms(plan):
             tables[len(terms)] = ((terms[a],) + rights, body)
         elif op is semantics._thresholds:
             summaries[len(terms)] = (Diamond, None, terms[a])
-        elif op in (semantics._box_summary, semantics._diamond_summary):
-            body = tables[b][1] if op is semantics._box_summary else summaries[b][2]
-            summaries[len(terms)] = (_SUMMARIES[op], terms[a], body)
-        elif op in _SUMMARIES and a in summaries:
+        elif op is semantics._box_summary:
+            summaries[len(terms)] = (Box, terms[a], tables[b][1])
+        elif op is semantics._diamond_summary:
+            summaries[len(terms)] = (Diamond, terms[a], summaries[b][2])
+        elif op in _COMBINED and a in summaries:
             # a '^' or '+' of two summaries, or the fold of the '^' at a root
             modal, left, body = summaries[a]
-            program = _SUMMARIES[op](left, summaries[b][1])
+            program = _COMBINED[op](left, summaries[b][1])
             if op in (semantics._box_fold, semantics._diamond_fold):
                 term = modal(program, body)
             else:
