@@ -536,7 +536,7 @@ class Plan:
     def run(self, model: Model) -> list:
         """Every slot's value in ``model``: a formula's vector of
         numerators over the states, in state order, a program's relation,
-        or a table."""
+        or a table or summary."""
         values = [None] * len(self.steps)
         ctx = model.context
         top = ctx.top
@@ -659,7 +659,7 @@ def compile_plan(*terms: Formula | Program) -> Plan:
     The walk keeps its own stack, so a term of any depth compiles. Equal
     subterms share a slot: a step is keyed by its opcode and its
     operands' slots, so no subterm is hashed or compared as a tree, and
-    equal tables share a slot the same way. Each node is classified once,
+    equal tables and summaries share a slot the same way. Each node is classified once,
     when it is first reached; a box or diamond then takes its program's
     form (``_modal_form``) to the visit that emits its steps. The
     relations it reads come before its body, as they would if its
@@ -671,8 +671,8 @@ def compile_plan(*terms: Formula | Program) -> Plan:
     roots = []
 
     def slot(step: tuple) -> int:
-        """The slot of ``step``: a node's, a table's, or a modality's over
-        a piece of a '+'; a new step takes the next one."""
+        """The slot of ``step``: a node's, a table's, a summary's, or a
+        modality's over a piece of a '+'; a new step takes the next one."""
         found = slot_of_step.setdefault(step, len(steps))
         if found == len(steps):
             steps.append(step)
