@@ -62,23 +62,18 @@ a relation only through its meets over target sets.
   first argument and strong conjunction monotone, and a union's entries
   are the larger of its operands'.
 * A box or diamond over a '^' among the '+' nodes at the top of its
-  program folds summaries of the '^''s operands, so the parallel
-  relation is never built. A '^' joins one row of each operand into the
-  union of their targets, and the body's meet over a union is the least
-  of the parts' meets. Below the '^', a '+' is the pointwise max of its
-  operands' summaries, a '^' combines them as follows, and any other
-  program is a leaf whose relation is summarised.
+  program is folded from its operands, so the parallel relation is never
+  built. A '^' joins one row of each operand into the union of their
+  targets, and the body's meet over a union is the least of the parts'
+  meets. Below the '^', a '+' is a meet (box) or join (diamond) as
+  above, and any other program is a leaf: its box is the plain box over
+  it, and its reach and its diamond's rows are read from its relation.
 
-  The box keeps per source the shortfall ``top - [pi]phi``, the largest
-  ``pi(s,T) - m(T)``, and ``<pi>#1``, the largest entry. The shortfall of
-  ``r ^ q`` is the larger of ``short_r (*) <q>#1`` and
-  ``<r>#1 (*) short_q``, which is README's D7/corrected,
+  The box is README's D7/corrected,
   ``[r ^ q]phi = (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi)``: the meet of a
   union is the lesser of two meets, so the box splits into one
-  implication per operand. (Per threshold theta, the box is the least
-  ``top - dn_theta + theta``, with dn_theta the largest entry whose meet
-  is at most theta; that least is top less the shortfall, so the box
-  needs no thresholds.)
+  implication per operand. ``<pi>#1`` is pi's largest entry, and
+  ``<r ^ q>#1 = <r>#1 (*) <q>#1``, as (*) distributes over joins.
 
   The diamond does not split: D13, ``<r ^ q>phi <-> <r>phi & <q>phi``,
   is refuted at n = 3, as the operands' best rows may lie at different
@@ -86,13 +81,8 @@ a relation only through its meets over target sets.
   theta and source, ``up_theta``, the largest entry whose meet is at
   least theta; ``up_theta(r ^ q) = up_theta(r) (*) up_theta(q)``, and the
   diamond is the largest ``up_theta (*) theta``. The thresholds V are the
-  body's distinct values and top, read per run: every meet is one of
-  them, so there are at most one more than the states, whatever the
-  chain's order.
-
-  Both summaries keep the values that (*) combines less top, so that
-  (*) is a sum, which the fold clips. The fold reads the summaries of
-  the operands of the '^' at the root.
+  distinct meets of the body, its values and top, read per run, so there
+  are at most one more than the states, whatever the chain's order.
 
 ``eval_formula`` and ``eval_program`` answer one question of one model
 each, through ``Evaluator``, by compiling the term and running its plan
@@ -277,109 +267,62 @@ class _DiamondLevel(_Level):
         return high - top
 
 
-def _box_summary(rel: ReachRelation, meets: Sequence[int], top: int) -> list[int]:
-    """The summary of ``rel`` under a box over a '^', per source s: first
-    the shortfall top - [rel]phi(s), the largest rel(s,T) - m(T), then
-    <rel>#1(s) - top, the largest entry less top; -top where s has no
-    entry. ``meets`` are the body's ``subset_meets``."""
-    size = rel.space.size
-    out = [-top] * (2 * size)
-    for (s, mask), val in rel.entries.items():
-        short = val - meets[mask]
-        if short > out[s]:
-            out[s] = short
-        val -= top
-        if val > out[size + s]:
-            out[size + s] = val
-    return out
+def _reach(rel: ReachRelation, states: range, top: int) -> tuple[int, ...]:
+    """<rel>#1 per source: its largest entry, bottom where it has none."""
+    out = [0] * len(states)
+    for (s, _), val in rel.entries.items():
+        if val > out[s]:
+            out[s] = val
+    return tuple(out)
 
 
-def _box_fuse(left: Sequence[int], right: Sequence[int], top: int) -> list[int]:
-    """The box summary of r ^ q from those of r and q: the shortfall is
-    the larger of short_r (*) <q>#1 and <r>#1 (*) short_q (D7/corrected),
-    and <r ^ q>#1 = <r>#1 (*) <q>#1. As the reaches are kept less top,
-    (*) is a sum, which the fold clips."""
-    size = len(left) // 2
-    shorts, reaches = [], []
-    for short_r, reach_r, short_q, reach_q in zip(
-        left[:size], left[size:], right[:size], right[size:]
-    ):
-        short = short_r + reach_q
-        if reach_r + short_q > short:
-            short = reach_r + short_q
-        shorts.append(short)
-        reaches.append(reach_r + reach_q)
-    return shorts + reaches
+def _strong(left: Sequence[int], right: Sequence[int], top: int) -> tuple[int, ...]:
+    """The pointwise strong conjunction (*) of two vectors or rows."""
+    return tuple([val - top if val > top else 0 for val in map(add, left, right)])
 
 
-def _box_fold(left: Sequence[int], right: Sequence[int], top: int) -> tuple[int, ...]:
-    """[r ^ q]phi from the box summaries of r and q: top less the
-    shortfall of r ^ q, at most top; that is D7/corrected,
-    (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi)."""
-    shorts = _box_fuse(left, right, top)[: len(left) // 2]
-    return tuple([top - short if short > 0 else top for short in shorts])
-
-
-def _thresholds(body: Sequence[int], states: range, top: int) -> tuple[list[int], list[int]]:
-    """The thresholds V of a diamond over a '^', the body's distinct
-    values and top, ascending; and per target mask T the offset size * k
-    of the place k of the body's meet m(T) in V, where a diamond summary
-    keeps T's entries (``subset_meets`` of the offsets, which rise with
-    the values)."""
-    values = sorted({top, *body})
+def _thresholds(meets: Sequence[int], states: range, top: int) -> tuple[list[int], list[int]]:
+    """The thresholds V of a diamond over a '^', the distinct values of
+    the body's ``subset_meets`` (its values and top), ascending; and per
+    target mask the offset size * k of the place k of its meet in V, where
+    a diamond row keeps the mask's entries."""
+    values = sorted(set(meets))
     size = len(states)
-    offsets = [size * len(values) - size]
-    for val in body:
-        val = size * values.index(val)
-        offsets += [offset if offset < val else val for offset in offsets]
-    return values, offsets
+    return values, [size * values.index(meet) for meet in meets]
 
 
 def _diamond_summary(
     rel: ReachRelation, thresholds: tuple[list[int], list[int]], top: int
-) -> tuple[list[int], list[int]]:
-    """The summary of ``rel`` under a diamond over a '^': V, and per
-    threshold theta in V and source s, at size * k + s for theta's place
-    k, up_theta(s) - top, where up_theta(s) is the largest rel(s,T) whose
-    meet m(T) is at least theta; -top where there is none."""
-    values, offsets = thresholds
+) -> list[int]:
+    """The rows of ``rel`` under a diamond over a '^': per threshold theta
+    in V and source s, at size * k + s for theta's place k, up_theta(s),
+    the largest rel(s,T) whose meet m(T) is at least theta; bottom where
+    there is none."""
+    offsets = thresholds[1]
     size = rel.space.size
-    ups = [-top] * (len(values) * size)
+    ups = [0] * (len(thresholds[0]) * size)
     for (s, mask), val in rel.entries.items():
         i = offsets[mask] + s
-        val -= top
         if val > ups[i]:
             ups[i] = val
     # a row also holds every row above its threshold
     for i in range(len(ups) - size - 1, -1, -1):
         if ups[i + size] > ups[i]:
             ups[i] = ups[i + size]
-    return values, ups
+    return ups
 
 
-def _diamond_fuse(left: tuple, right: tuple, top: int) -> tuple[list[int], list[int]]:
-    """The diamond summary of r ^ q: up_theta(r) (*) up_theta(q), a sum,
-    as the rows are kept less top; the fold clips it."""
-    return left[0], list(map(add, left[1], right[1]))
-
-
-def _diamond_join(left: tuple, right: tuple, top: int) -> tuple[list[int], list[int]]:
-    """The diamond summary of r + q: the larger row of the two."""
-    return left[0], list(map(max, left[1], right[1]))
-
-
-def _diamond_fold(left: tuple, right: tuple, top: int) -> tuple[int, ...]:
-    """<r ^ q>phi from the diamond summaries of r and q: the largest
-    up_theta(r) (*) up_theta(q) (*) theta over the thresholds theta, at
-    least bottom."""
-    values, ups = left
-    ups_q = right[1]
+def _diamond_fold(ups: Sequence[int], thresholds: tuple, top: int) -> tuple[int, ...]:
+    """<pi>phi from the rows of pi: the largest up_theta (*) theta over the
+    thresholds theta in V."""
+    values = thresholds[0]
     size = len(ups) // len(values)
     out = [0] * size
     i = 0
     for theta in values:
+        theta -= top
         for s in range(size):
-            val = ups[i] + ups_q[i] + theta
+            val = ups[i] + theta
             if val > out[s]:
                 out[s] = val
             i += 1
@@ -486,24 +429,26 @@ class Model:
 # leaf's a is its name or constant and b None; a compound node's a and b
 # are the slots of its children in constructor order, b None for one
 # child, except that a box or diamond reads (program, table) and one over
-# a union (min or max, left modality, right modality). A table's or a
-# summary's opcode is the function or class that builds it:
-# subset_meets and _thresholds (body, None), _box_table and
-# _diamond_table (right operand of ';', meets of the body), _BoxLevel
-# and _DiamondLevel (a level's program, the outer level's table),
-# _box_summary and _diamond_summary (a relation below a '^', meets or
-# thresholds), _box_fuse and _diamond_fuse (the summaries of a '^''s
-# operands), and max and _diamond_join (those of a '+' below a '^'). A
-# box or diamond over a '^' is (_box_fold or _diamond_fold, the
-# summaries of the operands of the '^' at its root).
+# a union (min or max, left modality, right modality). A table's opcode
+# is the function or class that builds it: subset_meets (body, None),
+# _thresholds (meets, None), _box_table and _diamond_table (right operand
+# of ';', meets of the body), and _BoxLevel and _DiamondLevel (a level's
+# program, the outer level's table). Below a '^' at the top of a box's
+# program, a leaf reads the step of the plain box over it and
+# (_reach, leaf, None), its <leaf>#1; a '+' is min of the boxes and max
+# of the reaches, and a '^' is D7/corrected, min of
+# (Implies, <q>#1, [r]phi) and (Implies, <r>#1, [q]phi), with
+# (_strong, <r>#1, <q>#1) its reach. Below a '^' under a diamond, a leaf
+# reads (_diamond_summary, leaf, thresholds), its rows, a '+' is max and
+# a '^' _strong of its operands' rows, and the '^' at the root is
+# (_diamond_fold, its rows, thresholds).
 _OPCODES = frozenset(
     {PropVar, Constant, And, Or, Implies, Box, Diamond, Atomic, PUnion, Seq, Inter, Star, Test}
 )
 # the steps Plan.run calls as op(a's value, b's value, top)
 _TABLES = frozenset({
     _box_table, _diamond_table, _BoxLevel, _DiamondLevel,
-    _box_summary, _box_fuse, _box_fold,
-    _diamond_summary, _diamond_fuse, _diamond_join, _diamond_fold,
+    _diamond_summary, _strong, _diamond_fold,
 })
 
 
@@ -519,12 +464,14 @@ class Plan:
     ``[((l1;l2);l3);q]phi`` reads slots for ``l1``, ``l2``, ``l3``, ``q``,
     that table, and one table per inner level, built from ``l3`` and that
     table, then from ``l2`` and ``l3``'s; ``[a+b]phi`` reads the slots of
-    ``[a]phi`` and ``[b]phi``; and ``[a ^ (b+c)]phi`` reads slots for
-    ``a``, ``b``, ``c``, the body's meets (for a diamond, its thresholds),
-    a summary of each of ``a``, ``b`` and ``c``, and one of ``b+c`` (see
-    the module docstring). ``steps`` holds each slot's (opcode, operand,
-    operand) step, and ``roots`` the slot of each compiled term, in the
-    order given.
+    ``[a]phi`` and ``[b]phi``; ``[a ^ (b+c)]phi`` reads the slots of
+    ``[a]phi``, ``[b]phi``, ``[c]phi`` and ``[b+c]phi``, of the reaches
+    ``<a>#1``, ``<b>#1``, ``<c>#1`` and ``<b+c>#1``, and of the two
+    implications of D7/corrected; and ``<a ^ (b+c)>phi`` reads the body's
+    meets, its thresholds, and the rows of ``a``, ``b``, ``c``, ``b+c``
+    and the '^' (see the module docstring). ``steps`` holds each slot's
+    (opcode, operand, operand) step, and ``roots`` the slot of each
+    compiled term, in the order given.
     """
 
     __slots__ = ("steps", "roots")
@@ -578,7 +525,7 @@ class Plan:
             elif op is Or or op is max:
                 value = tuple(map(max, values[a], values[b]))
             # tables after the connectives, which most plans hold more of
-            elif op is subset_meets or op is _thresholds:
+            elif op is subset_meets or op is _thresholds or op is _reach:
                 value = op(values[a], states, top)
             elif op in _TABLES:
                 value = op(values[a], values[b], top)
@@ -618,6 +565,18 @@ class Plan:
 _PLAIN = (1,)
 
 
+def _spine(program: Program) -> list:
+    """The programs of the left spine of ';' of ``program``, its right
+    operand last: itself alone if it is no ';'."""
+    spine = []
+    while type(program) is Seq:
+        spine.append(program.right)
+        program = program.left
+    spine.append(program)
+    spine.reverse()
+    return spine
+
+
 def _modal_form(program: Program, body: Formula) -> tuple[list, list]:
     """The relations a modality over ``program`` reads, in order, then its
     body; and its form. A '+' gives its operands' pieces, a '^' the leaves
@@ -642,12 +601,8 @@ def _modal_form(program: Program, body: Formula) -> tuple[list, list]:
             kids.append(program)
             out.append(None)
         else:
-            spine = []
-            while type(program) is Seq:
-                spine.append(program.right)
-                program = program.left
-            spine.append(program)
-            kids += reversed(spine)
+            spine = _spine(program)
+            kids += spine
             form.append(len(spine))
     kids.append(body)
     return kids, form
@@ -677,6 +632,20 @@ def compile_plan(*terms: Formula | Program) -> Plan:
         if found == len(steps):
             steps.append(step)
         return found
+
+    def modal(op: type, spine: Sequence, meets: tuple) -> tuple:
+        """The step of a box or diamond ``op`` over the left-nested ';'
+        chain of the programs ``spine``: the first one's slot, folded
+        against the last one's table and one per inner level, or against
+        the body's ``meets`` if there is one program."""
+        table = slot(meets)
+        if len(spine) > 1:
+            build = _box_table if op is Box else _diamond_table
+            table = slot((build, slot_of_node[id(spine[-1])], table))
+            level = _BoxLevel if op is Box else _DiamondLevel
+            for program in reversed(spine[1:-1]):
+                table = slot((level, slot_of_node[id(program)], table))
+        return (op, slot_of_node[id(spine[0])], table)
 
     for term in terms:
         stack = [(term, None, None)]
@@ -710,51 +679,54 @@ def compile_plan(*terms: Formula | Program) -> Plan:
                 op = type(node)
                 body = slot_of_node[id(kids[-1])]
                 meets = (subset_meets, body, None)
-                if form is _PLAIN:
-                    step = (op, slot_of_node[id(kids[0])], slot(meets))
-                else:
-                    pending = []
-                    i = 0
-                    for piece in form:
-                        if piece is None:
-                            right, left = pending.pop(), pending.pop()
-                            join = min if op is Box else max
-                            pending.append((join, slot(left), slot(right)))
-                            continue
-                        if type(piece) is list:
-                            # a summary slot per node below the '^' at its
-                            # root, whose step becomes the fold
-                            if op is Box:
-                                table = slot(meets)
-                                leaf, fuse, join, fold = _box_summary, _box_fuse, max, _box_fold
-                            else:
-                                table = slot((_thresholds, body, None))
-                                leaf, fuse, join = _diamond_summary, _diamond_fuse, _diamond_join
-                                fold = _diamond_fold
-                            sums = []
-                            for kind in piece:
-                                if kind is None:
-                                    sums.append((leaf, slot_of_node[id(kids[i])], table))
-                                    i += 1
+                pending = []
+                i = 0
+                for piece in form:
+                    if piece is None:
+                        right, left = pending.pop(), pending.pop()
+                        join = min if op is Box else max
+                        pending.append((join, slot(left), slot(right)))
+                        continue
+                    if type(piece) is list:
+                        # per node below the '^' at its root, the steps
+                        # of its box and reach, or of its diamond's rows
+                        if op is Diamond:
+                            table = slot((_thresholds, slot(meets), None))
+                        parts = []
+                        for kind in piece:
+                            if kind is None:
+                                leaf = kids[i]
+                                i += 1
+                                if op is Box:
+                                    # the step a plain box over the leaf runs
+                                    box = modal(Box, _spine(leaf), meets)
+                                    parts.append((box, (_reach, slot_of_node[id(leaf)], None)))
                                 else:
-                                    right, left = sums.pop(), sums.pop()
-                                    combine = join if kind is PUnion else fuse
-                                    sums.append((combine, slot(left), slot(right)))
-                            ((_, left, right),) = sums
-                            pending.append((fold, left, right))
-                            continue
-                        table = slot(meets)
-                        if piece > 1:
-                            # q's table, then one per level inward
-                            last = i + piece - 1
-                            build = _box_table if op is Box else _diamond_table
-                            table = slot((build, slot_of_node[id(kids[last])], table))
-                            level = _BoxLevel if op is Box else _DiamondLevel
-                            for j in range(last - 1, i, -1):
-                                table = slot((level, slot_of_node[id(kids[j])], table))
-                        pending.append((op, slot_of_node[id(kids[i])], table))
-                        i += piece
-                    (step,) = pending
+                                    parts.append((_diamond_summary, slot_of_node[id(leaf)], table))
+                                continue
+                            right, left = parts.pop(), parts.pop()
+                            if op is Diamond:
+                                join = max if kind is PUnion else _strong
+                                parts.append((join, slot(left), slot(right)))
+                            elif kind is PUnion:
+                                boxes = (min, slot(left[0]), slot(right[0]))
+                                parts.append((boxes, (max, slot(left[1]), slot(right[1]))))
+                            else:
+                                # D7/corrected
+                                reach_r, reach_q = slot(left[1]), slot(right[1])
+                                half_r = slot((Implies, reach_q, slot(left[0])))
+                                half_q = slot((Implies, reach_r, slot(right[0])))
+                                reach = (_strong, reach_r, reach_q)
+                                parts.append(((min, half_r, half_q), reach))
+                        (part,) = parts
+                        if op is Box:
+                            pending.append(part[0])
+                        else:
+                            pending.append((_diamond_fold, slot(part), table))
+                        continue
+                    pending.append(modal(op, kids[i:i + piece], meets))
+                    i += piece
+                (step,) = pending
             slot_of_node[id(node)] = slot(step)
         roots.append(slot_of_node[id(term)])
     return Plan(tuple(steps), tuple(roots))

@@ -210,6 +210,30 @@ def test_inter_box_variants_discriminated_at_two():
     assert corrected.verdict == "no-counterexample-found"
 
 
+def test_rewritten_axioms_hold_under_the_pointwise_evaluator():
+    # the plans fold a box over '+' or '^' and a diamond over '+' by D6,
+    # D7/corrected and D12, so the audit of those axioms would compare the
+    # rewrite with itself; the pointwise evaluator builds union and
+    # parallel, and finds them valid, and the witnesses refuting
+    # D7/printed and D13 below top
+    for n in (2, 3, 5):
+        cfg = SamplerConfig(n=n, max_states=3, samples=300)
+        rng = random.Random(n)
+        for label in ("D6", "D7/corrected", "D12"):
+            template = schema(label).template(cfg.context)
+            props, progs = collect_names(template)
+            for _ in range(cfg.samples):
+                model = sample_model(cfg, rng, sorted(props), sorted(progs))
+                pointwise = PointwiseEvaluator(model)
+                for s in model.space.states():
+                    assert pointwise.value_num(template, s) == cfg.context.top, (label, n)
+    for label, n in (("D7/printed", 2), ("D13", 3)):
+        cfg = SamplerConfig(n=n, max_states=3, seed=7, samples=4000)
+        witness = find_counterexample(schema(label), cfg).witness
+        pointwise = PointwiseEvaluator(witness.model)
+        assert pointwise.value_num(witness.formula, witness.state) < cfg.context.top, label
+
+
 def test_inter_box_printed_direct_witness():
     # a has no successor rows, b reaches a state violating p: the printed
     # right-hand side drops to bottom while the intersection box is vacuous

@@ -546,21 +546,21 @@ def _read_subterms(term):
                 stack += [(kid, None) for kid in children(node)]
 
 
-# the program that a step over two summaries reads
-_COMBINED = {
-    semantics._box_fuse: Inter, semantics._diamond_fuse: Inter,
-    max: Union, semantics._diamond_join: Union,
-    semantics._box_fold: Inter, semantics._diamond_fold: Inter,
-}
+# the program that a step over two reaches or two diamonds' rows reads
+_COMBINED = {max: Union, semantics._strong: Inter}
 
 
-def _slot_terms(plan):
+def _slot_terms(plan, ctx):
     """Per slot, the term its step computes, rebuilt from the steps alone,
     or None for a table or a summary; with the programs l2, ..., q that
     each table composes after the folded relation, in order, and the body
-    it reads; and per summary slot its modality, the program it
-    summarises, None for the thresholds, and the body."""
-    terms, tables, summaries = [], {}, {}
+    it reads; per summary slot its modality, Box for a reach ``<pi>#1``
+    and Diamond for a diamond's rows or thresholds, the program it
+    summarises, None for the thresholds, and the body, None for a reach;
+    and the slots of the halves of D7/corrected, each rebuilt as
+    ``<q>#1 -> [r]phi`` with ``ctx``'s top."""
+    terms, tables, summaries, halves = [], {}, {}, set()
+    one = Constant(ctx.value(ctx.top))
     for op, a, b in plan.steps:
         term = None
         if op is subset_meets:
@@ -569,24 +569,31 @@ def _slot_terms(plan):
             rights, body = tables[b]
             tables[len(terms)] = ((terms[a],) + rights, body)
         elif op is semantics._thresholds:
-            summaries[len(terms)] = (Diamond, None, terms[a])
-        elif op is semantics._box_summary:
-            summaries[len(terms)] = (Box, terms[a], tables[b][1])
+            summaries[len(terms)] = (Diamond, None, tables[a][1])
+        elif op is semantics._reach:
+            summaries[len(terms)] = (Box, terms[a], None)
         elif op is semantics._diamond_summary:
             summaries[len(terms)] = (Diamond, terms[a], summaries[b][2])
         elif op in _COMBINED and a in summaries:
-            # a '^' or '+' of two summaries, or the fold of the '^' at a root
+            # a '^' or '+' of two reaches or of two diamonds' rows
             modal, left, body = summaries[a]
-            program = _COMBINED[op](left, summaries[b][1])
-            if op in (semantics._box_fold, semantics._diamond_fold):
-                term = modal(program, body)
-            else:
-                summaries[len(terms)] = (modal, program, body)
+            summaries[len(terms)] = (modal, _COMBINED[op](left, summaries[b][1]), body)
+        elif op is semantics._diamond_fold:
+            _, program, body = summaries[a]
+            term = Diamond(program, body)
+        elif op is Implies and a in summaries:
+            term = Implies(Diamond(summaries[a][1], one), terms[b])
+            halves.add(len(terms))
         elif op in (Box, Diamond):
             term, (rights, body) = terms[a], tables[b]
             for right in rights:
                 term = Seq(term, right)
             term = op(term, body)
+        elif op is min and a in halves:
+            # (<q>#1 -> [r]phi) & (<r>#1 -> [q]phi) is [r ^ q]phi
+            left, right = terms[a].right, terms[b].right
+            assert (terms[a].left.program, terms[b].left.program) == (right.program, left.program)
+            term = Box(Inter(left.program, right.program), left.body)
         elif op in (min, max):
             left, right = terms[a], terms[b]
             term = type(left)(Union(left.program, right.program), left.body)
@@ -595,7 +602,7 @@ def _slot_terms(plan):
         else:
             term = op(*(terms[slot] for slot in (a, b) if slot is not None))
         terms.append(term)
-    return terms, tables, summaries
+    return terms, tables, summaries, halves
 
 
 def _check_plan(plan, terms, model):
@@ -606,19 +613,22 @@ def _check_plan(plan, terms, model):
     the one entry (0, U) at top and l2, ..., q the programs the table
     reads, the right operand of ';' at an outer table; and a summary's by
     its definition from the relation of the program it summarises."""
-    rebuilt, tables, summaries = _slot_terms(plan)
+    ctx, space, top = model.context, model.space, model.context.top
+    rebuilt, tables, summaries, halves = _slot_terms(plan, ctx)
     # the roots rebuild the terms in order; distinct term slots rebuild
     # distinct terms, each read subterm has a slot, and operands come
-    # before their readers
+    # before their readers. A half of D7/corrected reads a reach, not a
+    # diamond slot, so it is left out of the first count: a term may spell
+    # the same implication
     assert [rebuilt[root] for root in plan.roots] == list(terms)
     named = [term for term in rebuilt if term is not None]
-    assert len(set(named)) == len(named)
+    unique = [term for slot, term in enumerate(rebuilt) if term is not None and slot not in halves]
+    assert len(set(unique)) == len(unique)
     assert set(named) >= {node for term in terms for node in _read_subterms(term)}
     for slot, (_, a, b) in enumerate(plan.steps):
         assert (rebuilt[slot] is None) == (slot in tables or slot in summaries)
         assert all(operand < slot for operand in (a, b) if type(operand) is int)
     pointwise = PointwiseEvaluator(model)
-    ctx, space, top = model.context, model.space, model.context.top
     values = plan.run(model)
     for slot, term in enumerate(rebuilt):
         if isinstance(term, PROGRAMS):
@@ -651,37 +661,35 @@ def _check_plan(plan, terms, model):
             else:
                 want = max([0] + [r + meets[t] - top for (_, t), r in entries])
                 assert max(0, values[slot][umask]) == want, (rights, body, umask)
-    # a box summary is, per source s, the shortfall max_T pi(s,T) - m(T), then
-    # <pi>#1(s) - top; a diamond summary is V, the body's values and top,
-    # ascending, and up_theta(s) - top, where up_theta(s) is the largest
-    # pi(s,T) with m(T) >= theta, per theta in V and s. The thresholds are V
-    # and per T the offset size * (m(T)'s place in V). A summary of a '^'
-    # is summed unclipped, so it is checked clipped as the fold reads it:
-    # a shortfall at 0, the rest at -top, which is none
+    # a reach <pi>#1 is, per source s, the largest pi(s,T), bottom if none;
+    # a diamond's rows are, per theta in V and s, the largest pi(s,T) with
+    # m(T) >= theta, bottom if none, where V is the body's values and top,
+    # ascending. The thresholds are V and per T the offset
+    # size * (m(T)'s place in V). A _strong step is the pointwise (*) of
+    # its operands, as well as the summary of a '^'
     size = space.size
     for slot, (modal, program, body) in summaries.items():
+        op, a, b = plan.steps[slot]
+        if op is semantics._strong:
+            strong = [max(0, x + y - top) for x, y in zip(values[a], values[b])]
+            assert list(values[slot]) == strong, (modal, program, body)
+        entries = () if program is None else pointwise.relation(program).entries.items()
+        if modal is Box:
+            reaches = [max([0] + [r for (u, _), r in entries if u == s]) for s in space.states()]
+            assert list(values[slot]) == reaches, program
+            continue
         meets = meets_of(body)
         thresholds = sorted({top, *(pointwise.value_num(body, s) for s in space.states())})
         if program is None:
             offsets = [size * thresholds.index(meet) for meet in meets]
             assert values[slot] == (thresholds, offsets), body
             continue
-        entries = pointwise.relation(program).entries.items()
         rows = {s: [(r, meets[t]) for (u, t), r in entries if u == s] for s in space.states()}
-        if modal is Box:
-            shorts = [max([0] + [r - meet for r, meet in rows[s]]) for s in space.states()]
-            reaches = [max([0] + [r for r, _ in rows[s]]) - top for s in space.states()]
-            got = values[slot]
-            assert [max(0, short) for short in got[:size]] == shorts, (modal, program, body)
-            assert [max(-top, reach) for reach in got[size:]] == reaches, (modal, program, body)
-        else:
-            ups = [
-                max([0] + [r for r, meet in rows[s] if meet >= theta]) - top
-                for theta in thresholds for s in space.states()
-            ]
-            got_thresholds, got = values[slot]
-            assert got_thresholds == thresholds, (modal, program, body)
-            assert [max(-top, up) for up in got] == ups, (modal, program, body)
+        ups = [
+            max([0] + [r for r, meet in rows[s] if meet >= theta])
+            for theta in thresholds for s in space.states()
+        ]
+        assert list(values[slot]) == ups, (modal, program, body)
 
 
 @settings(max_examples=300, deadline=None)
@@ -866,7 +874,7 @@ def test_a_union_of_compositions_composes_nothing(monkeypatch):
 
 
 def test_a_modality_over_parallel_builds_parallel_only_as_an_operand(monkeypatch):
-    # a box or diamond over '^' folds summaries of the '^''s leaves, so no
+    # a box or diamond over '^' is folded from the '^''s leaves, so no
     # parallel relation is built for it; a '^' read as the operand of ';'
     # or '*' is still built, once
     model = _random_model(random.Random(5), C3, 3, 0.3)
@@ -888,6 +896,37 @@ def test_a_modality_over_parallel_builds_parallel_only_as_an_operand(monkeypatch
         got = compile_plan(formula).root_values(model)[0]
         assert len(calls) == built, text
         assert got == tuple(pointwise.value_num(formula, s) for s in model.space.states()), text
+
+
+def test_a_box_over_parallel_is_d7_corrected_over_the_plain_boxes():
+    # [a ^ b]p runs (<b>#1 -> [a]p) & (<a>#1 -> [b]p) and no reach of the
+    # root '^'; its [a]p and [b]p are the steps of the plain boxes, so a
+    # plan that holds [a]p & [b]p adds no box for it
+    formula = parse_formula("[a ^ b]p", C3)
+    a, b, p, meets, reach_a, reach_b, box_a, half_a, box_b, half_b = range(10)
+    assert compile_plan(formula).steps == (
+        (Atomic, "a", None), (Atomic, "b", None), (PropVar, "p", None),
+        (subset_meets, p, None),
+        (semantics._reach, a, None), (semantics._reach, b, None),
+        (Box, a, meets), (Implies, reach_b, box_a),
+        (Box, b, meets), (Implies, reach_a, box_b),
+        (min, half_a, half_b),
+    )
+    plan = compile_plan(parse_formula("[a]p & [b]p", C3), formula)
+    steps = plan.steps
+    _, box_a, box_b = steps[plan.roots[0]]
+    _, half_a, half_b = steps[plan.roots[1]]
+    assert (steps[half_a][2], steps[half_b][2]) == (box_a, box_b)
+    assert sum(op is Box for op, _, _ in steps) == 2
+    model = _random_model(random.Random(7), C3, 3, 0.3)
+    _check_plan(plan, [parse_formula("[a]p & [b]p", C3), formula], model)
+    # a ';' leaf's box is the step of the plain box over its chain, which
+    # folds through the spine tables, so [a;b]p is not run twice
+    terms = [parse_formula(text, C3) for text in ("[a ^ (a;b)]p", "[a;b]p")]
+    plan = compile_plan(*terms)
+    half_b = plan.steps[plan.roots[0]][2]
+    assert plan.steps[half_b][2] == plan.roots[1]
+    _check_plan(plan, terms, model)
 
 
 def test_a_union_of_a_composition_and_a_parallel_composes_nothing(monkeypatch):
